@@ -1,0 +1,86 @@
+"""Pinned digests of whole CLI reports.
+
+Each case runs one command and compares the sha256 of its stdout, with the
+volatile "timestamp" line removed, against a digest recorded from an
+earlier build.  The determinism tests only compare two runs of the same
+code; these catch a refactor that changes any byte of a report.
+
+Only reports without float residuals are pinned (classical commands and
+exact scalar certification), so the digests do not depend on the BLAS
+build.  Commands run from a temporary directory with relative file names,
+so the echoed input paths are stable.
+"""
+
+import hashlib
+import json
+import random
+import re
+
+import pytest
+
+from conftest import random_consistent_system
+from synclcs.cli import main
+from synclcs.presets import magic_square_system, p3_demo_system
+
+TIMESTAMP_LINE = re.compile(r'^\s*"timestamp": .*$', re.MULTILINE)
+
+SYSTEMS = {
+    "ms.json": magic_square_system,
+    "p3.json": p3_demo_system,
+    "s3.json": lambda: random_consistent_system(random.Random(3), 3, 3, 4),
+    "s5.json": lambda: random_consistent_system(random.Random(5), 5, 2, 3),
+}
+
+CLASSICAL = [
+    ["solve"], ["iso"], ["analyze"], ["graph"], ["graph", "--homogeneous"], ["group"],
+]
+
+CASES = [
+    (cmd[0], path, *cmd[1:])
+    for path in ("ms.json", "p3.json", "s3.json")
+    for cmd in CLASSICAL
+] + [
+    ("repcheck", "p3.json", "--rep", "scalar:1,0,0"),
+    ("repcheck", "s3.json", "--rep", "scalar:1,1,2,0"),
+    ("repcheck", "s5.json", "--rep", "scalar:3,2,0"),
+]
+
+GOLDEN = {
+    "solve ms.json": (0, "047419123ed9e88c15f615900c962dfe77e68c61d236f2f17ddc1e98bef2f109"),
+    "iso ms.json": (0, "d352a7d6a94324b124eeed65cf46bc498476975af21b8b47c913dad92b27f924"),
+    "analyze ms.json": (0, "59812eb65202ec646edcc453f87183ff661cea27f27195f311faab170f0c2b4c"),
+    "graph ms.json": (0, "7ad04995f809772b6e6dd6f66871e2b3ccdfcf63ff210ff5c9d80427f790bac9"),
+    "graph ms.json --homogeneous": (0, "ff53c4b90000d586b2e86489abf4e591a00ea754defd8bad4eb4085c3e14e7db"),
+    "group ms.json": (0, "8202b846ee18d0c3cb8aad252241804a593459d42f5c218346aebc7efef3d816"),
+    "solve p3.json": (0, "c530ed45b8816e42d21c66ab2524c89701a2f45e85faf904e0faf944901120c4"),
+    "iso p3.json": (0, "2ad231423d06491399ea416dd42309349a6b6db614136532ebd8a577681a457f"),
+    "analyze p3.json": (0, "bfada383dd68077406e5c64e4fec4780ebd19fb607797867343d17289899e578"),
+    "graph p3.json": (0, "bcabea353d88c4b787f30c64d95e2cb60cb602ec2b891347af509efaa51f2bcd"),
+    "graph p3.json --homogeneous": (0, "add37a66bb29b9bbdbade26b1ea0ce03f27333f0535c24b78e1321dcd25c5753"),
+    "group p3.json": (0, "58a3b20529b46e7817bca6902cef0365a8b2346e8bc9e98ff377c5db146af1f7"),
+    "solve s3.json": (0, "553a3046a8ffb59eeb1984d0d9329be6844165ff98e23783d2e6f0acb9a164ee"),
+    "iso s3.json": (0, "f86356befd6ab849f3d000cec72af8d13bb71fc25454dfbd04018c6f23737826"),
+    "analyze s3.json": (0, "ad8e03452e8d3b5a51911b67bb9e56a834552ae6c0524f625e3baa0fe8c778e4"),
+    "graph s3.json": (0, "dcb8b52789b707cb6d217eaa34c76361dc05674c6b09e04059237d9f399ef84e"),
+    "graph s3.json --homogeneous": (0, "065e1106ce46da84f28fe508c2be141fef5a00cde967bc5934e50b39bc230a2c"),
+    "group s3.json": (0, "29a0276b982d18123467b613f5cf328c098be1c3a2b93fae87cd6f240670dce8"),
+    "repcheck p3.json --rep scalar:1,0,0": (0, "b3cc19875aaba96091db9bdf7961fd943be387904aab13108605bc1e8ffea55a"),
+    "repcheck s3.json --rep scalar:1,1,2,0": (0, "a1b6cdb8d84984d45dfb99819fd27b830acd05aca83c0ae5022c2b340ffe633f"),
+    "repcheck s5.json --rep scalar:3,2,0": (0, "d397c420030d9c3a918bc25f8c2b13b4d857c018721883a319fefc55e2d53854"),
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, build in SYSTEMS.items():
+        (tmp_path / name).write_text(json.dumps(build().to_json()))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_report_matches_golden_digest(argv, workdir, capsys):
+    code = main(list(argv))
+    out = TIMESTAMP_LINE.sub("", capsys.readouterr().out)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[" ".join(argv)]
