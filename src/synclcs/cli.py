@@ -6,7 +6,8 @@ inputs and flags produce byte-identical reports apart from the volatile
 "timestamp" field.
 
 Exit codes: 0 pass, 1 check failure, 2 validation failure, 3 parse error,
-4 enumeration cap or search budget exceeded.
+4 enumeration cap or search budget exceeded, 5 internal error (an
+unexpected exception; the report names it and stderr has the traceback).
 
 Environment overrides: SYNCLCS_ENUM_CAP, SYNCLCS_SEARCH_BUDGET.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+import traceback
 from datetime import datetime, timezone
 
 from . import __version__
@@ -47,6 +49,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(report: dict, out_path: str | None = None) -> None:
@@ -91,10 +94,6 @@ def _load_system(path: str) -> tuple[LinearSystem | None, dict, dict]:
     if system is not None:
         inputs["system_digest"] = system.digest()
     return system, inputs, validation.to_json()
-
-
-def _vec_str(v: ZpVector) -> str:
-    return "(" + ",".join(str(e) for e in v.entries) + ")"
 
 
 def _frac_str(value) -> str:
@@ -173,14 +172,14 @@ def cmd_solve(args, limits: Limits) -> int:
     strategy = find_perfect_deterministic(game, budget=limits.search_budget)
     if strategy is not None:
         report["perfect_strategy"] = {
-            str(i): _vec_str(strategy.assignment[i]) for i in game.inputs
+            str(i): strategy.assignment[i].label() for i in game.inputs
         }
         report["best_value"] = "1"
     else:
         best, value = best_deterministic_strategy(game, budget=limits.search_budget)
         report["perfect_strategy"] = None
         report["best_strategy"] = {
-            str(i): _vec_str(best.assignment[i]) for i in game.inputs
+            str(i): best.assignment[i].label() for i in game.inputs
         }
         report["best_value"] = _frac_str(value)
     report["summary"] = {"verdict": "pass"}
@@ -225,7 +224,7 @@ def cmd_iso(args, limits: Limits) -> int:
     }
     if result.bijection is not None:
         report["isomorphism"] = {
-            f"{i}:{_vec_str(x)}": f"{j}:{_vec_str(y)}"
+            f"{i}:{x.label()}": f"{j}:{y.label()}"
             for (i, x), (j, y) in sorted(
                 result.bijection.forward.items(), key=lambda kv: (kv[0][0], kv[0][1].entries)
             )
@@ -431,6 +430,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _emit(_error_report(command, inputs, exc), args.out)
         return EXIT_PARSE
+    except Exception as exc:
+        traceback.print_exc(file=_sys.stderr)
+        _emit(_error_report(command, inputs, exc), args.out)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -40,10 +40,6 @@ class Cyclotomic:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(p: int) -> "Cyclotomic":
-        return Cyclotomic(p, [0] * p)
-
-    @staticmethod
     def one(p: int) -> "Cyclotomic":
         return Cyclotomic(p, [1] + [0] * (p - 1))
 
@@ -52,12 +48,6 @@ class Cyclotomic:
         coeffs = [0] * p
         coeffs[k % p] = 1
         return Cyclotomic(p, coeffs)
-
-    def zero_like(self) -> "Cyclotomic":
-        return Cyclotomic.zero(self.p)
-
-    def one_like(self) -> "Cyclotomic":
-        return Cyclotomic.one(self.p)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):

@@ -46,9 +46,7 @@ class SynchronousGame:
 
 
 def _label(obj) -> str:
-    if isinstance(obj, ZpVector):
-        return "(" + ",".join(str(e) for e in obj.entries) + ")"
-    return str(obj)
+    return obj.label() if isinstance(obj, ZpVector) else str(obj)
 
 
 @dataclass

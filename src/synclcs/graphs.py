@@ -14,9 +14,8 @@ from .games import SynchronousGame
 from .system import LinearSystem, row_solutions, row_support
 from .zp import ZpVector
 
-EQUAL = "equal"
-ADJACENT = "adjacent"
-DISTINCT = "distinct-nonadjacent"
+# relationship of two vertices of one graph
+EQUAL, ADJACENT, DISTINCT = 0, 1, 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +50,7 @@ class GameGraph:
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
 
-    def relationship(self, u, v) -> str:
+    def relationship(self, u, v) -> int:
         if u == v:
             return EQUAL
         return ADJACENT if self.adjacent(u, v) else DISTINCT
@@ -59,32 +58,32 @@ class GameGraph:
     def degrees(self) -> list[int]:
         return [int(d) for d in self.adj.sum(axis=1)]
 
+    def solutions_by_row(self) -> dict[int, list[ZpVector]]:
+        """Solutions of each row that has any, in vertex order."""
+        out: dict[int, list[ZpVector]] = {}
+        for i, x in self.vertices:
+            out.setdefault(i, []).append(x)
+        return out
+
 
 def build_game_graph(
     sys: LinearSystem, homogeneous: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> GameGraph:
-    """Graph on (row, solution) pairs, edges on shared-coordinate conflicts."""
+    """Graph on (row, solution) pairs, edges on shared-coordinate conflicts:
+    u ~ v when both rows use some column c and the solutions differ at c."""
     target = sys.homogeneous() if homogeneous else sys
-    supports = {i: row_support(target, i) for i in range(1, target.m + 1)}
-    verts: list[tuple[int, ZpVector]] = []
-    for i in range(1, target.m + 1):
-        for x in row_solutions(target, i, cap):
-            verts.append((i, x))
-    d = len(verts)
+    verts = [(i, x) for i in range(1, target.m + 1) for x in row_solutions(target, i, cap)]
+    d, n = len(verts), target.n
+    # entries are < p; left to itself numpy would round those above int64
+    # to float64, so they stay Python ints in an object array
+    dtype = np.int64 if target.p <= 2**63 else object
+    values = np.array([x.entries for _, x in verts], dtype=dtype).reshape(d, n)
+    uses = np.array([[a != 0 for a in target.A.rows[i - 1]] for i, _ in verts],
+                    dtype=bool).reshape(d, n)
     adj = np.zeros((d, d), dtype=bool)
-    shared = {
-        (i, j): sorted(supports[i] & supports[j])
-        for i in supports
-        for j in supports
-        if i <= j
-    }
-    for a in range(d):
-        i, x = verts[a]
-        for bq in range(a + 1, d):
-            j, y = verts[bq]
-            key = (i, j) if i <= j else (j, i)
-            if any(x.entry(k) != y.entry(k) for k in shared[key]):
-                adj[a, bq] = adj[bq, a] = True
+    for c in range(n):
+        col = values[:, c]
+        adj |= np.outer(uses[:, c], uses[:, c]) & (col[:, None] != col[None, :])
     return GameGraph(tuple(verts), adj, (sys.digest(), "0" if homogeneous else "b"))
 
 

@@ -25,25 +25,9 @@ def dagger(M: np.ndarray) -> np.ndarray:
 
 
 def eye_like(M: np.ndarray) -> np.ndarray:
-    d = M.shape[0]
-    if is_exact(M):
-        sample = M[0, 0]
-        out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = sample.one_like() if i == j else sample.zero_like()
-        return out
-    return np.eye(d, dtype=complex)
-
-
-def zeros_like_mat(M: np.ndarray) -> np.ndarray:
-    d = M.shape[0]
-    if is_exact(M):
-        sample = M[0, 0]
-        out = np.empty((d, d), dtype=object)
-        out[:] = sample.zero_like()
-        return out
-    return np.zeros((d, d), dtype=complex)
+    """Identity of M's size and dtype; an object-dtype identity holds the
+    ints 1 and 0, which combine exactly with cyclotomic entries."""
+    return np.eye(M.shape[0], dtype=M.dtype)
 
 
 def mat_power(M: np.ndarray, n: int) -> np.ndarray:
@@ -55,11 +39,3 @@ def mat_power(M: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         result = result @ M
     return result
-
-
-def residual_identity(M: np.ndarray) -> float:
-    return frob(M - eye_like(M))
-
-
-def commutator_residual(A: np.ndarray, B: np.ndarray) -> float:
-    return frob(A @ B - B @ A)

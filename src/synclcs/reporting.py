@@ -28,18 +28,3 @@ class CheckRecord:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-
-def first_failure(records: list[CheckRecord]) -> CheckRecord | None:
-    for rec in records:
-        if not rec.passed:
-            return rec
-    return None
-
-
-def max_residual(records: list[CheckRecord]) -> float:
-    return max((rec.residual for rec in records), default=0.0)
-
-
-def all_pass(records: list[CheckRecord]) -> bool:
-    return first_failure(records) is None

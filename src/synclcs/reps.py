@@ -31,34 +31,21 @@ from .errors import (
     UnitarityViolation,
     VariableUnused,
 )
-from .graphs import build_game_graph
+from .graphs import ADJACENT, DISTINCT, EQUAL, GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
-from .matops import dagger, eye_like, frob, is_exact, zeros_like_mat
+from .matops import dagger, eye_like, frob, is_exact
 from .reporting import CheckRecord
-from .system import LinearSystem, is_row_solution, row_solutions, row_support
+from .system import LinearSystem, is_row_solution, row_support
 from .zp import FieldElem, ZpVector, check_prime
 
 OMEGA_CONVENTION = "exp(2*pi*i/p)"
 
-EQUAL, ADJACENT, DISTINCT = 0, 1, 2
 
-
-def _scale(M: np.ndarray, s) -> np.ndarray:
-    if is_exact(M):
-        out = np.empty(M.shape, dtype=object)
-        for idx, e in np.ndenumerate(M):
-            out[idx] = e * s
-        return out
-    return M * s
-
-
-def _div(M: np.ndarray, k: int) -> np.ndarray:
-    if is_exact(M):
-        out = np.empty(M.shape, dtype=object)
-        for idx, e in np.ndenumerate(M):
-            out[idx] = e / k
-        return out
-    return M / k
+def omega_pow(p: int, k: int, exact: bool):
+    """omega^k for omega = exp(2*pi*i/p): exact cyclotomic, or complex."""
+    if exact:
+        return Cyclotomic.omega_power(p, k)
+    return cmath.exp(2j * cmath.pi * (k % p) / p)
 
 
 @dataclass(eq=False)
@@ -84,9 +71,7 @@ class Representation:
         return self.images[name]
 
     def omega_pow(self, k: int):
-        if self.exact:
-            return Cyclotomic.omega_power(self.p, k)
-        return cmath.exp(2j * cmath.pi * (k % self.p) / self.p)
+        return omega_pow(self.p, k, self.exact)
 
 
 def make_representation(
@@ -113,10 +98,7 @@ def make_representation(
                 f"image of {name} is not unitary (residual {residual:.3e})"
             )
     jmat = images["J"]
-    omega = (
-        Cyclotomic.omega_power(p, 1) if exact else cmath.exp(2j * cmath.pi / p)
-    )
-    j_residual = frob(jmat - _scale(eye_like(jmat), omega))
+    j_residual = frob(jmat - eye_like(jmat) * omega_pow(p, 1, exact))
     identified = j_residual <= tol
     if not identified:
         if require_j_identified:
@@ -199,13 +181,18 @@ def f_projection(rep: Representation, j: int, s) -> np.ndarray:
     omega^s-eigenspace of the image of g_j."""
     if isinstance(s, FieldElem):
         s = s.value
-    M = _scale(rep.image(f"g{j}"), rep.omega_pow(-s))
+    return _spectral_projection(rep.image(f"g{j}"), s, rep.p, rep.exact)
+
+
+def _spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarray:
+    """(1/p) sum_{t<p} (omega^{-s} g)^t for a unitary g of order p."""
+    M = g * omega_pow(p, -s, exact)
     total = eye_like(M)
     term = eye_like(M)
-    for _ in range(1, rep.p):
+    for _ in range(1, p):
         term = term @ M
         total = total + term
-    return _div(total, rep.p)
+    return total / p
 
 
 def psi_image(
@@ -249,40 +236,30 @@ class ProjectionFamily:
     p: int
     dim: int
     exact: bool
+    graph: GameGraph  # G(A,b): its vertices index the entries
     entries: dict  # (i, ZpVector) -> matrix
-    solutions: dict  # i -> list[ZpVector]
+    solutions: dict  # i -> list[ZpVector], rows without solutions omitted
 
     def entry(self, i: int, x: ZpVector) -> np.ndarray:
         return self.entries[(i, x)]
-
-    def omega_pow(self, k: int):
-        if self.exact:
-            return Cyclotomic.omega_power(self.p, k)
-        return cmath.exp(2j * cmath.pi * (k % self.p) / self.p)
 
     def sample(self) -> np.ndarray:
         return next(iter(self.entries.values()))
 
 
-def _vec_label(x: ZpVector) -> str:
-    return "(" + ",".join(str(e) for e in x.entries) + ")"
-
-
 def _assemble_family(
     rep: Representation, sys: LinearSystem, tol: float, cap: int
 ) -> ProjectionFamily:
-    solutions = {i: row_solutions(sys, i, cap) for i in range(1, sys.m + 1)}
-    entries = {}
-    for i, sols in solutions.items():
-        for x in sols:
-            entries[(i, x)] = psi_image(rep, sys, i, x, tol)
+    graph = build_game_graph(sys, cap=cap)
+    entries = {(i, x): psi_image(rep, sys, i, x, tol) for i, x in graph.vertices}
     return ProjectionFamily(
         system=sys,
         p=rep.p,
         dim=rep.dim,
         exact=rep.exact,
+        graph=graph,
         entries=entries,
-        solutions=solutions,
+        solutions=graph.solutions_by_row(),
     )
 
 
@@ -294,27 +271,22 @@ def projection_family_checks(
     records = []
     for (i, x), E in fam.entries.items():
         records.append(CheckRecord(
-            f"psi-idempotent:{i}:{_vec_label(x)}", frob(E @ E - E), tol))
+            f"psi-idempotent:{i}:{x.label()}", frob(E @ E - E), tol))
         records.append(CheckRecord(
-            f"psi-selfadjoint:{i}:{_vec_label(x)}", frob(dagger(E) - E), tol))
+            f"psi-selfadjoint:{i}:{x.label()}", frob(dagger(E) - E), tol))
 
-    sys = fam.system
-    supports = {i: row_support(sys, i) for i in fam.solutions}
+    # incompatible pairs, in sorted-key order
     keys = sorted(fam.entries.keys(), key=lambda k: (k[0], k[1].entries))
-    for a, (i, x) in enumerate(keys):
-        for (k, y) in keys[a + 1:]:
-            shared = supports[i] & supports[k]
-            if all(x.entry(c) == y.entry(c) for c in shared):
-                continue  # compatible pair: no orthogonality demanded
-            residual = frob(fam.entry(i, x) @ fam.entry(k, y))
-            records.append(CheckRecord(
-                f"psi-orthogonal:{i}:{_vec_label(x)}|{k}:{_vec_label(y)}",
-                residual, tol))
+    order = [fam.graph.index(k) for k in keys]
+    conflicts = np.triu(fam.graph.adj[np.ix_(order, order)], 1)
+    for a, bq in zip(*np.nonzero(conflicts)):
+        (i, x), (k, y) = keys[a], keys[bq]
+        residual = frob(fam.entry(i, x) @ fam.entry(k, y))
+        records.append(CheckRecord(
+            f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}", residual, tol))
 
     for i, sols in fam.solutions.items():
-        if not sols:
-            continue
-        total = zeros_like_mat(fam.sample())
+        total = np.zeros_like(fam.sample())
         for x in sols:
             total = total + fam.entry(i, x)
         records.append(CheckRecord(
@@ -358,6 +330,14 @@ def rows_containing(sys: LinearSystem, j: int) -> list[int]:
     return [i for i in range(1, sys.m + 1) if j in row_support(sys, i)]
 
 
+def _phase_sum(fam: ProjectionFamily, i: int, j: int) -> np.ndarray:
+    """sum over x in S_i of omega^{x_j} * family(i, x)."""
+    total = np.zeros_like(fam.sample())
+    for x in fam.solutions[i]:
+        total = total + fam.entry(i, x) * omega_pow(fam.p, x.entry(j), fam.exact)
+    return total
+
+
 def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
     """phi(g_j) = sum over x in S_i of omega^{x_j} * family(i, x), where i
     is the lowest row whose support contains j; all other containing rows
@@ -367,12 +347,7 @@ def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
     rows = rows_containing(sys, j)
     if not rows:
         raise VariableUnused(f"variable {j} appears in no row")
-    per_row = {}
-    for i in rows:
-        total = zeros_like_mat(fam.sample())
-        for x in fam.solutions[i]:
-            total = total + _scale(fam.entry(i, x), fam.omega_pow(x.entry(j)))
-        per_row[i] = total
+    per_row = {i: _phase_sum(fam, i, j) for i in rows}
     canonical = rows[0]
     discrepancy = max(
         (frob(per_row[i] - per_row[canonical]) for i in rows[1:]), default=0.0
@@ -382,7 +357,7 @@ def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
 
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
-    total = zeros_like_mat(fam.sample())
+    total = np.zeros_like(fam.sample())
     for x in fam.solutions[i]:
         if x.entry(j) == t % fam.p:
             total = total + fam.entry(i, x)
@@ -433,14 +408,10 @@ def check_mutual_inverse(
         fam = build_projection_family(rep, sys, tol, cap)
     records = []
     for ell in range(1, sys.n + 1):
-        rows = rows_containing(sys, ell)
-        for i in rows:
-            total = zeros_like_mat(fam.sample())
-            for x in fam.solutions[i]:
-                total = total + _scale(fam.entry(i, x), fam.omega_pow(x.entry(ell)))
+        for i in rows_containing(sys, ell):
             records.append(CheckRecord(
                 f"roundtrip-generator:g{ell}:row{i}",
-                frob(total - rep.image(f"g{ell}")), tol))
+                frob(_phase_sum(fam, i, ell) - rep.image(f"g{ell}")), tol))
 
     phi_cache = {
         j: phi_image(fam, j).matrix
@@ -452,15 +423,10 @@ def check_mutual_inverse(
         for y in fam.solutions[i]:
             result = eye_like(fam.sample())
             for j in cols:
-                M = _scale(phi_cache[j], fam.omega_pow(-y.entry(j)))
-                total = eye_like(M)
-                term = eye_like(M)
-                for _ in range(1, fam.p):
-                    term = term @ M
-                    total = total + term
-                result = result @ _div(total, fam.p)
+                result = result @ _spectral_projection(
+                    phi_cache[j], y.entry(j), fam.p, fam.exact)
             records.append(CheckRecord(
-                f"roundtrip-projection:{i}:{_vec_label(y)}",
+                f"roundtrip-projection:{i}:{y.label()}",
                 frob(result - fam.entry(i, y)), tol))
     return records
 
@@ -472,8 +438,9 @@ class IsoGeneratorFamily:
     cross-row entries are zero."""
 
     family: ProjectionFamily
-    g_vertices: list  # (i, x in S_i(A,b))
-    h_vertices: list  # (j, y in S_j(A,0))
+    hom_graph: GameGraph  # G(A,0)
+    g_vertices: tuple  # (i, x in S_i(A,b)), the vertices of family.graph
+    h_vertices: tuple  # (j, y in S_j(A,0)), the vertices of hom_graph
     entries: dict  # ((i,x),(j,y)) -> matrix, only i == j stored
     zero: np.ndarray
 
@@ -490,19 +457,15 @@ def iso_generator_images(
     """E over vertex pairs: zero across different rows, and the family
     entry at the translated solution x + y within one row (adding a
     homogeneous row solution keeps the inhomogeneous-row solution set)."""
-    sys = fam.system
-    hom = sys.homogeneous()
-    hom_solutions = {i: row_solutions(hom, i, cap) for i in range(1, sys.m + 1)}
-    g_vertices = [(i, x) for i in sorted(fam.solutions) for x in fam.solutions[i]]
-    h_vertices = [(j, y) for j in sorted(hom_solutions) for y in hom_solutions[j]]
-    entries = {}
-    for i in sorted(fam.solutions):
-        for x in fam.solutions[i]:
-            for y in hom_solutions[i]:
-                shifted = x + y
-                entries[((i, x), (i, y))] = fam.entry(i, shifted)
-    return IsoGeneratorFamily(fam, g_vertices, h_vertices, entries,
-                              zeros_like_mat(fam.sample()))
+    H = build_game_graph(fam.system, homogeneous=True, cap=cap)
+    hom_solutions = H.solutions_by_row()
+    entries = {
+        ((i, x), (i, y)): fam.entry(i, x + y)
+        for i, x in fam.graph.vertices
+        for y in hom_solutions[i]
+    }
+    return IsoGeneratorFamily(fam, H, fam.graph.vertices, H.vertices, entries,
+                              np.zeros_like(fam.sample()))
 
 
 def iso_partition_checks(
@@ -510,34 +473,23 @@ def iso_partition_checks(
 ) -> list[CheckRecord]:
     """Both partition-of-unity identities: summing E over all vertices of
     either graph, the other one held fixed, gives the identity."""
-    records = []
-    for vh in iso.h_vertices:
-        total = zeros_like_mat(iso.zero)
-        for vg in iso.g_vertices:
-            if not iso.is_structurally_zero(vg, vh):
-                total = total + iso.entry(vg, vh)
-        records.append(CheckRecord(
-            f"iso-sum-over-inhomogeneous:{vh[0]}:{_vec_label(vh[1])}",
-            frob(total - eye_like(total)), tol))
-    for vg in iso.g_vertices:
-        total = zeros_like_mat(iso.zero)
-        for vh in iso.h_vertices:
-            if not iso.is_structurally_zero(vg, vh):
-                total = total + iso.entry(vg, vh)
-        records.append(CheckRecord(
-            f"iso-sum-over-homogeneous:{vg[0]}:{_vec_label(vg[1])}",
-            frob(total - eye_like(total)), tol))
-    return records
+    # only same-row pairs are nonzero; each sum runs in vertex order
+    over_g = {vh: iso.zero for vh in iso.h_vertices}
+    over_h = {vg: iso.zero for vg in iso.g_vertices}
+    for (vg, vh), E in iso.entries.items():
+        over_g[vh] = over_g[vh] + E
+        over_h[vg] = over_h[vg] + E
+    return [
+        CheckRecord(f"{family}:{i}:{x.label()}", frob(total - eye_like(total)), tol)
+        for family, sums in (("iso-sum-over-inhomogeneous", over_g),
+                             ("iso-sum-over-homogeneous", over_h))
+        for (i, x), total in sums.items()
+    ]
 
 
-def _relationship_codes(graph, vertices) -> np.ndarray:
-    d = len(vertices)
-    codes = np.full((d, d), DISTINCT, dtype=np.int8)
+def _relationship_codes(graph: GameGraph) -> np.ndarray:
+    codes = np.where(graph.adj, ADJACENT, DISTINCT).astype(np.int8)
     np.fill_diagonal(codes, EQUAL)
-    for a in range(d):
-        for bq in range(d):
-            if a != bq and graph.adjacent(vertices[a], vertices[bq]):
-                codes[a, bq] = ADJACENT
     return codes
 
 
@@ -557,10 +509,12 @@ def check_iso_relations(
     conversely any conflicting pair is reached by taking both homogeneous
     parts zero.  So checking every adjacent-pair product covers every
     rule-zero quadruple without repeating identical matrix products.
+    G and H list their vertices in the order of iso.g_vertices and
+    iso.h_vertices, as build_game_graph does.
     """
     g_verts, h_verts = iso.g_vertices, iso.h_vertices
-    rel_g = _relationship_codes(G, g_verts)
-    rel_h = _relationship_codes(H, h_verts)
+    rel_g = _relationship_codes(G)
+    rel_h = _relationship_codes(H)
 
     idem_max, adj_max = 0.0, 0.0
     for (vg, vh) in iso.entries:
@@ -589,19 +543,14 @@ def check_iso_relations(
 
     fam = iso.family
     product_max = 0.0
-    products = 0
-    gindex = {v: k for k, v in enumerate(G.vertices)}
-    verts = list(G.vertices)
-    for a, u in enumerate(verts):
-        for bq in range(a + 1, len(verts)):
-            v = verts[bq]
-            if G.adj[gindex[u], gindex[v]]:
-                products += 1
-                product_max = max(
-                    product_max,
-                    frob(fam.entry(*u) @ fam.entry(*v)),
-                    frob(fam.entry(*v) @ fam.entry(*u)),
-                )
+    edges = list(zip(*np.nonzero(np.triu(G.adj, 1))))
+    for a, bq in edges:
+        u, v = G.vertices[a], G.vertices[bq]
+        product_max = max(
+            product_max,
+            frob(fam.entry(*u) @ fam.entry(*v)),
+            frob(fam.entry(*v) @ fam.entry(*u)),
+        )
 
     n_gen = len(g_verts) * len(h_verts)
     return [
@@ -615,7 +564,7 @@ def check_iso_relations(
                 "zero_quadruples": total_zero_quadruples,
                 "with_nonzero_factors": nonzero_mismatches,
                 "trivially_zero": total_zero_quadruples - nonzero_mismatches,
-                "distinct_products": products,
+                "distinct_products": len(edges),
             },
         ),
     ]
@@ -633,11 +582,11 @@ def psi_iso_consistency_checks(
     sys = fam.system
     zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
     for (i, x) in iso.g_vertices:
-        total = zeros_like_mat(iso.zero)
+        total = iso.zero
         for k in range(1, sys.m + 1):
             total = total + iso.entry((i, x), (k, zero_vec))
         records.append(CheckRecord(
-            f"iso-zero-column:{i}:{_vec_label(x)}",
+            f"iso-zero-column:{i}:{x.label()}",
             frob(total - fam.entry(i, x)), tol))
     return records
 
@@ -659,9 +608,7 @@ def run_check_suite(
     records += check_mutual_inverse(rep, sys, tol, fam=fam, cap=cap)
     iso = iso_generator_images(fam, cap)
     records += iso_partition_checks(iso, tol)
-    G = build_game_graph(sys, homogeneous=False, cap=cap)
-    H = build_game_graph(sys, homogeneous=True, cap=cap)
-    records += check_iso_relations(iso, G, H, tol)
+    records += check_iso_relations(iso, fam.graph, iso.hom_graph, tol)
     records += psi_iso_consistency_checks(iso, tol)
     return records
 

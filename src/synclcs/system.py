@@ -230,7 +230,12 @@ def validate_document(doc: dict) -> tuple[LinearSystem | None, ValidationReport]
         p = int(doc["p"])
     except (KeyError, TypeError, ValueError):
         raise ParseError("missing or non-integer field 'p'")
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except NotPrime as exc:  # beyond the range is_prime can certify
+        report.add("modulus-prime", "failure", str(exc))
+        return None, report
+    if not prime:
         report.add("modulus-prime", "failure", f"modulus {p} is not prime")
         return None, report
     try:

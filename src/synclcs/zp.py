@@ -14,19 +14,36 @@ from .config import DEFAULT_ENUM_CAP
 from .errors import DimensionMismatch, EnumerationTooLarge, NotPrime
 
 
+# Deterministic Miller-Rabin over these bases is exact below PRIME_LIMIT
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
+    """Exact primality for p < PRIME_LIMIT; raises NotPrime above it."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= PRIME_LIMIT:
+        raise NotPrime(f"modulus {p} is outside the certified primality range "
+                       f"p < {PRIME_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -125,6 +142,9 @@ class ZpVector:
 
     def is_zero(self) -> bool:
         return not any(self.entries)
+
+    def label(self) -> str:
+        return "(" + ",".join(str(e) for e in self.entries) + ")"
 
     @staticmethod
     def zero(p: int, n: int) -> "ZpVector":

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 from synclcs.cli import main
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
@@ -57,6 +58,53 @@ def test_validate_composite_modulus_fails(capsys, tmp_path):
     code, out = run(capsys, ["validate", str(path)])
     assert code == 2
     assert json.loads(out)["summary"]["verdict"] == "fail"
+
+
+def test_validate_large_prime_is_fast(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 2**61 - 1, "A": [[1, 1]], "b": [0]}))
+    start = time.perf_counter()
+    code, out = run(capsys, ["validate", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["summary"]["verdict"] == "pass"
+
+
+def test_validate_modulus_beyond_certified_range(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 2**89 - 1, "A": [[1, 1]], "b": [0]}))
+    code, out = run(capsys, ["validate", str(path)])
+    assert code == 2
+    (record,) = json.loads(out)["checks"]
+    assert record["name"] == "modulus-prime" and record["level"] == "failure"
+    assert "certified" in record["message"]
+
+
+def test_graph_modulus_above_int64(capsys, tmp_path):
+    # one-variable rows: one solution each, x_j = b_i, adjacent exactly
+    # when two rows pin the same variable to different values
+    p = 2**64 - 59
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"p": p, "A": [[1, 0], [1, 0], [1, 0], [0, 1]], "b": [p - 1, p - 1, p - 2, 3]}))
+    code, out = run(capsys, ["graph", str(path)])
+    assert code == 0
+    graph = json.loads(out)["graph"]
+    assert graph["vertices"] == [f"1:{p - 1},0", f"2:{p - 1},0", f"3:{p - 2},0", "4:0,3"]
+    assert graph["edges"] == [[0, 2], [1, 2]]
+
+
+def test_unexpected_exception_exits_internal(capsys, tmp_path, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    path = write_preset(capsys, tmp_path, "one-eq")
+    monkeypatch.setattr("synclcs.cli.isomorphism_search", overflow)
+    code, out = run(capsys, ["iso", path])
+    assert code == 5
+    report = json.loads(out)  # exactly one JSON document on stdout
+    assert report["error"]["type"] == "RecursionError"
+    assert report["summary"]["verdict"] == "error"
 
 
 def test_validate_ragged_rows_is_parse_error(capsys, tmp_path):

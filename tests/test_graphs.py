@@ -47,18 +47,34 @@ def test_disjoint_supports_have_no_edges():
 
 
 def test_adjacency_negates_compatibility(rng):
-    for _ in range(10):
-        sys_ = random_system(rng, rng.choice([2, 3]), rng.randint(1, 3), rng.randint(1, 3))
-        G = build_game_graph(sys_)
-        for u in G.vertices:
-            for v in G.vertices:
-                if u == v:
-                    continue
-                i, x = u
-                j, y = v
-                assert G.adjacent(u, v) == (not compatible(sys_, i, j, x, y))
-                if i == j:
-                    assert G.adjacent(u, v)  # same-row distinct solutions conflict
+    # p up to 7 and up to 4 rows x 5 variables; row supports are capped so
+    # each row has at most 25 solutions and the pairwise oracle stays fast.
+    # For every p one system gets a zero row and one a duplicated row.
+    for p in (2, 3, 5, 7):
+        max_support = max(k for k in range(1, 6) if p ** (k - 1) <= 25)
+        for case in range(4):
+            m, n = rng.randint(2, 4), rng.randint(1, 5)
+            A = []
+            for _ in range(m):
+                cols = rng.sample(range(n), rng.randint(1, min(n, max_support)))
+                A.append([rng.randrange(1, p) if c in cols else 0 for c in range(n)])
+            b = [rng.randrange(p) for _ in range(m)]
+            if case == 0:
+                A[0] = [0] * n
+            if case == 1:
+                A[1], b[1] = A[0], b[0]
+            for sys_ in (LinearSystem.from_ints(p, A, b),
+                         LinearSystem.from_ints(p, A, [0] * m)):
+                G = build_game_graph(sys_)
+                for u in G.vertices:
+                    for v in G.vertices:
+                        if u == v:
+                            continue
+                        i, x = u
+                        j, y = v
+                        assert G.adjacent(u, v) == (not compatible(sys_, i, j, x, y))
+                        if i == j:
+                            assert G.adjacent(u, v)  # same-row distinct solutions conflict
 
 
 def test_distinct_rows_same_vector_stay_distinct_vertices():

@@ -10,6 +10,7 @@ from synclcs import (
     ZpVector,
     enumerate_affine,
     gauss_solve,
+    is_prime,
     rank,
     support,
 )
@@ -34,6 +35,37 @@ def test_composite_modulus_rejected():
         FieldElem(1, 6)
     with pytest.raises(NotPrime):
         ZpMatrix(1, ((0,),))
+
+
+def _trial_division(n: int) -> bool:
+    """The reference primality test: slow, but obviously right."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(20000) if is_prime(n)] == [
+        n for n in range(20000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+
+
+def test_is_prime_refuses_to_guess_beyond_certified_range():
+    with pytest.raises(NotPrime, match="certified"):
+        is_prime(2**89 - 1)
+    assert not is_prime(2**89)  # an even number needs no certificate
 
 
 def test_field_elem_arithmetic():
