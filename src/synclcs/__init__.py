@@ -68,11 +68,9 @@ from .reps import (
 )
 from .system import (
     LinearSystem,
-    RowData,
     ValidationReport,
     compatible,
     is_row_solution,
-    row_data,
     row_solutions,
     row_support,
     validate_document,

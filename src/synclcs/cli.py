@@ -41,7 +41,7 @@ from .reps import (
     run_check_suite,
     scalar_rep_from_solution,
 )
-from .system import LinearSystem, row_solutions, row_support, validate_document
+from .system import LinearSystem, row_support, validate_document
 from .zp import ZpVector, gauss_solve
 
 EXIT_PASS = 0
@@ -126,15 +126,15 @@ def cmd_analyze(args, limits: Limits) -> int:
     system, inputs, code = _require_system("analyze", args)
     if system is None:
         return code
+    G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
+    H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
+    solutions = G.solutions_by_row()
     rows = []
     for i in range(1, system.m + 1):
         V = sorted(row_support(system, i))
-        S = row_solutions(system, i, limits.enum_cap)
         rows.append({"row": i, "support": V, "support_size": len(V),
-                     "solutions": len(S)})
+                     "solutions": len(solutions.get(i, ()))})
     solvable = gauss_solve(system.A, system.b) is not None
-    G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
-    H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
     report = _base_report("analyze", inputs)
     report["rows"] = rows
     report["classically_solvable"] = solvable
@@ -231,8 +231,7 @@ def cmd_iso(args, limits: Limits) -> int:
         }
     solution_set = gauss_solve(system.A, system.b)
     if solution_set is not None:
-        translation = translate_isomorphism(system, solution_set.particular,
-                                            cap=limits.enum_cap)
+        translate_isomorphism(G, H, solution_set.particular)
         report["translation"] = {
             "solution": list(solution_set.particular.entries),
             "verified": True,

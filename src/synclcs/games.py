@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Callable, Hashable
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
-from .errors import SearchBudgetExceeded
+from .errors import EnumerationTooLarge, SearchBudgetExceeded
 from .system import LinearSystem, row_solutions, row_support
 from .zp import ZpVector
 
@@ -33,7 +33,7 @@ class SynchronousGame:
         """Materialized rule table for export; guarded by an entry cap."""
         total = (len(self.inputs) * len(self.outputs)) ** 2
         if total > max_entries:
-            raise MemoryError(f"rule table has {total} entries, cap {max_entries}")
+            raise EnumerationTooLarge(f"rule table has {total} entries, cap {max_entries}")
         table = []
         for i in self.inputs:
             for j in self.inputs:

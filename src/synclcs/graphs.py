@@ -23,17 +23,23 @@ class GameGraph:
     """Vertices are (row, solution) pairs; edges join incompatible pairs.
 
     Vertices with equal solution vectors under different rows stay
-    distinct.  No self-loops; adjacency is symmetric.
+    distinct.  No self-loops; adjacency is symmetric.  The graph is
+    G(system) or, when homogeneous, G(system with b = 0).
     """
 
+    system: LinearSystem
+    homogeneous: bool
     vertices: tuple[tuple[int, ZpVector], ...]
     adj: np.ndarray
-    provenance: tuple[str, str]  # (system digest, "b" or "0")
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {v: k for k, v in enumerate(self.vertices)}
         )
+        rows: dict[int, list[ZpVector]] = {}
+        for i, x in self.vertices:
+            rows.setdefault(i, []).append(x)
+        object.__setattr__(self, "_rows", rows)
 
     def index(self, v) -> int:
         return self._index[v]
@@ -60,10 +66,7 @@ class GameGraph:
 
     def solutions_by_row(self) -> dict[int, list[ZpVector]]:
         """Solutions of each row that has any, in vertex order."""
-        out: dict[int, list[ZpVector]] = {}
-        for i, x in self.vertices:
-            out.setdefault(i, []).append(x)
-        return out
+        return self._rows
 
 
 def build_game_graph(
@@ -84,7 +87,7 @@ def build_game_graph(
     for c in range(n):
         col = values[:, c]
         adj |= np.outer(uses[:, c], uses[:, c]) & (col[:, None] != col[None, :])
-    return GameGraph(tuple(verts), adj, (sys.digest(), "0" if homogeneous else "b"))
+    return GameGraph(sys, homogeneous, tuple(verts), adj)
 
 
 def build_iso_game(G: GameGraph, H: GameGraph) -> SynchronousGame:
@@ -262,21 +265,17 @@ def find_isomorphism(
     return isomorphism_search(G, H, budget).bijection
 
 
-def translate_isomorphism(
-    sys: LinearSystem, xstar: ZpVector, cap: int = DEFAULT_ENUM_CAP
-) -> VertexBijection:
+def translate_isomorphism(G: GameGraph, H: GameGraph, xstar: ZpVector) -> VertexBijection:
     """The explicit isomorphism (i, x) -> (i, (x - xstar) on the row support)
-    from the inhomogeneous graph to the homogeneous one, for any global
-    solution xstar.  The output is verified edge-preserving before return.
+    from the inhomogeneous graph G to the homogeneous one H of its system,
+    for any global solution xstar.  The output is verified edge-preserving
+    before return.
     """
+    sys = G.system
     if sys.A.apply(xstar) != sys.b:
         raise NotASolution("xstar does not solve the system")
-    G = build_game_graph(sys, homogeneous=False, cap=cap)
-    H = build_game_graph(sys, homogeneous=True, cap=cap)
-    forward = {}
-    for (i, x) in G.vertices:
-        shifted = (x - xstar).restrict(row_support(sys, i))
-        forward[(i, x)] = (i, shifted)
+    forward = {(i, x): (i, (x - xstar).restrict(row_support(sys, i)))
+               for i, x in G.vertices}
     bij = VertexBijection.from_forward(forward)
     if not is_isomorphism(G, H, bij):
         raise AssertionError("translation map failed edge preservation")
@@ -313,5 +312,6 @@ def graph_to_json(G: GameGraph) -> dict:
     return {
         "vertices": [_vertex_label(v) for v in G.vertices],
         "edges": edges,
-        "provenance": {"system_digest": G.provenance[0], "rhs": G.provenance[1]},
+        "provenance": {"system_digest": G.system.digest(),
+                       "rhs": "0" if G.homogeneous else "b"},
     }

@@ -232,13 +232,9 @@ class ProjectionFamily:
     """The matrices standing for the game-algebra generators, one per
     (row, solution) pair, built through the spectral projections."""
 
-    system: LinearSystem
-    p: int
-    dim: int
-    exact: bool
-    graph: GameGraph  # G(A,b): its vertices index the entries
+    rep: Representation
+    graph: GameGraph  # G(A,b): its system, rows and vertices index the entries
     entries: dict  # (i, ZpVector) -> matrix
-    solutions: dict  # i -> list[ZpVector], rows without solutions omitted
 
     def entry(self, i: int, x: ZpVector) -> np.ndarray:
         return self.entries[(i, x)]
@@ -252,15 +248,7 @@ def _assemble_family(
 ) -> ProjectionFamily:
     graph = build_game_graph(sys, cap=cap)
     entries = {(i, x): psi_image(rep, sys, i, x, tol) for i, x in graph.vertices}
-    return ProjectionFamily(
-        system=sys,
-        p=rep.p,
-        dim=rep.dim,
-        exact=rep.exact,
-        graph=graph,
-        entries=entries,
-        solutions=graph.solutions_by_row(),
-    )
+    return ProjectionFamily(rep, graph, entries)
 
 
 def projection_family_checks(
@@ -285,7 +273,7 @@ def projection_family_checks(
         records.append(CheckRecord(
             f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}", residual, tol))
 
-    for i, sols in fam.solutions.items():
+    for i, sols in fam.graph.solutions_by_row().items():
         total = np.zeros_like(fam.sample())
         for x in sols:
             total = total + fam.entry(i, x)
@@ -332,9 +320,10 @@ def rows_containing(sys: LinearSystem, j: int) -> list[int]:
 
 def _phase_sum(fam: ProjectionFamily, i: int, j: int) -> np.ndarray:
     """sum over x in S_i of omega^{x_j} * family(i, x)."""
+    rep = fam.rep
     total = np.zeros_like(fam.sample())
-    for x in fam.solutions[i]:
-        total = total + fam.entry(i, x) * omega_pow(fam.p, x.entry(j), fam.exact)
+    for x in fam.graph.solutions_by_row()[i]:
+        total = total + fam.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact)
     return total
 
 
@@ -343,8 +332,7 @@ def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
     is the lowest row whose support contains j; all other containing rows
     are evaluated too and the maximum discrepancy reported rather than
     averaged (averaging would mask well-definedness failures)."""
-    sys = fam.system
-    rows = rows_containing(sys, j)
+    rows = rows_containing(fam.graph.system, j)
     if not rows:
         raise VariableUnused(f"variable {j} appears in no row")
     per_row = {i: _phase_sum(fam, i, j) for i in rows}
@@ -358,8 +346,8 @@ def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
     total = np.zeros_like(fam.sample())
-    for x in fam.solutions[i]:
-        if x.entry(j) == t % fam.p:
+    for x in fam.graph.solutions_by_row()[i]:
+        if x.entry(j) == t % fam.rep.p:
             total = total + fam.entry(i, x)
     return total
 
@@ -371,7 +359,7 @@ def phi_welldefinedness_checks(
     over solutions with a fixed value at j must not depend on which
     containing row is used."""
     records = []
-    sys = fam.system
+    sys = fam.graph.system
     for j in range(1, sys.n + 1):
         rows = rows_containing(sys, j)
         if not rows:
@@ -380,7 +368,7 @@ def phi_welldefinedness_checks(
         records.append(CheckRecord(
             f"phi-welldefined:g{j}", result.cross_row_discrepancy, tol,
             detail={"rows": rows}))
-        for t in range(fam.p):
+        for t in range(fam.rep.p):
             blocks = [p_block(fam, i, j, t) for i in rows]
             residual = max(
                 (frob(bq - blocks[0]) for bq in blocks[1:]), default=0.0
@@ -391,21 +379,17 @@ def phi_welldefinedness_checks(
 
 
 def check_mutual_inverse(
-    rep: Representation,
-    sys: LinearSystem,
-    tol: float = DEFAULT_TOL,
-    fam: ProjectionFamily | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    fam: ProjectionFamily, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
-    """Both round trips of the generator maps.
+    """Both round trips of the generator maps between the family and the
+    representation it was built from.
 
     (a) reconstructing each g_ell from weighted family sums over every row
     containing ell must return the original image; (b) evaluating the
     spectral-projection product built from the reconstructed generators
     must return each family entry.
     """
-    if fam is None:
-        fam = build_projection_family(rep, sys, tol, cap)
+    rep, sys, solutions = fam.rep, fam.graph.system, fam.graph.solutions_by_row()
     records = []
     for ell in range(1, sys.n + 1):
         for i in rows_containing(sys, ell):
@@ -418,13 +402,13 @@ def check_mutual_inverse(
         for j in range(1, sys.n + 1)
         if rows_containing(sys, j)
     }
-    for i in sorted(fam.solutions):
+    for i in sorted(solutions):
         cols = sorted(row_support(sys, i))
-        for y in fam.solutions[i]:
+        for y in solutions[i]:
             result = eye_like(fam.sample())
             for j in cols:
                 result = result @ _spectral_projection(
-                    phi_cache[j], y.entry(j), fam.p, fam.exact)
+                    phi_cache[j], y.entry(j), rep.p, rep.exact)
             records.append(CheckRecord(
                 f"roundtrip-projection:{i}:{y.label()}",
                 frob(result - fam.entry(i, y)), tol))
@@ -433,39 +417,38 @@ def check_mutual_inverse(
 
 @dataclass(eq=False)
 class IsoGeneratorFamily:
-    """Matrices for the isomorphism-game generators indexed by pairs of an
-    inhomogeneous-graph vertex and a homogeneous-graph vertex; all
-    cross-row entries are zero."""
+    """Matrices for the isomorphism-game generators, indexed by pairs of a
+    vertex (i, x) of G(A,b) and a vertex (j, y) of G(A,0): the family
+    entry at the translated solution x + y when i == j (adding a
+    homogeneous row solution keeps the inhomogeneous-row solution set),
+    and zero across different rows."""
 
     family: ProjectionFamily
     hom_graph: GameGraph  # G(A,0)
-    g_vertices: tuple  # (i, x in S_i(A,b)), the vertices of family.graph
-    h_vertices: tuple  # (j, y in S_j(A,0)), the vertices of hom_graph
-    entries: dict  # ((i,x),(j,y)) -> matrix, only i == j stored
     zero: np.ndarray
 
+    @property
+    def g_vertices(self) -> tuple:
+        return self.family.graph.vertices
+
+    @property
+    def h_vertices(self) -> tuple:
+        return self.hom_graph.vertices
+
     def entry(self, vg, vh) -> np.ndarray:
-        return self.entries.get((vg, vh), self.zero)
+        (i, x), (j, y) = vg, vh
+        return self.family.entry(i, x + y) if i == j else self.zero
 
     def is_structurally_zero(self, vg, vh) -> bool:
-        return (vg, vh) not in self.entries
+        return vg[0] != vh[0]
 
 
 def iso_generator_images(
     fam: ProjectionFamily, cap: int = DEFAULT_ENUM_CAP
 ) -> IsoGeneratorFamily:
-    """E over vertex pairs: zero across different rows, and the family
-    entry at the translated solution x + y within one row (adding a
-    homogeneous row solution keeps the inhomogeneous-row solution set)."""
-    H = build_game_graph(fam.system, homogeneous=True, cap=cap)
-    hom_solutions = H.solutions_by_row()
-    entries = {
-        ((i, x), (i, y)): fam.entry(i, x + y)
-        for i, x in fam.graph.vertices
-        for y in hom_solutions[i]
-    }
-    return IsoGeneratorFamily(fam, H, fam.graph.vertices, H.vertices, entries,
-                              np.zeros_like(fam.sample()))
+    """The isomorphism-game family of fam, over G(A,b) and G(A,0)."""
+    H = build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
+    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.sample()))
 
 
 def iso_partition_checks(
@@ -476,9 +459,12 @@ def iso_partition_checks(
     # only same-row pairs are nonzero; each sum runs in vertex order
     over_g = {vh: iso.zero for vh in iso.h_vertices}
     over_h = {vg: iso.zero for vg in iso.g_vertices}
-    for (vg, vh), E in iso.entries.items():
-        over_g[vh] = over_g[vh] + E
-        over_h[vg] = over_h[vg] + E
+    hom_solutions = iso.hom_graph.solutions_by_row()
+    for i, x in iso.g_vertices:
+        for y in hom_solutions[i]:
+            E = iso.entry((i, x), (i, y))
+            over_g[(i, y)] = over_g[(i, y)] + E
+            over_h[(i, x)] = over_h[(i, x)] + E
     return [
         CheckRecord(f"{family}:{i}:{x.label()}", frob(total - eye_like(total)), tol)
         for family, sums in (("iso-sum-over-inhomogeneous", over_g),
@@ -494,7 +480,7 @@ def _relationship_codes(graph: GameGraph) -> np.ndarray:
 
 
 def check_iso_relations(
-    iso: IsoGeneratorFamily, G, H, tol: float = DEFAULT_TOL
+    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
     """Rule orthogonality plus idempotency/self-adjointness of every E.
 
@@ -509,18 +495,22 @@ def check_iso_relations(
     conversely any conflicting pair is reached by taking both homogeneous
     parts zero.  So checking every adjacent-pair product covers every
     rule-zero quadruple without repeating identical matrix products.
-    G and H list their vertices in the order of iso.g_vertices and
-    iso.h_vertices, as build_game_graph does.
+    Likewise the nonzero generators of row i are exactly its family
+    entries, each repeated |S_i(A,0)| times, so idempotency and
+    self-adjointness are checked once per family entry.
     """
-    g_verts, h_verts = iso.g_vertices, iso.h_vertices
+    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
+    g_verts, h_verts = G.vertices, H.vertices
     rel_g = _relationship_codes(G)
     rel_h = _relationship_codes(H)
 
     idem_max, adj_max = 0.0, 0.0
-    for (vg, vh) in iso.entries:
-        E = iso.entry(vg, vh)
+    for E in fam.entries.values():
         idem_max = max(idem_max, frob(E @ E - E))
         adj_max = max(adj_max, frob(dagger(E) - E))
+    hom_solutions = H.solutions_by_row()
+    nonzero = sum(len(sols) * len(hom_solutions[i])
+                  for i, sols in G.solutions_by_row().items())
 
     # rule-zero quadruples over the full generator grid, and the subset
     # whose factors are both structurally nonzero (same-row generators)
@@ -541,7 +531,6 @@ def check_iso_relations(
             ch = np.bincount(sub_h.ravel(), minlength=3)
             nonzero_mismatches += int(cg.sum() * ch.sum() - (cg * ch).sum())
 
-    fam = iso.family
     product_max = 0.0
     edges = list(zip(*np.nonzero(np.triu(G.adj, 1))))
     for a, bq in edges:
@@ -555,9 +544,9 @@ def check_iso_relations(
     n_gen = len(g_verts) * len(h_verts)
     return [
         CheckRecord("iso-idempotent", idem_max, tol,
-                    detail={"generators": n_gen, "nonzero": len(iso.entries)}),
+                    detail={"generators": n_gen, "nonzero": nonzero}),
         CheckRecord("iso-selfadjoint", adj_max, tol,
-                    detail={"generators": n_gen, "nonzero": len(iso.entries)}),
+                    detail={"generators": n_gen, "nonzero": nonzero}),
         CheckRecord(
             "iso-rule-orthogonality", product_max, tol,
             detail={
@@ -579,7 +568,7 @@ def psi_iso_consistency_checks(
     guards the implementation."""
     records = []
     fam = iso.family
-    sys = fam.system
+    sys = fam.graph.system
     zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
     for (i, x) in iso.g_vertices:
         total = iso.zero
@@ -605,10 +594,10 @@ def run_check_suite(
     fam = _assemble_family(rep, sys, tol, cap)
     records += projection_family_checks(fam, tol)
     records += phi_welldefinedness_checks(fam, tol)
-    records += check_mutual_inverse(rep, sys, tol, fam=fam, cap=cap)
+    records += check_mutual_inverse(fam, tol)
     iso = iso_generator_images(fam, cap)
     records += iso_partition_checks(iso, tol)
-    records += check_iso_relations(iso, fam.graph, iso.hom_graph, tol)
+    records += check_iso_relations(iso, tol)
     records += psi_iso_consistency_checks(iso, tol)
     return records
 

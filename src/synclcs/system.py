@@ -81,15 +81,6 @@ class LinearSystem:
             raise RowOutOfRange(f"row {i} outside 1..{self.m}")
 
 
-@dataclass(frozen=True)
-class RowData:
-    """Support and restricted solution set of one equation."""
-
-    index: int
-    V: frozenset[int]
-    S: tuple[ZpVector, ...]
-
-
 def row_support(sys: LinearSystem, i: int) -> set[int]:
     """Support of row i of A (1-based column indices)."""
     sys._check_row(i)
@@ -122,10 +113,6 @@ def row_solutions(
             full[c - 1] = val
         out.append(ZpVector(p, tuple(full)))
     return out
-
-
-def row_data(sys: LinearSystem, i: int, cap: int = DEFAULT_ENUM_CAP) -> RowData:
-    return RowData(i, frozenset(row_support(sys, i)), tuple(row_solutions(sys, i, cap)))
 
 
 def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:

@@ -110,9 +110,6 @@ class ZpVector:
         """1-based coordinate access."""
         return self.entries[j - 1]
 
-    def elem(self, j: int) -> FieldElem:
-        return FieldElem(self.entries[j - 1], self.p)
-
     def _check(self, other: "ZpVector"):
         if self.p != other.p or len(self) != len(other):
             raise DimensionMismatch("vector shapes or moduli disagree")

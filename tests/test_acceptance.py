@@ -99,7 +99,7 @@ def test_classical_equivalence_chain():
         ok = ok and (result.bijection is not None) == consistent
         if consistent:
             xstar = gauss_solve(sys_.A, sys_.b).particular
-            bij = translate_isomorphism(sys_, xstar)
+            bij = translate_isomorphism(G, H, xstar)
             ok = ok and edges_preserved(G, H, bij)
         if not ok:
             break
@@ -156,7 +156,7 @@ def test_scalar_representation_residuals_exactly_zero():
         fam = build_projection_family(rep, sys_, TOL)
         records += projection_family_checks(fam, TOL)
         records += phi_welldefinedness_checks(fam, TOL)
-        records += check_mutual_inverse(rep, sys_, TOL, fam=fam)
+        records += check_mutual_inverse(fam, TOL)
         ok = ok and all(rec.residual == 0.0 for rec in records)
         if not ok:
             break
@@ -176,7 +176,7 @@ def test_pauli_representation_residuals():
         relations
         + projection_family_checks(fam, TOL)
         + phi_welldefinedness_checks(fam, TOL)
-        + check_mutual_inverse(rep, ms, TOL, fam=fam)
+        + check_mutual_inverse(fam, TOL)
     )
     ok = ok and all(rec.residual <= TOL for rec in records)
     _verdict("operator-solution residuals at 1e-9", ok)
@@ -205,10 +205,8 @@ def test_isomorphism_game_identities():
     ms = magic_square_system()
     fam = build_projection_family(pauli_magic_square_rep(), ms, TOL)
     iso = iso_generator_images(fam)
-    G = build_game_graph(ms)
-    H = build_game_graph(ms, homogeneous=True)
     partition = iso_partition_checks(iso, TOL)
-    rules = check_iso_relations(iso, G, H, TOL)
+    rules = check_iso_relations(iso, TOL)
     ok = ok and all(rec.residual <= TOL for rec in partition + rules)
     detail = next(r for r in rules if r.name == "iso-rule-orthogonality").detail
     ok = ok and detail["zero_quadruples"] == _iso_zero_quadruples_oracle(ms)
@@ -228,9 +226,7 @@ def test_isomorphism_game_identities():
         rep = scalar_rep_from_solution(sys_, sol.particular)
         fam = build_projection_family(rep, sys_, TOL)
         iso = iso_generator_images(fam)
-        Gs = build_game_graph(sys_)
-        Hs = build_game_graph(sys_, homogeneous=True)
-        records = iso_partition_checks(iso, TOL) + check_iso_relations(iso, Gs, Hs, TOL)
+        records = iso_partition_checks(iso, TOL) + check_iso_relations(iso, TOL)
         ok = ok and all(rec.residual <= TOL for rec in records)
     _verdict("isomorphism-game identities on both sources", ok)
 

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 
 from synclcs.cli import main
@@ -129,6 +130,41 @@ def test_analyze_magic_square(capsys, tmp_path):
     assert report["graphs"]["inhomogeneous"]["vertices"] == 24
     assert report["graphs"]["homogeneous"]["vertices"] == 24
     assert report["classically_solvable"] is False
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Wrap `name` in every synclcs module that binds it; returns the list
+    that records one entry per call."""
+    original = getattr(sys.modules[f"synclcs.{module}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "synclcs" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_iso_builds_each_graph_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "solvable.json"
+    path.write_text(json.dumps({"p": 3, "A": [[1, 2, 0], [0, 1, 1]], "b": [1, 2]}))
+    builds = count_calls(monkeypatch, "graphs", "build_game_graph")
+    code, out = run(capsys, ["iso", str(path)])
+    assert code == 0
+    assert json.loads(out)["translation"]["verified"] is True
+    assert len(builds) == 2
+
+
+def test_analyze_enumerates_each_row_once_per_graph(capsys, tmp_path, monkeypatch):
+    path = write_preset(capsys, tmp_path, "magic-square")
+    calls = count_calls(monkeypatch, "system", "row_solutions")
+    code, out = run(capsys, ["analyze", path])
+    assert code == 0
+    assert [row["solutions"] for row in json.loads(out)["rows"]] == [4] * 6
+    assert len(calls) == 2 * magic_square_system().m
 
 
 def test_solve_consistent_system(capsys, tmp_path):

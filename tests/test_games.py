@@ -20,7 +20,7 @@ from synclcs import (
     row_solutions,
     row_support,
 )
-from synclcs.errors import SearchBudgetExceeded
+from synclcs.errors import EnumerationTooLarge, SearchBudgetExceeded
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 
 
@@ -197,5 +197,5 @@ def test_rule_table_export():
     import json
 
     json.dumps(table)  # JSON-serializable
-    with pytest.raises(MemoryError):
+    with pytest.raises(EnumerationTooLarge):
         g.rule_table(max_entries=1)

@@ -150,22 +150,26 @@ def test_search_budget_exceeded_raises():
         isomorphism_search(G, H, budget=10)
 
 
+def _graph_pair(sys_):
+    return build_game_graph(sys_), build_game_graph(sys_, homogeneous=True)
+
+
 def test_translate_identity_when_homogeneous():
     sys_ = one_eq_system()  # b = 0 already
-    bij = translate_isomorphism(sys_, zvec(2, 0, 0))
+    bij = translate_isomorphism(*_graph_pair(sys_), zvec(2, 0, 0))
     assert all(bij.forward[v] == v for v in bij.forward)
 
 
 def test_translate_one_equation_example():
     sys_ = LinearSystem.from_ints(2, [[1, 1]], [1])
-    bij = translate_isomorphism(sys_, zvec(2, 1, 0))
+    bij = translate_isomorphism(*_graph_pair(sys_), zvec(2, 1, 0))
     assert bij.forward[(1, zvec(2, 1, 0))] == (1, zvec(2, 0, 0))
     assert bij.forward[(1, zvec(2, 0, 1))] == (1, zvec(2, 1, 1))
 
 
 def test_translate_rejects_non_solutions():
     with pytest.raises(NotASolution):
-        translate_isomorphism(one_eq_system(), zvec(2, 1, 0))
+        translate_isomorphism(*_graph_pair(one_eq_system()), zvec(2, 1, 0))
 
 
 def test_translate_verified_on_random_consistent_systems(rng):
@@ -173,9 +177,8 @@ def test_translate_verified_on_random_consistent_systems(rng):
         sys_ = random_consistent_system(rng, rng.choice([2, 3]),
                                         rng.randint(1, 4), rng.randint(1, 4))
         sol = gauss_solve(sys_.A, sys_.b)
-        bij = translate_isomorphism(sys_, sol.particular)
-        G = build_game_graph(sys_)
-        H = build_game_graph(sys_, homogeneous=True)
+        G, H = _graph_pair(sys_)
+        bij = translate_isomorphism(G, H, sol.particular)
         assert edges_preserved(G, H, bij)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -272,14 +273,14 @@ def test_mutual_inverse_exact_on_scalar(rng):
                                         rng.randint(1, 3), rng.randint(1, 3))
         sol = gauss_solve(sys_.A, sys_.b)
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        for rec in check_mutual_inverse(rep, sys_):
+        for rec in check_mutual_inverse(build_projection_family(rep, sys_)):
             assert rec.residual == 0.0
 
 
 def test_mutual_inverse_pauli():
     ms = magic_square_system()
     rep = pauli_magic_square_rep()
-    recs = check_mutual_inverse(rep, ms)
+    recs = check_mutual_inverse(build_projection_family(rep, ms))
     assert max(r.residual for r in recs) <= 1e-9
     kinds = {r.name.split(":")[0] for r in recs}
     assert kinds == {"roundtrip-generator", "roundtrip-projection"}
@@ -291,7 +292,7 @@ def test_corrupted_family_yields_named_failure():
     fam = _assemble_family(rep, ms, TOL, 2**20)
     key = next(iter(fam.entries))
     fam.entries[key] = np.eye(4, dtype=complex)
-    recs = projection_family_checks(fam) + check_mutual_inverse(rep, ms, fam=fam)
+    recs = projection_family_checks(fam) + check_mutual_inverse(fam)
     failing = [r for r in recs if not r.passed]
     assert failing
     assert all(r.name for r in failing)
@@ -320,8 +321,7 @@ def test_iso_relations_pauli():
     fam = build_projection_family(pauli_magic_square_rep(), ms)
     iso = iso_generator_images(fam)
     G = build_game_graph(ms)
-    H = build_game_graph(ms, homogeneous=True)
-    recs = check_iso_relations(iso, G, H)
+    recs = check_iso_relations(iso)
     by_name = {r.name: r for r in recs}
     assert by_name["iso-rule-orthogonality"].residual <= 1e-9
     detail = by_name["iso-rule-orthogonality"].detail
@@ -339,10 +339,56 @@ def test_iso_relations_scalar_exact():
     rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
     fam = build_projection_family(rep, sys_)
     iso = iso_generator_images(fam)
-    G = build_game_graph(sys_)
-    H = build_game_graph(sys_, homogeneous=True)
-    for rec in check_iso_relations(iso, G, H) + iso_partition_checks(iso):
+    for rec in check_iso_relations(iso) + iso_partition_checks(iso):
         assert rec.residual == 0.0
+
+
+def _iso_table_oracle(fam):
+    """The isomorphism-game generators as an explicit per-pair table, built
+    from row_solutions alone: ((i, x), (i, y)) -> family(i, x + y) for x in
+    S_i(A,b), y in S_i(A,0); pairs across rows are absent (zero)."""
+    sys_ = fam.graph.system
+    hom = sys_.homogeneous()
+    return {
+        ((i, x), (i, y)): fam.entry(i, x + y)
+        for i in range(1, sys_.m + 1)
+        for x in row_solutions(sys_, i)
+        for y in row_solutions(hom, i)
+    }
+
+
+def _iso_oracle_sources():
+    ms = magic_square_system()
+    yield build_projection_family(pauli_magic_square_rep(), ms)
+    sys_ = random_consistent_system(random.Random(20261018), 3, 3, 4)
+    rep = scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
+    yield build_projection_family(rep, sys_)
+
+
+def test_iso_family_matches_per_pair_table():
+    for fam in _iso_oracle_sources():
+        iso = iso_generator_images(fam)
+        table = _iso_table_oracle(fam)
+        assert table
+        for vg in iso.g_vertices:
+            for vh in iso.h_vertices:
+                if (vg, vh) in table:
+                    assert np.array_equal(iso.entry(vg, vh), table[(vg, vh)])
+                else:
+                    assert vg[0] != vh[0]
+                    assert frob(iso.entry(vg, vh)) == 0.0
+        by_name = {r.name: r for r in check_iso_relations(iso)}
+        idem = max(frob(E @ E - E) for E in table.values())
+        adj = max(frob(dagger(E) - E) for E in table.values())
+        assert by_name["iso-idempotent"].residual == idem
+        assert by_name["iso-selfadjoint"].residual == adj
+        sys_ = fam.graph.system
+        sizes = [(len(row_solutions(sys_, i)), len(row_solutions(sys_.homogeneous(), i)))
+                 for i in range(1, sys_.m + 1)]
+        expected = {"generators": sum(g for g, _ in sizes) * sum(h for _, h in sizes),
+                    "nonzero": sum(g * h for g, h in sizes)}
+        for name in ("iso-idempotent", "iso-selfadjoint"):
+            assert by_name[name].detail == expected
 
 
 def test_iso_zero_column_consistency():

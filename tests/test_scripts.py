@@ -1,0 +1,25 @@
+"""Smoke runs of the scripts documented in the README, as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/magic_square_demo.py"],
+    ["scripts/random_survey.py", "--count", "5", "--certify"],
+])
+def test_script_runs_clean(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the survey's closing line claims agreement regardless; the per-system
+    # lines are the evidence
+    assert "DISAGREEMENT" not in proc.stdout
+    assert "NONZERO RESIDUAL" not in proc.stdout

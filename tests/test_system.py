@@ -7,7 +7,6 @@ from synclcs import (
     LinearSystem,
     compatible,
     is_row_solution,
-    row_data,
     row_solutions,
     row_support,
     validate_document,
@@ -117,13 +116,6 @@ def test_compatible_symmetry(p, m, n, seed):
     assert compatible(sys_, i, j, x, y) == compatible(sys_, j, i, y, x)
     if i == j:
         assert compatible(sys_, i, i, x, y) == (x == y)
-
-
-def test_row_data_bundles_support_and_solutions():
-    rd = row_data(p3_demo_system(), 1)
-    assert rd.index == 1
-    assert rd.V == frozenset({1, 2})
-    assert len(rd.S) == 3
 
 
 def test_is_row_solution_membership():
