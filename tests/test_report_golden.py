@@ -84,3 +84,28 @@ def test_report_matches_golden_digest(argv, workdir, capsys):
     out = TIMESTAMP_LINE.sub("", capsys.readouterr().out)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[" ".join(argv)]
+
+
+# sha256 of the whole file written by `graph --dot`
+DOT_CASES = [
+    (path, *flags)
+    for path in ("ms.json", "p3.json", "s3.json")
+    for flags in ((), ("--homogeneous",))
+]
+
+DOT_GOLDEN = {
+    "ms.json": (0, "49360eb7abb99751339d97347c417919912f4010b99cb19268ea2e49b064c410"),
+    "ms.json --homogeneous": (0, "174a2323bfb47078c24fb3c7bf63e0a838b0fe249dea8bd11a94096a09a5f620"),
+    "p3.json": (0, "64e145520c04d91a3bf08ab90db7791732ebcc1ccb7e0b7dfcb748a130d9e5a3"),
+    "p3.json --homogeneous": (0, "f5ca35930a99dc606f765b8d5d7fd40f93418af0dd142d7146edbac6f4e683e9"),
+    "s3.json": (0, "2d29268ac0f156a6400be2a5f360ceb492235d13589e432f9a6d48e7d5a703d2"),
+    "s3.json --homogeneous": (0, "3adb17e60294580e5d307a84aedc8f01ba2d479b98689f6acaaac505878625a5"),
+}
+
+
+@pytest.mark.parametrize("argv", DOT_CASES, ids=" ".join)
+def test_dot_file_matches_golden_digest(argv, workdir, capsys):
+    code = main(["graph", *argv, "--dot", "out.dot"])
+    capsys.readouterr()
+    digest = hashlib.sha256((workdir / "out.dot").read_bytes()).hexdigest()
+    assert (code, digest) == DOT_GOLDEN[" ".join(argv)]
