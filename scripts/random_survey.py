@@ -3,6 +3,9 @@
 (they must always agree) and what the searches cost.
 
 Usage: python scripts/random_survey.py [--count N] [--seed S] [--pmax 3]
+
+Exits 1 when any system's verdicts disagree or, with --certify, when any
+consistent system has a nonzero certification residual.
 """
 
 import argparse
@@ -27,7 +30,7 @@ def random_system(rng, p, m, n):
     return LinearSystem.from_ints(p, A, b)
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
@@ -35,11 +38,11 @@ def main():
     parser.add_argument("--size", type=int, default=5, help="max rows/columns")
     parser.add_argument("--certify", action="store_true",
                         help="also run the scalar certification suite on consistent systems")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     primes = [q for q in (2, 3, 5) if q <= args.pmax]
     rng = random.Random(args.seed)
-    consistent_count = 0
+    consistent_count = disagreements = nonzero_systems = 0
     t0 = time.time()
     worst_nodes = 0
     for k in range(args.count):
@@ -53,6 +56,7 @@ def main():
         agree = (strat is not None) == consistent == (result.bijection is not None)
         worst_nodes = max(worst_nodes, result.nodes)
         if not agree:
+            disagreements += 1
             print(f"  DISAGREEMENT at system {k}: {sys_.to_json()}")
         if consistent:
             consistent_count += 1
@@ -61,11 +65,15 @@ def main():
                 records = run_check_suite(rep, sys_)
                 nonzero = [r for r in records if r.residual != 0.0]
                 if nonzero:
+                    nonzero_systems += 1
                     print(f"  NONZERO RESIDUAL at system {k}: {nonzero[0].name}")
     dt = time.time() - t0
     print(f"{args.count} systems in {dt:.1f}s: {consistent_count} consistent, "
-          f"verdicts always agree, worst isomorphism search {worst_nodes} nodes")
+          f"{disagreements} with disagreeing verdicts, "
+          f"{nonzero_systems} with nonzero residuals, "
+          f"worst isomorphism search {worst_nodes} nodes")
+    return 1 if disagreements or nonzero_systems else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

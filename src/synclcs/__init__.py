@@ -27,7 +27,6 @@ from .graphs import (
     build_game_graph,
     build_iso_game,
     export_dot,
-    find_isomorphism,
     graph_to_json,
     is_isomorphism,
     isomorphism_search,
@@ -78,7 +77,6 @@ from .system import (
 )
 from .zp import (
     AffineSolutionSet,
-    FieldElem,
     ZpMatrix,
     ZpVector,
     enumerate_affine,

@@ -96,12 +96,6 @@ def _load_system(path: str) -> tuple[LinearSystem | None, dict, dict]:
     return system, inputs, validation.to_json()
 
 
-def _frac_str(value) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def cmd_validate(args, limits: Limits) -> int:
     system, inputs, validation = _load_system(args.path)
     report = _base_report("validate", inputs)
@@ -181,7 +175,7 @@ def cmd_solve(args, limits: Limits) -> int:
         report["best_strategy"] = {
             str(i): best.assignment[i].label() for i in game.inputs
         }
-        report["best_value"] = _frac_str(value)
+        report["best_value"] = str(value)
     report["summary"] = {"verdict": "pass"}
     _emit(report, args.out)
     return EXIT_PASS

@@ -64,6 +64,10 @@ class GameGraph:
     def degrees(self) -> list[int]:
         return [int(d) for d in self.adj.sum(axis=1)]
 
+    def edges(self) -> np.ndarray:
+        """Index pairs a < b of the edges, in row-major order."""
+        return np.argwhere(np.triu(self.adj, 1))
+
     def solutions_by_row(self) -> dict[int, list[ZpVector]]:
         """Solutions of each row that has any, in vertex order."""
         return self._rows
@@ -144,6 +148,24 @@ def is_isomorphism(G: GameGraph, H: GameGraph, bij: VertexBijection) -> bool:
     return bool(np.array_equal(G.adj, H.adj[np.ix_(perm, perm)]))
 
 
+def _wl_signatures(adj: np.ndarray):
+    """The refinement signature of every vertex under a coloring: its own
+    color and the multiset of (neighbor color, common-neighbor count)."""
+    # float32 runs the product through BLAS; it is exact for counts below
+    # 2**24, far more vertices than a dense adjacency matrix can hold
+    counts = adj.astype(np.float32)
+    common = counts @ counts
+    neighbors = [(nb, common[a, nb].astype(int))
+                 for a, nb in enumerate(np.nonzero(row)[0] for row in adj)]
+
+    def signatures(colors: list[int]) -> list:
+        color = np.array(colors)
+        return [(colors[a], tuple(sorted(Counter(zip(color[nb].tolist(), cn.tolist())).items())))
+                for a, (nb, cn) in enumerate(neighbors)]
+
+    return signatures
+
+
 def _wl_refine(G: GameGraph, H: GameGraph):
     """Joint 1-dimensional Weisfeiler-Leman color refinement, with edge
     signatures enriched by common-neighbor counts.
@@ -155,28 +177,14 @@ def _wl_refine(G: GameGraph, H: GameGraph):
     None as soon as the color multisets diverge (a sound non-isomorphism
     certificate).
     """
-    ng, nh = G.order(), H.order()
-    cg = [0] * ng
-    ch = [0] * nh
-    neigh_g = [np.nonzero(G.adj[a])[0] for a in range(ng)]
-    neigh_h = [np.nonzero(H.adj[a])[0] for a in range(nh)]
-    common_g = G.adj.astype(np.int32) @ G.adj.astype(np.int32)
-    common_h = H.adj.astype(np.int32) @ H.adj.astype(np.int32)
+    sig_g, sig_h = _wl_signatures(G.adj), _wl_signatures(H.adj)
+    cg, ch = [0] * G.order(), [0] * H.order()
     rounds = 0
     while True:
-        sig_g = [
-            (cg[a], tuple(sorted(Counter(
-                (cg[b], int(common_g[a, b])) for b in neigh_g[a]).items())))
-            for a in range(ng)
-        ]
-        sig_h = [
-            (ch[a], tuple(sorted(Counter(
-                (ch[b], int(common_h[a, b])) for b in neigh_h[a]).items())))
-            for a in range(nh)
-        ]
-        palette = {sig: k for k, sig in enumerate(sorted(set(sig_g) | set(sig_h)))}
-        new_g = [palette[s] for s in sig_g]
-        new_h = [palette[s] for s in sig_h]
+        sg, sh = sig_g(cg), sig_h(ch)
+        palette = {sig: k for k, sig in enumerate(sorted(set(sg) | set(sh)))}
+        new_g = [palette[s] for s in sg]
+        new_h = [palette[s] for s in sh]
         rounds += 1
         if Counter(new_g) != Counter(new_h):
             return None
@@ -216,53 +224,43 @@ def isomorphism_search(
     if refined is None:
         return IsoSearchResult(None, "wl-distinguished", 0, 0)
     colors_g, colors_h, rounds = refined
-    colors_h_arr = np.array(colors_h)
-    gadj = G.adj
-    hadj = H.adj
-
-    candidates = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        candidates[a] = colors_h_arr == colors_g[a]
+    cand = np.array(colors_g)[:, None] == np.array(colors_h)[None, :]
     mapping = np.full(n, -1, dtype=int)  # G index -> H index
     nodes = 0
-
-    def backtrack(cand: np.ndarray) -> bool:
-        nonlocal nodes
-        unmapped = np.nonzero(mapping < 0)[0]
-        if unmapped.size == 0:
-            return True
-        counts = cand[unmapped].sum(axis=1)
-        if counts.min() == 0:
-            return False
-        a = int(unmapped[int(np.argmin(counts))])
-        for q in np.nonzero(cand[a])[0]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
-            mapping[a] = q
-            narrowed = cand.copy()
-            narrowed[:, q] = False
-            narrowed[a] = False
-            for x in unmapped:
-                if x != a:
-                    narrowed[x] &= hadj[q] == gadj[x, a]
-            if backtrack(narrowed):
-                return True
+    # frames: (G vertex, its untried H candidates, the masks it was
+    # chosen under, the vertices unmapped at that point); cand holds the
+    # masks of a newly extended mapping, None after a backtrack
+    stack = []
+    while True:
+        if cand is not None:
+            unmapped = np.nonzero(mapping < 0)[0]
+            if unmapped.size == 0:
+                break
+            counts = cand[unmapped].sum(axis=1)
+            if counts.min() > 0:
+                a = int(unmapped[int(np.argmin(counts))])
+                stack.append((a, iter(np.nonzero(cand[a])[0]), cand, unmapped))
+        if not stack:
+            return IsoSearchResult(None, "exhausted", nodes, rounds)
+        a, untried, masks, unmapped = stack[-1]
+        q = next(untried, None)
+        if q is None:
             mapping[a] = -1
-        return False
-
-    if backtrack(candidates):
-        forward = {G.vertices[a]: H.vertices[mapping[a]] for a in range(n)}
-        bij = VertexBijection.from_forward(forward)
-        assert is_isomorphism(G, H, bij)
-        return IsoSearchResult(bij, "found", nodes, rounds)
-    return IsoSearchResult(None, "exhausted", nodes, rounds)
-
-
-def find_isomorphism(
-    G: GameGraph, H: GameGraph, budget: int = DEFAULT_SEARCH_BUDGET
-) -> VertexBijection | None:
-    return isomorphism_search(G, H, budget).bijection
+            stack.pop()
+            cand = None
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
+        mapping[a] = q
+        cand = masks.copy()
+        cand[:, q] = False
+        cand[a] = False
+        cand[unmapped] &= G.adj[unmapped, a][:, None] == H.adj[q]
+    forward = {G.vertices[a]: H.vertices[mapping[a]] for a in range(n)}
+    bij = VertexBijection.from_forward(forward)
+    assert is_isomorphism(G, H, bij)
+    return IsoSearchResult(bij, "found", nodes, rounds)
 
 
 def translate_isomorphism(G: GameGraph, H: GameGraph, xstar: ZpVector) -> VertexBijection:
@@ -290,28 +288,18 @@ def _vertex_label(v: tuple[int, ZpVector]) -> str:
 
 def export_dot(G: GameGraph) -> str:
     """Graphviz DOT text with deterministic vertex and edge order."""
-    lines = ["graph game_graph {"]
-    for v in G.vertices:
-        lines.append(f'  "{_vertex_label(v)}";')
-    d = G.order()
-    for a in range(d):
-        for bq in range(a + 1, d):
-            if G.adj[a, bq]:
-                lines.append(
-                    f'  "{_vertex_label(G.vertices[a])}" -- '
-                    f'"{_vertex_label(G.vertices[bq])}";'
-                )
+    labels = [_vertex_label(v) for v in G.vertices]
+    lines = ["graph game_graph {", *(f'  "{label}";' for label in labels)]
+    lines += [f'  "{labels[a]}" -- "{labels[bq]}";' for a, bq in G.edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(G: GameGraph) -> dict:
     """Adjacency export: vertex labels plus an index-pair edge list."""
-    d = G.order()
-    edges = [[a, bq] for a in range(d) for bq in range(a + 1, d) if G.adj[a, bq]]
     return {
         "vertices": [_vertex_label(v) for v in G.vertices],
-        "edges": edges,
+        "edges": G.edges().tolist(),
         "provenance": {"system_digest": G.system.digest(),
                        "rhs": "0" if G.homogeneous else "b"},
     }

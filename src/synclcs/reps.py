@@ -31,12 +31,12 @@ from .errors import (
     UnitarityViolation,
     VariableUnused,
 )
-from .graphs import ADJACENT, DISTINCT, EQUAL, GameGraph, build_game_graph
+from .graphs import EQUAL, GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
 from .matops import dagger, eye_like, frob, is_exact
 from .reporting import CheckRecord
 from .system import LinearSystem, is_row_solution, row_support
-from .zp import FieldElem, ZpVector, check_prime
+from .zp import ZpVector, check_prime
 
 OMEGA_CONVENTION = "exp(2*pi*i/p)"
 
@@ -93,7 +93,7 @@ def make_representation(
     exact = any(is_exact(M) for M in images.values())
     for name, M in images.items():
         residual = frob(M @ dagger(M) - eye_like(M))
-        if residual > tol:
+        if not residual <= tol:
             raise UnitarityViolation(
                 f"image of {name} is not unitary (residual {residual:.3e})"
             )
@@ -107,7 +107,7 @@ def make_representation(
             )
         warnings.warn(
             f"image(J) differs from omega*I by {j_residual:.3e}; "
-            "quotient-dependent checks will be skipped",
+            "quotient-dependent checks will refuse it",
             stacklevel=2,
         )
     return Representation(p, d1, dict(images), identified, exact)
@@ -179,8 +179,6 @@ def conjugate_representation(
 def f_projection(rep: Representation, j: int, s) -> np.ndarray:
     """Spectral projection (1/p) sum_t (omega^{-s} g_j)^t onto the
     omega^s-eigenspace of the image of g_j."""
-    if isinstance(s, FieldElem):
-        s = s.value
     return _spectral_projection(rep.image(f"g{j}"), s, rep.p, rep.exact)
 
 
@@ -473,10 +471,19 @@ def iso_partition_checks(
     ]
 
 
-def _relationship_codes(graph: GameGraph) -> np.ndarray:
-    codes = np.where(graph.adj, ADJACENT, DISTINCT).astype(np.int8)
-    np.fill_diagonal(codes, EQUAL)
-    return codes
+def _pair_counts(graph: GameGraph) -> np.ndarray:
+    """Ordered vertex-pair counts of one graph, shape (3, m, m): entry
+    [r, i-1, k-1] counts the pairs (u in row i, v in row k) whose
+    relationship is r, indexed EQUAL, ADJACENT, DISTINCT."""
+    rows = np.array([i for i, _ in graph.vertices], dtype=int)
+    R = np.zeros((graph.order(), graph.system.m), dtype=np.int64)
+    R[np.arange(graph.order()), rows - 1] = 1
+    sizes = R.sum(axis=0)
+    equal = np.diag(sizes)
+    adjacent = R.T @ graph.adj @ R
+    # object entries: the quadruple counts grow as |V|^4
+    return np.stack([equal, adjacent, np.outer(sizes, sizes) - equal - adjacent]
+                    ).astype(object)
 
 
 def check_iso_relations(
@@ -500,39 +507,24 @@ def check_iso_relations(
     self-adjointness are checked once per family entry.
     """
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
-    g_verts, h_verts = G.vertices, H.vertices
-    rel_g = _relationship_codes(G)
-    rel_h = _relationship_codes(H)
 
     idem_max, adj_max = 0.0, 0.0
     for E in fam.entries.values():
         idem_max = max(idem_max, frob(E @ E - E))
         adj_max = max(adj_max, frob(dagger(E) - E))
-    hom_solutions = H.solutions_by_row()
-    nonzero = sum(len(sols) * len(hom_solutions[i])
-                  for i, sols in G.solutions_by_row().items())
+    counts_g, counts_h = _pair_counts(G), _pair_counts(H)
+    nonzero = int((counts_g[EQUAL] * counts_h[EQUAL]).sum())
 
-    # rule-zero quadruples over the full generator grid, and the subset
-    # whose factors are both structurally nonzero (same-row generators)
-    pair_counts_g = np.bincount(rel_g.ravel(), minlength=3)
-    pair_counts_h = np.bincount(rel_h.ravel(), minlength=3)
-    total_zero_quadruples = int(
-        pair_counts_g.sum() * pair_counts_h.sum()
-        - (pair_counts_g * pair_counts_h).sum()
-    )
-    rows_g = np.array([v[0] for v in g_verts])
-    rows_h = np.array([v[0] for v in h_verts])
-    nonzero_mismatches = 0
-    for i in sorted(set(rows_g.tolist())):
-        for ip in sorted(set(rows_g.tolist())):
-            sub_g = rel_g[np.ix_(rows_g == i, rows_g == ip)]
-            sub_h = rel_h[np.ix_(rows_h == i, rows_h == ip)]
-            cg = np.bincount(sub_g.ravel(), minlength=3)
-            ch = np.bincount(sub_h.ravel(), minlength=3)
-            nonzero_mismatches += int(cg.sum() * ch.sum() - (cg * ch).sum())
+    # rule-zero quadruples (G pair and H pair related differently) over the
+    # full generator grid, and over same-row generators, whose factors are
+    # both structurally nonzero
+    total_g, total_h = counts_g.sum(axis=(1, 2)), counts_h.sum(axis=(1, 2))
+    zero_quadruples = int(total_g.sum() * total_h.sum() - (total_g * total_h).sum())
+    blocks_g, blocks_h = counts_g.sum(axis=0), counts_h.sum(axis=0)
+    nonzero_mismatches = int((blocks_g * blocks_h).sum() - (counts_g * counts_h).sum())
 
     product_max = 0.0
-    edges = list(zip(*np.nonzero(np.triu(G.adj, 1))))
+    edges = G.edges()
     for a, bq in edges:
         u, v = G.vertices[a], G.vertices[bq]
         product_max = max(
@@ -541,7 +533,7 @@ def check_iso_relations(
             frob(fam.entry(*v) @ fam.entry(*u)),
         )
 
-    n_gen = len(g_verts) * len(h_verts)
+    n_gen = G.order() * H.order()
     return [
         CheckRecord("iso-idempotent", idem_max, tol,
                     detail={"generators": n_gen, "nonzero": nonzero}),
@@ -550,9 +542,9 @@ def check_iso_relations(
         CheckRecord(
             "iso-rule-orthogonality", product_max, tol,
             detail={
-                "zero_quadruples": total_zero_quadruples,
+                "zero_quadruples": zero_quadruples,
                 "with_nonzero_factors": nonzero_mismatches,
-                "trivially_zero": total_zero_quadruples - nonzero_mismatches,
+                "trivially_zero": zero_quadruples - nonzero_mismatches,
                 "distinct_products": len(edges),
             },
         ),
@@ -589,7 +581,9 @@ def run_check_suite(
     """The full certification pipeline, in order: group relations, family
     invariants, generator-map well-definedness, both round trips, the
     partition identities of the isomorphism-game family, and its rule
-    orthogonality."""
+    orthogonality.  Requires the representation to identify J with omega."""
+    if not rep.j_identified:
+        raise JNotIdentified("the check suite needs image(J) = omega*I")
     records = relation_residuals(rep, build_presentation(sys), tol)
     fam = _assemble_family(rep, sys, tol, cap)
     records += projection_family_checks(fam, tol)
@@ -606,14 +600,8 @@ def representation_to_json(rep: Representation) -> dict:
     """Serialize to the matrix JSON schema (floats; exact entries embed)."""
 
     def encode(M: np.ndarray) -> list:
-        out = []
-        for r in range(M.shape[0]):
-            row = []
-            for c in range(M.shape[1]):
-                z = complex(M[r, c])
-                row.append([z.real, z.imag])
-            out.append(row)
-        return out
+        Z = M.astype(complex)
+        return np.stack([Z.real, Z.imag], -1).tolist()
 
     names = [f"g{j}" for j in range(1, rep.n + 1)] + ["J"]
     return {
@@ -653,15 +641,16 @@ def representation_from_json(
         raise ParseError(f"generator names must be g1..g{n} and J")
     images = {}
     for name, rows in generators.items():
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise ParseError(f"matrix for {name} is not {dim}x{dim}")
+        try:
+            parts = np.array(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"matrix for {name} is not numeric: {exc}") from exc
+        if parts.shape != (dim, dim, 2):
+            raise ParseError(f"matrix for {name} is not {dim}x{dim} of [re, im] pairs")
+        if not np.isfinite(parts).all():
+            raise ParseError(f"matrix for {name} has a non-finite or null entry")
         M = np.empty((dim, dim), dtype=complex)
-        for r in range(dim):
-            for c in range(dim):
-                entry = rows[r][c]
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                    raise ParseError(f"entry ({r},{c}) of {name} is not [re, im]")
-                M[r, c] = complex(float(entry[0]), float(entry[1]))
+        M.real, M.imag = parts[..., 0], parts[..., 1]
         images[name] = M
     return make_representation(p, images, tol, require_j_identified)
 

@@ -54,45 +54,6 @@ def check_prime(p: int) -> int:
 
 
 @dataclass(frozen=True)
-class FieldElem:
-    """A reduced residue in Z_p with field arithmetic."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElem"):
-        if self.p != other.p:
-            raise DimensionMismatch(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.value * other.value, self.p)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.value, self.p)
-
-    def inverse(self) -> "FieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in Z_p")
-        return FieldElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-@dataclass(frozen=True)
 class ZpVector:
     """Immutable vector over Z_p; entries stored reduced."""
 
@@ -208,7 +169,7 @@ class AffineSolutionSet:
             raise DimensionMismatch("particular solution has wrong length")
         if self.basis:
             mat = ZpMatrix(p, tuple(b.entries for b in self.basis))
-            if _rank(mat) != len(self.basis):
+            if rank(mat) != len(self.basis):
                 raise ValueError("kernel basis vectors are linearly dependent")
 
     def size(self) -> int:
@@ -248,13 +209,9 @@ def _rref(A: ZpMatrix, rhs: ZpVector | None):
     return rows, b, pivot_cols
 
 
-def _rank(A: ZpMatrix) -> int:
+def rank(A: ZpMatrix) -> int:
     _, _, pivots = _rref(A, None)
     return len(pivots)
-
-
-def rank(A: ZpMatrix) -> int:
-    return _rank(A)
 
 
 def gauss_solve(A: ZpMatrix, b: ZpVector) -> AffineSolutionSet | None:

@@ -4,10 +4,13 @@ Run with `pytest -s tests/test_acceptance.py` for the per-criterion
 verdict lines.  Everything is seeded and deterministic.
 """
 
+import cmath
 import itertools
 import random
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from conftest import (
     brute_force_row_solutions,
@@ -30,6 +33,7 @@ from synclcs import (
     iso_generator_images,
     iso_partition_checks,
     isomorphism_search,
+    make_representation,
     pauli_magic_square_rep,
     phi_welldefinedness_checks,
     projection_family_checks,
@@ -182,11 +186,13 @@ def test_pauli_representation_residuals():
     _verdict("operator-solution residuals at 1e-9", ok)
 
 
-def _iso_zero_quadruples_oracle(sys_) -> int:
-    """Count rule-zero generator quadruples straight from the graphs."""
+def _iso_zero_quadruples_oracle(sys_) -> tuple[int, int]:
+    """Count rule-zero generator quadruples straight from the graphs: all
+    of them, and those in which each generator's G vertex and H vertex
+    lie in the same row (both factors structurally nonzero)."""
     G = build_game_graph(sys_)
     H = build_game_graph(sys_, homogeneous=True)
-    zero = 0
+    zero = same_row = 0
     for vg1 in G.vertices:
         for vg2 in G.vertices:
             rel_g = G.relationship(vg1, vg2)
@@ -194,7 +200,13 @@ def _iso_zero_quadruples_oracle(sys_) -> int:
                 for vh2 in H.vertices:
                     if rel_g != H.relationship(vh1, vh2):
                         zero += 1
-    return zero
+                        same_row += vg1[0] == vh1[0] and vg2[0] == vh2[0]
+    return zero, same_row
+
+
+def _quadruple_counts(records) -> tuple[int, int]:
+    detail = next(r for r in records if r.name == "iso-rule-orthogonality").detail
+    return detail["zero_quadruples"], detail["with_nonzero_factors"]
 
 
 def test_isomorphism_game_identities():
@@ -208,8 +220,7 @@ def test_isomorphism_game_identities():
     partition = iso_partition_checks(iso, TOL)
     rules = check_iso_relations(iso, TOL)
     ok = ok and all(rec.residual <= TOL for rec in partition + rules)
-    detail = next(r for r in rules if r.name == "iso-rule-orthogonality").detail
-    ok = ok and detail["zero_quadruples"] == _iso_zero_quadruples_oracle(ms)
+    ok = ok and _quadruple_counts(rules) == _iso_zero_quadruples_oracle(ms)
 
     # scalar source: small consistent sampled systems plus the presets
     scalar_targets = [one_eq_system(), p3_demo_system()]
@@ -228,6 +239,16 @@ def test_isomorphism_game_identities():
         iso = iso_generator_images(fam)
         records = iso_partition_checks(iso, TOL) + check_iso_relations(iso, TOL)
         ok = ok and all(rec.residual <= TOL for rec in records)
+        if fam.graph.order() <= 15:
+            ok = ok and _quadruple_counts(records) == _iso_zero_quadruples_oracle(sys_)
+
+    # a zero row with nonzero b: an empty G block beside a one-vertex H block
+    zero_row = LinearSystem.from_ints(3, [[1, 1, 0], [0, 0, 0]], [1, 2])
+    phases = {"g1": 1, "g2": 0, "g3": 0, "J": 1}  # x = (1, 0, 0) solves row 1
+    rep = make_representation(3, {
+        name: np.array([[cmath.exp(2j * cmath.pi * k / 3)]]) for name, k in phases.items()})
+    rules = check_iso_relations(iso_generator_images(build_projection_family(rep, zero_row, TOL)))
+    ok = ok and _quadruple_counts(rules) == _iso_zero_quadruples_oracle(zero_row)
     _verdict("isomorphism-game identities on both sources", ok)
 
 

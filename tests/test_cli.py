@@ -3,6 +3,8 @@ import re
 import sys
 import time
 
+import pytest
+
 from synclcs.cli import main
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 
@@ -342,3 +344,22 @@ def test_search_budget_environment_override(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, ["iso", path])
     assert code == 4
     assert json.loads(out)["error"]["type"] == "SearchBudgetExceeded"
+
+
+def _reject_constant(token):
+    raise ValueError(f"report holds the non-JSON constant {token}")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), None], ids=["nan", "null"])
+def test_repcheck_rep_file_with_bad_entry_is_parse_error(capsys, tmp_path, bad):
+    from synclcs import pauli_magic_square_rep, representation_to_json
+
+    path = write_preset(capsys, tmp_path, "magic-square")
+    doc = representation_to_json(pauli_magic_square_rep())
+    doc["generators"]["g1"][0][0][0] = bad
+    rep_path = tmp_path / "bad.json"
+    rep_path.write_text(json.dumps(doc))
+    code, out = run(capsys, ["repcheck", path, "--rep", str(rep_path)])
+    assert code == 3
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["error"]["type"] == "ParseError"

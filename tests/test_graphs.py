@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import edges_preserved, random_consistent_system, random_system, zvec
@@ -8,7 +14,6 @@ from synclcs import (
     check_synchronous,
     compatible,
     export_dot,
-    find_isomorphism,
     gauss_solve,
     graph_to_json,
     is_isomorphism,
@@ -108,7 +113,7 @@ def test_iso_game_rules():
 
 def test_find_isomorphism_identity_on_same_graph():
     H = build_game_graph(magic_square_system(), homogeneous=True)
-    bij = find_isomorphism(H, H)
+    bij = isomorphism_search(H, H).bijection
     assert bij is not None
     assert is_isomorphism(H, H, bij)
 
@@ -127,7 +132,7 @@ def test_inhomogeneous_k2_matches_homogeneous_k2():
     sys_ = LinearSystem.from_ints(2, [[1, 1]], [1])
     G = build_game_graph(sys_)
     H = build_game_graph(sys_, homogeneous=True)
-    bij = find_isomorphism(G, H)
+    bij = isomorphism_search(G, H).bijection
     assert bij is not None
     assert is_isomorphism(G, H, bij)
 
@@ -220,4 +225,26 @@ def test_classical_chain_on_random_systems(rng):
         consistent = gauss_solve(sys_.A, sys_.b) is not None
         G = build_game_graph(sys_)
         H = build_game_graph(sys_, homogeneous=True)
-        assert (find_isomorphism(G, H) is not None) == consistent
+        assert (isomorphism_search(G, H).bijection is not None) == consistent
+
+
+_DEEP_SEARCH = """
+import json, sys
+from synclcs import LinearSystem, build_game_graph, isomorphism_search
+rows = [[1, 1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 0, 1]]
+sys_ = LinearSystem.from_ints(3, rows, [0, 0, 0])
+G, H = build_game_graph(sys_), build_game_graph(sys_, homogeneous=True)
+sys.setrecursionlimit(100)
+result = isomorphism_search(G, H)
+print(json.dumps([G.order(), result.outcome, result.nodes]))
+"""
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    # one search level per vertex: 165 levels under a limit of 100 frames
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_SEARCH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [165, "found", 165]

@@ -225,6 +225,16 @@ def test_build_family_requires_j_identification():
         build_projection_family(rep, sys_)
 
 
+def test_check_suite_requires_j_identification():
+    eye = np.eye(1, dtype=complex)
+    with pytest.warns(UserWarning):
+        rep = make_representation(
+            2, {"g1": eye, "g2": eye, "J": eye}, require_j_identified=False
+        )
+    with pytest.raises(JNotIdentified):
+        run_check_suite(rep, one_eq_system())
+
+
 def test_build_family_raises_named_violation():
     # a unitary that is not an involution breaks idempotency of f-products
     sys_ = one_eq_system()

@@ -23,3 +23,24 @@ def test_script_runs_clean(argv):
     # lines are the evidence
     assert "DISAGREEMENT" not in proc.stdout
     assert "NONZERO RESIDUAL" not in proc.stdout
+
+
+def test_survey_reports_and_fails_on_disagreement(monkeypatch, capsys):
+    import importlib.util
+
+    from synclcs.graphs import IsoSearchResult
+
+    spec = importlib.util.spec_from_file_location(
+        "random_survey", ROOT / "scripts" / "random_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    # a search that never finds an isomorphism disagrees on every
+    # consistent system
+    monkeypatch.setattr(survey, "isomorphism_search",
+                        lambda G, H: IsoSearchResult(None, "exhausted", 0, 0))
+    status = survey.main(["--count", "5"])
+    out = capsys.readouterr().out
+    assert "DISAGREEMENT" in out
+    summary = out.strip().splitlines()[-1]
+    assert "always agree" not in summary
+    assert status != 0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from conftest import brute_force_solutions, random_consistent_system, random_system, zvec
 from synclcs import (
     AffineSolutionSet,
-    FieldElem,
     ZpMatrix,
     ZpVector,
     enumerate_affine,
@@ -31,8 +30,6 @@ def test_entries_reduced_on_construction():
 def test_composite_modulus_rejected():
     with pytest.raises(NotPrime):
         ZpVector(4, (1, 2))
-    with pytest.raises(NotPrime):
-        FieldElem(1, 6)
     with pytest.raises(NotPrime):
         ZpMatrix(1, ((0,),))
 
@@ -66,17 +63,6 @@ def test_is_prime_refuses_to_guess_beyond_certified_range():
     with pytest.raises(NotPrime, match="certified"):
         is_prime(2**89 - 1)
     assert not is_prime(2**89)  # an even number needs no certificate
-
-
-def test_field_elem_arithmetic():
-    a = FieldElem(2, 5)
-    b = FieldElem(4, 5)
-    assert (a + b).value == 1
-    assert (a - b).value == 3
-    assert (a * b).value == 3
-    assert a.inverse().value == 3  # 2*3 = 6 = 1 mod 5
-    with pytest.raises(ZeroDivisionError):
-        FieldElem(0, 5).inverse()
 
 
 def test_gauss_single_homogeneous_equation():
