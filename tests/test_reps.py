@@ -493,3 +493,104 @@ def test_f_family_exact_identities_p3():
                 assert (fs[s] * fs[r]).is_zero()
         recon = rep.omega_pow(0) * fs[0] + rep.omega_pow(1) * fs[1] + rep.omega_pow(2) * fs[2]
         assert (recon - rep.image(f"g{j}")[0, 0]).is_zero()
+
+
+# ------------------------------------------------------------ residual oracle
+
+
+def _oracle_projection(g, s, rep):
+    M = g * rep.omega_pow(-s)
+    total = term = np.eye(M.shape[0], dtype=M.dtype)
+    for _ in range(1, rep.p):
+        term = term @ M
+        total = total + term
+    return total / rep.p
+
+
+def _oracle_residuals(rep, sys_):
+    """The residual of every psi-, phi-, roundtrip- and iso-generator record,
+    each evaluated on its own by direct loops over row_solutions."""
+    p, identity = rep.p, np.eye(rep.dim, dtype=rep.image("J").dtype)
+    zero = np.zeros_like(rep.image("J"))
+    rows = {i: row_solutions(sys_, i) for i in range(1, sys_.m + 1)}
+    rows = {i: sols for i, sols in rows.items() if sols}
+    cols = {i: sorted(j for j in range(1, sys_.n + 1) if sys_.A.rows[i - 1][j - 1])
+            for i in rows}
+
+    def product(i, x, factor):
+        result = identity
+        for j in cols[i]:
+            result = result @ factor(j, x.entry(j))
+        return result
+
+    E = {(i, x): product(i, x, lambda j, s: _oracle_projection(rep.image(f"g{j}"), s, rep))
+         for i, sols in rows.items() for x in sols}
+    out = {}
+    for (i, x), M in E.items():
+        out[f"psi-idempotent:{i}:{x.label()}"] = frob(M @ M - M)
+        out[f"psi-selfadjoint:{i}:{x.label()}"] = frob(dagger(M) - M)
+    keys = sorted(E, key=lambda k: (k[0], k[1].entries))
+    conflicting = []
+    for a, (i, x) in enumerate(keys):
+        for k, y in keys[a + 1:]:
+            shared = set(cols[i]) & set(cols[k])
+            if any(x.entry(j) != y.entry(j) for j in shared):
+                conflicting.append(((i, x), (k, y)))
+                out[f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}"] = frob(E[(i, x)] @ E[(k, y)])
+    for i, sols in rows.items():
+        total = zero
+        for x in sols:
+            total = total + E[(i, x)]
+        out[f"psi-rowsum:{i}"] = frob(total - identity)
+
+    def block(i, j, t=None):
+        total = zero
+        for x in rows[i]:
+            if t is None:
+                total = total + E[(i, x)] * rep.omega_pow(x.entry(j))
+            elif x.entry(j) == t:
+                total = total + E[(i, x)]
+        return total
+
+    phi = {}
+    for j in range(1, sys_.n + 1):
+        containing = [i for i in rows if j in cols[i]]
+        if not containing:
+            continue
+        sums = [block(i, j) for i in containing]
+        phi[j] = sums[0]
+        out[f"phi-welldefined:g{j}"] = max((frob(S - sums[0]) for S in sums[1:]), default=0.0)
+        for t in range(p):
+            blocks = [block(i, j, t) for i in containing]
+            out[f"phi-valueblock:g{j}:t={t}"] = max(
+                (frob(B - blocks[0]) for B in blocks[1:]), default=0.0)
+        for i, S in zip(containing, sums):
+            out[f"roundtrip-generator:g{j}:row{i}"] = frob(S - rep.image(f"g{j}"))
+    for (i, y), M in E.items():
+        back = product(i, y, lambda j, s: _oracle_projection(phi[j], s, rep))
+        out[f"roundtrip-projection:{i}:{y.label()}"] = frob(back - M)
+    out["iso-idempotent"] = max((frob(M @ M - M) for M in E.values()), default=0.0)
+    out["iso-selfadjoint"] = max((frob(dagger(M) - M) for M in E.values()), default=0.0)
+    out["iso-rule-orthogonality"] = max(
+        (frob(E[u] @ E[v]) for pair in conflicting for u, v in (pair, pair[::-1])),
+        default=0.0)
+    return out
+
+
+@pytest.mark.parametrize("source", ["pauli-ms", "pauli-ms-conjugated", "scalar-p3"])
+def test_suite_residuals_match_direct_formulas(source):
+    if source == "scalar-p3":
+        sys_ = random_consistent_system(random.Random(3), 3, 3, 4)
+        rep = scalar_rep_from_solution(sys_, zvec(3, 1, 1, 2, 0))
+    else:
+        sys_, rep = magic_square_system(), pauli_magic_square_rep()
+        if source == "pauli-ms-conjugated":
+            rep = conjugate_representation(rep, seeded_unitary(4, 11))
+    expected = _oracle_residuals(rep, sys_)
+    prefixes = ("psi-", "phi-", "roundtrip-", "iso-idempotent", "iso-selfadjoint",
+                "iso-rule-orthogonality")
+    got = {r.name: r.residual for r in run_check_suite(rep, sys_)
+           if r.name.startswith(prefixes)}
+    assert got == expected
+    orthogonal = [name for name in got if name.startswith("psi-orthogonal")]
+    assert orthogonal == [name for name in expected if name.startswith("psi-orthogonal")]
