@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import json
-import warnings
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,17 +50,15 @@ def omega_pow(p: int, k: int, exact: bool):
 
 @dataclass(eq=False)
 class Representation:
-    """Unitary matrix images for g_1..g_n and J, all of one dimension.
-
-    omega is the principal p-th root of unity; j_identified records that
-    image(J) = omega * I, i.e. the representation factors through the
-    quotient identifying J with omega.
+    """Unitary matrix images for g_1..g_n and J, all of one dimension,
+    with image(J) = omega * I for the principal p-th root of unity omega:
+    the representation factors through the quotient identifying J with
+    omega, where the game algebra lives.
     """
 
     p: int
     dim: int
     images: dict[str, np.ndarray]
-    j_identified: bool
     exact: bool
 
     @property
@@ -78,7 +76,6 @@ def make_representation(
     p: int,
     images: dict[str, np.ndarray],
     tol: float = DEFAULT_TOL,
-    require_j_identified: bool = True,
 ) -> Representation:
     """Validate unitarity and the J = omega*I identification."""
     check_prime(p)
@@ -99,18 +96,9 @@ def make_representation(
             )
     jmat = images["J"]
     j_residual = frob(jmat - eye_like(jmat) * omega_pow(p, 1, exact))
-    identified = j_residual <= tol
-    if not identified:
-        if require_j_identified:
-            raise JNotIdentified(
-                f"image(J) differs from omega*I by {j_residual:.3e}"
-            )
-        warnings.warn(
-            f"image(J) differs from omega*I by {j_residual:.3e}; "
-            "quotient-dependent checks will refuse it",
-            stacklevel=2,
-        )
-    return Representation(p, d1, dict(images), identified, exact)
+    if not j_residual <= tol:
+        raise JNotIdentified(f"image(J) differs from omega*I by {j_residual:.3e}")
+    return Representation(p, d1, dict(images), exact)
 
 
 def scalar_rep_from_solution(sys: LinearSystem, xstar: ZpVector) -> Representation:
@@ -172,8 +160,7 @@ def conjugate_representation(
 ) -> Representation:
     """Simultaneous unitary conjugation M -> U M U* of all images."""
     images = {name: U @ M @ dagger(U) for name, M in rep.images.items()}
-    return make_representation(rep.p, images, tol=tol,
-                               require_j_identified=rep.j_identified)
+    return make_representation(rep.p, images, tol=tol)
 
 
 def f_projection(rep: Representation, j: int, s) -> np.ndarray:
@@ -209,6 +196,13 @@ def psi_image(
     if not is_row_solution(sys, i, x):
         raise NotASolution(f"x is not a restricted solution of row {i}")
     cols = sorted(row_support(sys, i))
+    _check_row_commutes(rep, i, cols, tol)
+    return _spectral_product(eye_like(rep.image("J")), cols, x,
+                             lambda j, s: f_projection(rep, j, s))
+
+
+def _check_row_commutes(rep: Representation, i: int, cols: list[int], tol: float):
+    """Raise NonCommutingFactors unless the images of row i's variables commute."""
     for a, jcol in enumerate(cols):
         for ell in cols[a + 1:]:
             gj, gl = rep.image(f"g{jcol}"), rep.image(f"g{ell}")
@@ -218,17 +212,25 @@ def psi_image(
                     f"images of g{jcol}, g{ell} fail to commute in row {i} "
                     f"(residual {residual:.3e})"
                 )
-    sample = rep.image("J")
-    result = eye_like(sample)
-    for jcol in cols:
-        result = result @ f_projection(rep, jcol, x.entry(jcol))
+
+
+def _spectral_product(identity: np.ndarray, cols: list[int], x: ZpVector,
+                      projection) -> np.ndarray:
+    """identity @ projection(j, x_j) @ ... over the columns j in cols."""
+    result = identity
+    for j in cols:
+        result = result @ projection(j, x.entry(j))
     return result
 
 
 @dataclass(eq=False)
 class ProjectionFamily:
     """The matrices standing for the game-algebra generators, one per
-    (row, solution) pair, built through the spectral projections."""
+    (row, solution) pair, built through the spectral projections.
+
+    The residuals, edge products and phase sums that several check
+    families read are computed once, from the entries as they stand at
+    first use."""
 
     rep: Representation
     graph: GameGraph  # G(A,b): its system, rows and vertices index the entries
@@ -237,15 +239,52 @@ class ProjectionFamily:
     def entry(self, i: int, x: ZpVector) -> np.ndarray:
         return self.entries[(i, x)]
 
-    def sample(self) -> np.ndarray:
-        return next(iter(self.entries.values()))
+    @cached_property
+    def entry_residuals(self) -> np.ndarray:
+        """(idempotency, self-adjointness) residual of each entry, in entry
+        order; shape (entries, 2)."""
+        out = np.zeros((len(self.entries), 2))
+        for k, E in enumerate(self.entries.values()):
+            out[k] = frob(E @ E - E), frob(dagger(E) - E)
+        return out
+
+    @cached_property
+    def edge_products(self) -> np.ndarray:
+        """frob(E_u E_v) and frob(E_v E_u) for each edge (u, v) of
+        graph.edges(), in that order; shape (edges, 2)."""
+        edges, V = self.graph.edges(), self.graph.vertices
+        out = np.zeros((len(edges), 2))
+        for e, (a, bq) in enumerate(edges):
+            Eu, Ev = self.entry(*V[a]), self.entry(*V[bq])
+            out[e] = frob(Eu @ Ev), frob(Ev @ Eu)
+        return out
+
+    @cached_property
+    def phase_sums(self) -> dict[int, dict[int, np.ndarray]]:
+        """phase_sums[j][i] = sum over x in S_i of omega^{x_j} family(i, x),
+        for every variable j and every row i containing it, rows ascending."""
+        rep, sums = self.rep, {}
+        for i, sols in self.graph.solutions_by_row().items():
+            for j in sorted(row_support(self.graph.system, i)):
+                total = np.zeros_like(rep.image("J"))
+                for x in sols:
+                    total = total + self.entry(i, x) * rep.omega_pow(x.entry(j))
+                sums.setdefault(j, {})[i] = total
+        return sums
 
 
 def _assemble_family(
     rep: Representation, sys: LinearSystem, tol: float, cap: int
 ) -> ProjectionFamily:
     graph = build_game_graph(sys, cap=cap)
-    entries = {(i, x): psi_image(rep, sys, i, x, tol) for i, x in graph.vertices}
+    identity = eye_like(rep.image("J"))
+    projection = cache(lambda j, s: f_projection(rep, j, s))
+    entries = {}
+    for i, sols in graph.solutions_by_row().items():
+        cols = sorted(row_support(sys, i))
+        _check_row_commutes(rep, i, cols, tol)
+        for x in sols:
+            entries[(i, x)] = _spectral_product(identity, cols, x, projection)
     return ProjectionFamily(rep, graph, entries)
 
 
@@ -255,24 +294,24 @@ def projection_family_checks(
     """Idempotency, self-adjointness, orthogonality on incompatible pairs,
     and the per-row resolutions of identity."""
     records = []
-    for (i, x), E in fam.entries.items():
-        records.append(CheckRecord(
-            f"psi-idempotent:{i}:{x.label()}", frob(E @ E - E), tol))
-        records.append(CheckRecord(
-            f"psi-selfadjoint:{i}:{x.label()}", frob(dagger(E) - E), tol))
+    for (i, x), (idem, adj) in zip(fam.entries, fam.entry_residuals.tolist()):
+        records.append(CheckRecord(f"psi-idempotent:{i}:{x.label()}", idem, tol))
+        records.append(CheckRecord(f"psi-selfadjoint:{i}:{x.label()}", adj, tol))
 
-    # incompatible pairs, in sorted-key order
-    keys = sorted(fam.entries.keys(), key=lambda k: (k[0], k[1].entries))
-    order = [fam.graph.index(k) for k in keys]
-    conflicts = np.triu(fam.graph.adj[np.ix_(order, order)], 1)
-    for a, bq in zip(*np.nonzero(conflicts)):
-        (i, x), (k, y) = keys[a], keys[bq]
-        residual = frob(fam.entry(i, x) @ fam.entry(k, y))
-        records.append(CheckRecord(
-            f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}", residual, tol))
+    # incompatible pairs in sorted-key order, the lower key on the left
+    G = fam.graph
+    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
+    pairs = np.argsort(order)[G.edges()]  # sorted-key positions of each edge's ends
+    products = fam.edge_products
+    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
+    pairs.sort(axis=1)
+    for e in np.lexsort(pairs.T[::-1]):
+        (i, x), (k, y) = (G.vertices[order[s]] for s in pairs[e])
+        records.append(CheckRecord(f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}",
+                                   float(residuals[e]), tol))
 
-    for i, sols in fam.graph.solutions_by_row().items():
-        total = np.zeros_like(fam.sample())
+    for i, sols in G.solutions_by_row().items():
+        total = np.zeros_like(fam.rep.image("J"))
         for x in sols:
             total = total + fam.entry(i, x)
         records.append(CheckRecord(
@@ -288,11 +327,8 @@ def build_projection_family(
 ) -> ProjectionFamily:
     """Build the family and enforce all of its defining checks.
 
-    Requires the representation to identify J with omega (the quotient
-    the game algebra lives in); the first failing check aborts.
+    The first failing check aborts.
     """
-    if not rep.j_identified:
-        raise JNotIdentified("projection families need image(J) = omega*I")
     fam = _assemble_family(rep, sys, tol, cap)
     for rec in projection_family_checks(fam, tol):
         if not rec.passed:
@@ -312,28 +348,15 @@ class PhiImage:
     cross_row_discrepancy: float
 
 
-def rows_containing(sys: LinearSystem, j: int) -> list[int]:
-    return [i for i in range(1, sys.m + 1) if j in row_support(sys, i)]
-
-
-def _phase_sum(fam: ProjectionFamily, i: int, j: int) -> np.ndarray:
-    """sum over x in S_i of omega^{x_j} * family(i, x)."""
-    rep = fam.rep
-    total = np.zeros_like(fam.sample())
-    for x in fam.graph.solutions_by_row()[i]:
-        total = total + fam.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact)
-    return total
-
-
 def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
     """phi(g_j) = sum over x in S_i of omega^{x_j} * family(i, x), where i
     is the lowest row whose support contains j; all other containing rows
     are evaluated too and the maximum discrepancy reported rather than
     averaged (averaging would mask well-definedness failures)."""
-    rows = rows_containing(fam.graph.system, j)
-    if not rows:
+    per_row = fam.phase_sums.get(j)
+    if not per_row:
         raise VariableUnused(f"variable {j} appears in no row")
-    per_row = {i: _phase_sum(fam, i, j) for i in rows}
+    rows = list(per_row)
     canonical = rows[0]
     discrepancy = max(
         (frob(per_row[i] - per_row[canonical]) for i in rows[1:]), default=0.0
@@ -343,7 +366,7 @@ def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
 
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
-    total = np.zeros_like(fam.sample())
+    total = np.zeros_like(fam.rep.image("J"))
     for x in fam.graph.solutions_by_row()[i]:
         if x.entry(j) == t % fam.rep.p:
             total = total + fam.entry(i, x)
@@ -357,17 +380,13 @@ def phi_welldefinedness_checks(
     over solutions with a fixed value at j must not depend on which
     containing row is used."""
     records = []
-    sys = fam.graph.system
-    for j in range(1, sys.n + 1):
-        rows = rows_containing(sys, j)
-        if not rows:
-            continue
+    for j in sorted(fam.phase_sums):
         result = phi_image(fam, j)
         records.append(CheckRecord(
             f"phi-welldefined:g{j}", result.cross_row_discrepancy, tol,
-            detail={"rows": rows}))
+            detail={"rows": result.rows}))
         for t in range(fam.rep.p):
-            blocks = [p_block(fam, i, j, t) for i in rows]
+            blocks = [p_block(fam, i, j, t) for i in result.rows]
             residual = max(
                 (frob(bq - blocks[0]) for bq in blocks[1:]), default=0.0
             )
@@ -387,26 +406,21 @@ def check_mutual_inverse(
     spectral-projection product built from the reconstructed generators
     must return each family entry.
     """
-    rep, sys, solutions = fam.rep, fam.graph.system, fam.graph.solutions_by_row()
-    records = []
-    for ell in range(1, sys.n + 1):
-        for i in rows_containing(sys, ell):
-            records.append(CheckRecord(
-                f"roundtrip-generator:g{ell}:row{i}",
-                frob(_phase_sum(fam, i, ell) - rep.image(f"g{ell}")), tol))
+    rep, sums = fam.rep, fam.phase_sums
+    records = [
+        CheckRecord(f"roundtrip-generator:g{ell}:row{i}",
+                    frob(total - rep.image(f"g{ell}")), tol)
+        for ell in sorted(sums) for i, total in sums[ell].items()
+    ]
 
-    phi_cache = {
-        j: phi_image(fam, j).matrix
-        for j in range(1, sys.n + 1)
-        if rows_containing(sys, j)
-    }
-    for i in sorted(solutions):
-        cols = sorted(row_support(sys, i))
-        for y in solutions[i]:
-            result = eye_like(fam.sample())
-            for j in cols:
-                result = result @ _spectral_projection(
-                    phi_cache[j], y.entry(j), rep.p, rep.exact)
+    # phi(g_j) is the phase sum of the lowest row containing j
+    projection = cache(lambda j, s: _spectral_projection(
+        next(iter(sums[j].values())), s, rep.p, rep.exact))
+    identity = eye_like(rep.image("J"))
+    for i, sols in fam.graph.solutions_by_row().items():
+        cols = sorted(row_support(fam.graph.system, i))
+        for y in sols:
+            result = _spectral_product(identity, cols, y, projection)
             records.append(CheckRecord(
                 f"roundtrip-projection:{i}:{y.label()}",
                 frob(result - fam.entry(i, y)), tol))
@@ -446,7 +460,7 @@ def iso_generator_images(
 ) -> IsoGeneratorFamily:
     """The isomorphism-game family of fam, over G(A,b) and G(A,0)."""
     H = build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
-    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.sample()))
+    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.rep.image("J")))
 
 
 def iso_partition_checks(
@@ -500,18 +514,15 @@ def check_iso_relations(
     are exactly the adjacent vertex pairs of the inhomogeneous graph: a
     relationship mismatch forces a coordinate conflict in the sums, and
     conversely any conflicting pair is reached by taking both homogeneous
-    parts zero.  So checking every adjacent-pair product covers every
-    rule-zero quadruple without repeating identical matrix products.
-    Likewise the nonzero generators of row i are exactly its family
-    entries, each repeated |S_i(A,0)| times, so idempotency and
-    self-adjointness are checked once per family entry.
+    parts zero.  So the edge products of the family, in both orders,
+    cover every rule-zero quadruple.  Likewise the nonzero generators of
+    row i are exactly its family entries, each repeated |S_i(A,0)| times,
+    so idempotency and self-adjointness are those of the family entries.
+    Every residual is read from the family; nothing is multiplied here.
     """
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
 
-    idem_max, adj_max = 0.0, 0.0
-    for E in fam.entries.values():
-        idem_max = max(idem_max, frob(E @ E - E))
-        adj_max = max(adj_max, frob(dagger(E) - E))
+    idem_max, adj_max = fam.entry_residuals.max(axis=0, initial=0.0).tolist()
     counts_g, counts_h = _pair_counts(G), _pair_counts(H)
     nonzero = int((counts_g[EQUAL] * counts_h[EQUAL]).sum())
 
@@ -523,16 +534,7 @@ def check_iso_relations(
     blocks_g, blocks_h = counts_g.sum(axis=0), counts_h.sum(axis=0)
     nonzero_mismatches = int((blocks_g * blocks_h).sum() - (counts_g * counts_h).sum())
 
-    product_max = 0.0
-    edges = G.edges()
-    for a, bq in edges:
-        u, v = G.vertices[a], G.vertices[bq]
-        product_max = max(
-            product_max,
-            frob(fam.entry(*u) @ fam.entry(*v)),
-            frob(fam.entry(*v) @ fam.entry(*u)),
-        )
-
+    product_max = float(fam.edge_products.max(initial=0.0))
     n_gen = G.order() * H.order()
     return [
         CheckRecord("iso-idempotent", idem_max, tol,
@@ -545,7 +547,7 @@ def check_iso_relations(
                 "zero_quadruples": zero_quadruples,
                 "with_nonzero_factors": nonzero_mismatches,
                 "trivially_zero": zero_quadruples - nonzero_mismatches,
-                "distinct_products": len(edges),
+                "distinct_products": len(fam.edge_products),
             },
         ),
     ]
@@ -581,9 +583,7 @@ def run_check_suite(
     """The full certification pipeline, in order: group relations, family
     invariants, generator-map well-definedness, both round trips, the
     partition identities of the isomorphism-game family, and its rule
-    orthogonality.  Requires the representation to identify J with omega."""
-    if not rep.j_identified:
-        raise JNotIdentified("the check suite needs image(J) = omega*I")
+    orthogonality."""
     records = relation_residuals(rep, build_presentation(sys), tol)
     fam = _assemble_family(rep, sys, tol, cap)
     records += projection_family_checks(fam, tol)
@@ -618,16 +618,16 @@ def save_representation(rep: Representation, path: str):
         fh.write("\n")
 
 
-def representation_from_json(
-    doc: dict, tol: float = DEFAULT_TOL, require_j_identified: bool = True
-) -> Representation:
+def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:
     try:
         p = int(doc["p"])
         dim = int(doc["dim"])
         convention = doc["omega_convention"]
         generators = doc["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed representation document: {exc}") from exc
+    if not isinstance(generators, dict):
+        raise ParseError("generators must be a JSON object")
     if convention != OMEGA_CONVENTION:
         raise ParseError(
             f"unsupported omega convention {convention!r}; "
@@ -652,15 +652,13 @@ def representation_from_json(
         M = np.empty((dim, dim), dtype=complex)
         M.real, M.imag = parts[..., 0], parts[..., 1]
         images[name] = M
-    return make_representation(p, images, tol, require_j_identified)
+    return make_representation(p, images, tol)
 
 
-def load_representation(
-    path: str, tol: float = DEFAULT_TOL, require_j_identified: bool = True
-) -> Representation:
+def load_representation(path: str, tol: float = DEFAULT_TOL) -> Representation:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    return representation_from_json(doc, tol, require_j_identified)
+    return representation_from_json(doc, tol)

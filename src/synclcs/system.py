@@ -58,7 +58,7 @@ class LinearSystem:
             p = int(doc["p"])
             A = [[int(e) for e in row] for row in doc["A"]]
             b = [int(e) for e in doc["b"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed system document: {exc}") from exc
         widths = {len(row) for row in A}
         if len(widths) > 1:
@@ -215,7 +215,7 @@ def validate_document(doc: dict) -> tuple[LinearSystem | None, ValidationReport]
     report = ValidationReport()
     try:
         p = int(doc["p"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("missing or non-integer field 'p'")
     try:
         prime = is_prime(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -83,3 +84,18 @@ def zvec(p: int, *entries: int) -> ZpVector:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)
+
+
+def json_like(*plausible):
+    """Hypothesis strategy for JSON-like values: the given plausible values,
+    infinities, null, booleans, integers, floats, short strings, and nested
+    arrays and objects of these."""
+    from hypothesis import strategies as st
+
+    scalars = (st.sampled_from((math.inf, -math.inf) + plausible) | st.none()
+               | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+    return scalars | st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(max_size=3), inner, max_size=3),
+        max_leaves=12)

@@ -363,3 +363,48 @@ def test_repcheck_rep_file_with_bad_entry_is_parse_error(capsys, tmp_path, bad):
     assert code == 3
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["error"]["type"] == "ParseError"
+
+
+ONE_DIM_REP = {"p": 2, "dim": 1, "omega_convention": "exp(2*pi*i/p)",
+               "generators": {"g1": [[[1.0, 0.0]]], "g2": [[[1.0, 0.0]]],
+                              "J": [[[-1.0, 0.0]]]}}
+
+
+def test_repcheck_empty_game_graph(capsys, tmp_path):
+    # a zero row with b = 1 has no solutions, so G(A,b) has no vertices
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"p": 2, "A": [[0, 0]], "b": [1]}))
+    rep_path = tmp_path / "one.json"
+    rep_path.write_text(json.dumps(ONE_DIM_REP))
+    code, out = run(capsys, ["repcheck", str(path), "--rep", str(rep_path)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["summary"]["first_failure"] == "relation:row-product:row1"
+    failing = {rec["name"] for rec in report["checks"] if rec["verdict"] == "fail"}
+    # no solution of the empty row can sum to the identity
+    assert "iso-sum-over-inhomogeneous:1:(0,0)" in failing
+
+
+@pytest.mark.parametrize("doc", [
+    '{"p": 1e400, "A": [[1, 1]], "b": [0]}',
+    '{"p": 2, "A": [[1e400, 1]], "b": [0]}',
+    '{"p": 2, "A": [[1, 1]], "b": [1e400]}',
+], ids=["p", "A", "b"])
+def test_system_with_infinite_number_is_parse_error(capsys, tmp_path, doc):
+    path = tmp_path / "inf.json"
+    path.write_text(doc)
+    code, out = run(capsys, ["validate", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", "1e400"), ("dim", "1e400"), ("generators", '["J"]'), ("generators", '"J"'),
+], ids=["p-infinite", "dim-infinite", "generators-array", "generators-string"])
+def test_repcheck_malformed_rep_document_is_parse_error(capsys, tmp_path, field, value):
+    path = write_preset(capsys, tmp_path, "one-eq")
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(dict(ONE_DIM_REP, **{field: "@"})).replace('"@"', value))
+    code, out = run(capsys, ["repcheck", path, "--rep", str(rep_path)])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ParseError"

@@ -98,7 +98,7 @@ def test_perturbed_representation_fails_order_relation():
     rep = pauli_magic_square_rep()
     images = dict(rep.images)
     images["g1"] = images["g1"] * 1.01  # no longer order two
-    fake = Representation(2, 4, images, True, False)
+    fake = Representation(2, 4, images, False)
     recs = relation_residuals(fake, build_presentation(magic_square_system()))
     failing = [r for r in recs if not r.passed]
     assert failing
@@ -122,7 +122,7 @@ def test_relation_residuals_requires_all_generators():
     pres = build_presentation(sys_)
     rep = pauli_magic_square_rep()  # has g1..g9 but is checked against n=2
     images = {"g1": rep.images["g1"], "J": rep.images["J"]}
-    incomplete = Representation(2, 4, images, True, False)
+    incomplete = Representation(2, 4, images, False)
     with pytest.raises(DimensionMismatch):
         relation_residuals(incomplete, pres)
 

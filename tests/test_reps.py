@@ -1,10 +1,13 @@
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_consistent_system, seeded_unitary, zvec
+from conftest import json_like, random_consistent_system, seeded_unitary, zvec
 from synclcs import (
     LinearSystem,
     build_game_graph,
@@ -36,6 +39,7 @@ from synclcs.errors import (
     NonCommutingFactors,
     NotASolution,
     ParseError,
+    SyncLCSError,
     UnitarityViolation,
     VariableUnused,
 )
@@ -58,7 +62,7 @@ def test_scalar_rep_p2_values():
     assert scalar_value(rep.image("g1")) == -1
     assert scalar_value(rep.image("g2")) == -1
     assert scalar_value(rep.image("J")) == -1
-    assert rep.j_identified and rep.exact and rep.dim == 1
+    assert rep.exact and rep.dim == 1
 
 
 def test_scalar_rep_p3_row_product():
@@ -213,35 +217,12 @@ def test_build_family_pauli_invariants():
     assert names == {"psi-idempotent", "psi-selfadjoint", "psi-orthogonal", "psi-rowsum"}
 
 
-def test_build_family_requires_j_identification():
-    sys_ = one_eq_system()
-    eye = np.eye(1, dtype=complex)
-    with pytest.warns(UserWarning):
-        rep = make_representation(
-            2, {"g1": eye, "g2": eye, "J": eye}, require_j_identified=False
-        )
-    assert not rep.j_identified
-    with pytest.raises(JNotIdentified):
-        build_projection_family(rep, sys_)
-
-
-def test_check_suite_requires_j_identification():
-    eye = np.eye(1, dtype=complex)
-    with pytest.warns(UserWarning):
-        rep = make_representation(
-            2, {"g1": eye, "g2": eye, "J": eye}, require_j_identified=False
-        )
-    with pytest.raises(JNotIdentified):
-        run_check_suite(rep, one_eq_system())
-
-
 def test_build_family_raises_named_violation():
     # a unitary that is not an involution breaks idempotency of f-products
     sys_ = one_eq_system()
     theta = np.diag([1, 1j]).astype(complex)
     rep = make_representation(
         2, {"g1": theta, "g2": theta, "J": -np.eye(2, dtype=complex)},
-        require_j_identified=True,
     )
     with pytest.raises(InvariantViolation) as err:
         build_projection_family(rep, sys_)
@@ -401,6 +382,25 @@ def test_iso_family_matches_per_pair_table():
             assert by_name[name].detail == expected
 
 
+def test_check_suite_computes_shared_products_once(monkeypatch):
+    # projections are shared per (variable, value) and the residuals,
+    # edge products and phase sums per family; computing them per record
+    # took 144 projections and 659 norms here
+    import synclcs.reps as reps_module
+
+    calls = Counter()
+    for name in ("_spectral_projection", "frob"):
+        def counted(*args, _name=name, _original=getattr(reps_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(reps_module, name, counted)
+    records = run_check_suite(pauli_magic_square_rep(), magic_square_system())
+    assert all(r.passed for r in records)
+    assert calls["_spectral_projection"] <= 54
+    assert calls["frob"] <= 449
+
+
 def test_iso_zero_column_consistency():
     ms = magic_square_system()
     fam = build_projection_family(pauli_magic_square_rep(), ms)
@@ -451,9 +451,25 @@ def test_load_flags_unidentified_j(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(JNotIdentified):
         load_representation(str(path))
-    with pytest.warns(UserWarning):
-        rep = load_representation(str(path), require_j_identified=False)
-    assert not rep.j_identified
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_like(),
+       st.dictionaries(st.sampled_from(["p", "dim", "omega_convention", "generators"]),
+                       json_like(2, 3, 1, "J", ["J"]), max_size=2),
+       st.dictionaries(st.sampled_from(["g1", "g2", "J", "h1"]), json_like(0.0, 1.0),
+                       max_size=2))
+def test_representation_from_json_fails_closed(junk, fields, generators):
+    # documents malformed as a whole, in up to two fields or in up to two
+    # generators end in a toolkit error, never in another exception
+    valid = representation_to_json(scalar_rep_from_solution(one_eq_system(), zvec(2, 1, 1)))
+    doc = dict(valid, generators=dict(valid["generators"], **generators))
+    doc.update(fields)
+    for candidate in (junk, doc):
+        try:
+            representation_from_json(candidate)
+        except SyncLCSError:
+            pass
 
 
 def test_load_rejects_nonunitary():

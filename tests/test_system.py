@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_row_solutions, random_system, zvec
+from conftest import brute_force_row_solutions, json_like, random_system, zvec
 from synclcs import (
     LinearSystem,
     compatible,
@@ -166,3 +166,16 @@ def test_json_roundtrip_and_digest_stability():
     again = LinearSystem.from_json(ms.to_json())
     assert again == ms
     assert again.digest() == ms.digest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_like(), st.dictionaries(st.sampled_from(["p", "A", "b"]),
+                                    json_like(2, 5, [[1, 1]], [0]), max_size=2))
+def test_validate_document_fails_closed(junk, fields):
+    # documents malformed as a whole or in up to two fields end in a
+    # ParseError, never in another exception
+    for doc in (junk, dict({"p": 3, "A": [[1, 2, 0], [0, 1, 1]], "b": [1, 2]}, **fields)):
+        try:
+            validate_document(doc)
+        except ParseError:
+            pass
