@@ -16,10 +16,7 @@ from .games import (
     SynchronousGame,
     best_deterministic_strategy,
     build_synclcs_game,
-    check_synchronous,
     find_perfect_deterministic,
-    game_value,
-    is_perfect,
 )
 from .graphs import (
     GameGraph,

@@ -1,14 +1,25 @@
-"""Generic synchronous games, the syncLCS instance, and deterministic
-perfect-strategy analysis."""
+"""Synchronous games, the syncLCS game, and the perfect-strategy and
+best-value searches, which run on the game compiled to integers: per input
+k, the outputs x that win (x, x, i, i), in output order (`rows[k]`), and
+per (j, a, k) the bitset over `rows[k]` of the outputs that win both
+orders against the a-th output of `rows[j]` (`compatible`).  In the syncLCS
+game those are the outputs with an equal key, the mixed-radix code of
+their entries on the support two rows share; each bitset is built on first
+use, once per (row, shared support, key).  Other games use their rule.
+The searches need a symmetric rule, wins(x, y, i, j) = wins(y, x, j, i),
+in which an output that loses (x, x, i, i) loses every pair at input i, as
+in the syncLCS and the graph isomorphism games.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Hashable
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
-from .errors import EnumerationTooLarge, SearchBudgetExceeded
+from .errors import SearchBudgetExceeded
 from .system import LinearSystem, row_solutions, row_support
 from .zp import ZpVector
 
@@ -18,35 +29,18 @@ class SynchronousGame:
     """A two-player game with shared input/output sets and rule lambda.
 
     The rule is a total predicate rule(x, y, i, j) in {0,1}; synchrony
-    demands rule(x, y, i, i) = 0 whenever x != y.
+    demands rule(x, y, i, i) = 0 whenever x != y.  `tables` is the game
+    compiled for the searches; without it they compile the rule.
     """
 
     inputs: tuple[Hashable, ...]
     outputs: tuple[Hashable, ...]
     rule: Callable[[Hashable, Hashable, Hashable, Hashable], bool]
     name: str = ""
+    tables: KeyTables | None = field(default=None, repr=False)
 
     def wins(self, x, y, i, j) -> bool:
         return bool(self.rule(x, y, i, j))
-
-    def rule_table(self, max_entries: int = DEFAULT_ENUM_CAP) -> list[dict]:
-        """Materialized rule table for export; guarded by an entry cap."""
-        total = (len(self.inputs) * len(self.outputs)) ** 2
-        if total > max_entries:
-            raise EnumerationTooLarge(f"rule table has {total} entries, cap {max_entries}")
-        table = []
-        for i in self.inputs:
-            for j in self.inputs:
-                for x in self.outputs:
-                    for y in self.outputs:
-                        if self.wins(x, y, i, j):
-                            table.append({"i": _label(i), "j": _label(j),
-                                          "x": _label(x), "y": _label(y)})
-        return table
-
-
-def _label(obj) -> str:
-    return obj.label() if isinstance(obj, ZpVector) else str(obj)
 
 
 @dataclass
@@ -55,8 +49,56 @@ class DeterministicStrategy:
 
     assignment: dict = field(default_factory=dict)
 
-    def answer(self, i):
-        return self.assignment[i]
+
+def _bitset(flags) -> int:
+    """The int whose bit b is set when the b-th flag is true."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+class KeyTables:
+    """The syncLCS game on integers: rows[k] holds the indices of the
+    outputs that solve row k+1, and keys(k, cols) the code of each of them
+    on the 1-based columns cols.  Keys and bitsets are cached by the columns
+    two rows share, not by the pair of rows, so their count does not grow
+    with the square of the number of rows."""
+
+    def __init__(self, p: int, supports: list, rows: list, outputs: list):
+        self.p, self.supports, self.rows, self.outputs = p, supports, rows, outputs
+        self.keys, self._matching, self._shared = cache(self._keys), cache(self._match), {}
+
+    def _keys(self, k: int, cols: frozenset) -> list[int]:
+        cols, codes = sorted(cols), []
+        for t in self.rows[k]:
+            entries, code = self.outputs[t].entries, 0
+            for c in cols:
+                code = code * self.p + entries[c - 1]
+            codes.append(code)
+        return codes
+
+    def _match(self, key: int, k: int, cols: frozenset) -> int:
+        codes = self.keys(k, cols)
+        return _bitset(c == key for c in codes) if key in codes else 0
+
+    def compatible(self, j: int, a: int, k: int) -> int:
+        cols = self.supports[j] & self.supports[k]
+        cols = self._shared.setdefault(cols, cols)  # one object per column set in the caches
+        return self._matching(self.keys(j, cols)[a], k, cols)
+
+
+class RuleTables:
+    """A game compiled by evaluating its rule."""
+
+    def __init__(self, g: SynchronousGame):
+        self.game = g
+        self.rows = [[t for t, x in enumerate(g.outputs) if g.wins(x, x, i, i)]
+                     for i in g.inputs]
+        self.compatible = cache(self._compatible)
+
+    def _compatible(self, j: int, a: int, k: int) -> int:
+        g = self.game
+        h, i, y = g.inputs[j], g.inputs[k], g.outputs[self.rows[j][a]]
+        return _bitset(g.wins(y, g.outputs[t], h, i) and g.wins(g.outputs[t], y, i, h)
+                       for t in self.rows[k])
 
 
 def build_synclcs_game(sys: LinearSystem, cap: int = DEFAULT_ENUM_CAP) -> SynchronousGame:
@@ -66,73 +108,32 @@ def build_synclcs_game(sys: LinearSystem, cap: int = DEFAULT_ENUM_CAP) -> Synchr
     the per-row solution sets (any vector outside every set loses against
     everything, so omitting those is behavior-preserving).  When every row
     solution set is empty the zero vector is kept as a designated losing
-    output so strategies remain total.
+    output so strategies remain total.  The game carries its KeyTables.
     """
-    p, n = sys.p, sys.n
-    solutions = {i: row_solutions(sys, i, cap) for i in range(1, sys.m + 1)}
-    solution_sets = {i: frozenset(s.entries for s in sol) for i, sol in solutions.items()}
-    supports = {i: row_support(sys, i) for i in range(1, sys.m + 1)}
-    shared = {
-        (i, j): sorted(supports[i] & supports[j])
-        for i in supports
-        for j in supports
-    }
-
-    outputs: list[ZpVector] = []
-    seen = set()
-    for i in range(1, sys.m + 1):
-        for x in solutions[i]:
-            if x.entries not in seen:
-                seen.add(x.entries)
+    inputs = tuple(range(1, sys.m + 1))
+    supports = [frozenset(row_support(sys, i)) for i in inputs]
+    index, outputs, rows = {}, [], []  # index: solution -> position in outputs
+    for i in inputs:
+        row = []
+        for x in row_solutions(sys, i, cap):
+            t = index.setdefault(x.entries, len(outputs))
+            if t == len(outputs):
                 outputs.append(x)
+            row.append(t)
+        rows.append(sorted(row))
     if not outputs:
-        outputs = [ZpVector.zero(p, n)]
+        outputs = [ZpVector.zero(sys.p, sys.n)]
+    members: set[tuple[int, tuple]] = set()  # (row, solution), filled on first use
 
     def rule(x, y, i, j) -> bool:
-        if i not in solution_sets or j not in solution_sets:
+        if not members:
+            members.update((k, outputs[t].entries) for k, row in zip(inputs, rows) for t in row)
+        if (i, x.entries) not in members or (j, y.entries) not in members:
             return False
-        if x.entries not in solution_sets[i] or y.entries not in solution_sets[j]:
-            return False
-        return all(x.entries[k - 1] == y.entries[k - 1] for k in shared[(i, j)])
+        return all(x.entry(c) == y.entry(c) for c in supports[i - 1] & supports[j - 1])
 
-    return SynchronousGame(
-        inputs=tuple(range(1, sys.m + 1)),
-        outputs=tuple(outputs),
-        rule=rule,
-        name="synclcs",
-    )
-
-
-def check_synchronous(g: SynchronousGame) -> bool:
-    """Exhaustive synchrony check: same question, different answers lose."""
-    for i in g.inputs:
-        for a, x in enumerate(g.outputs):
-            for y in g.outputs[a + 1:]:
-                if g.wins(x, y, i, i) or g.wins(y, x, i, i):
-                    return False
-    return True
-
-
-def is_perfect(s: DeterministicStrategy, g: SynchronousGame) -> bool:
-    for i in g.inputs:
-        if i not in s.assignment:
-            raise ValueError(f"strategy not total: missing input {i!r}")
-    return all(
-        g.wins(s.assignment[i], s.assignment[j], i, j)
-        for i in g.inputs
-        for j in g.inputs
-    )
-
-
-def game_value(s: DeterministicStrategy, g: SynchronousGame) -> Fraction:
-    """Winning probability under uniform question pairs, exact."""
-    wins = sum(
-        1
-        for i in g.inputs
-        for j in g.inputs
-        if g.wins(s.assignment[i], s.assignment[j], i, j)
-    )
-    return Fraction(wins, len(g.inputs) ** 2)
+    return SynchronousGame(inputs, tuple(outputs), rule, "synclcs",
+                           KeyTables(sys.p, supports, rows, outputs))
 
 
 def find_perfect_deterministic(
@@ -143,53 +144,43 @@ def find_perfect_deterministic(
     Inputs are filled in index order, outputs tried in index order, and a
     candidate is pruned as soon as any pair with an already-assigned input
     loses.  Returns None only after exhausting the whole (pruned) tree;
-    running out of budget raises instead, so None is a certificate.
+    running out of budget raises instead, so None is a certificate.  The
+    search steps only through the outputs its bitsets leave, but counts a
+    node for every output in index order, as if each had been tried.
     """
-    inputs = g.inputs
-    assignment: dict = {}
+    if not g.inputs:
+        return DeterministicStrategy({})
+    tables = g.tables or RuleTables(g)
+    rows, last, m = tables.rows, len(g.outputs) - 1, len(g.inputs)
+    # per filled input: untried bitset, last output counted, position in rows[k] chosen
+    frames: list[list[int]] = []
+
+    def allowed(k: int) -> int:
+        bits = (1 << len(rows[k])) - 1
+        for j, (_, _, a) in enumerate(frames[:k]):
+            if bits:
+                bits &= tables.compatible(j, a, k)
+        return bits
+
+    frames.append([allowed(0), -1, -1])
     nodes = 0
-
-    def backtrack(k: int) -> DeterministicStrategy | None:
-        nonlocal nodes
-        if k == len(inputs):
-            return DeterministicStrategy(dict(assignment))
-        i = inputs[k]
-        for x in g.outputs:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"strategy search exceeded {budget} nodes")
-            if not g.wins(x, x, i, i):
-                continue
-            ok = True
-            for j in inputs[:k]:
-                y = assignment[j]
-                if not (g.wins(y, x, j, i) and g.wins(x, y, i, j)):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[i] = x
-            found = backtrack(k + 1)
-            if found is not None:
-                return found
-            del assignment[i]
-        return None
-
-    return backtrack(0)
-
-
-def _behavior_signature(g: SynchronousGame, i, x) -> tuple:
-    """How output x at input i interacts with every (input, output) pair.
-
-    Two outputs with identical signatures are interchangeable in any
-    strategy, which collapses the search space for best-value search.
-    """
-    sig = [g.wins(x, x, i, i)]
-    for j in g.inputs:
-        for y in g.outputs:
-            sig.append(g.wins(x, y, i, j))
-            sig.append(g.wins(y, x, j, i))
-    return tuple(sig)
+    while frames:
+        k = len(frames) - 1
+        bits, counted, _ = frames[-1]
+        a = (bits & -bits).bit_length() - 1
+        t = rows[k][a] if bits else last
+        nodes += t - counted
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"strategy search exceeded {budget} nodes")
+        if not bits:
+            frames.pop()
+            continue
+        frames[-1] = [bits & (bits - 1), t, a]
+        if k + 1 == m:
+            return DeterministicStrategy(
+                {g.inputs[j]: g.outputs[rows[j][b]] for j, (_, _, b) in enumerate(frames)})
+        frames.append([allowed(k + 1), -1, -1])
+    return None
 
 
 def best_deterministic_strategy(
@@ -200,50 +191,52 @@ def best_deterministic_strategy(
     Candidates per input are deduplicated by behavior signature, then a
     depth-first search with an optimistic win-count bound finds the exact
     maximum.  Deterministic: first strategy reaching the optimum in
-    index order is returned.
+    index order is returned.  The signature of an output that wins
+    (x, x, i, i) lists, per input j, the bitset of the outputs of rows[j]
+    it wins against; every other output has the signature None.
     """
     inputs = g.inputs
     if not inputs:
         return DeterministicStrategy({}), Fraction(1)
-    candidates: dict = {}
-    for i in inputs:
-        seen_sigs = set()
-        cands = []
-        for x in g.outputs:
-            sig = _behavior_signature(g, i, x)
-            if sig not in seen_sigs:
-                seen_sigs.add(sig)
-                cands.append(x)
-        candidates[i] = cands
-
-    total_pairs = len(inputs) ** 2
-    best_wins = -1
-    best_assignment: dict = {}
-    assignment: dict = {}
+    tables = g.tables or RuleTables(g)
+    m = len(inputs)
+    candidates = []  # per input: (output, position in rows[k] or None, signature)
+    for k, row in enumerate(tables.rows):
+        position, seen, found = {t: a for a, t in enumerate(row)}, set(), []
+        for t in range(len(g.outputs)):
+            a = position.get(t)
+            sig = None if a is None else tuple(tables.compatible(k, a, j) for j in range(m))
+            if sig not in seen:
+                seen.add(sig)
+                found.append((t, a, sig))
+        candidates.append(found)
+    total_pairs = m * m
+    best_wins, best = -1, []
+    picks: list[tuple] = []  # candidate chosen at each filled input
+    frames = [(iter(candidates[0]), 0)]  # per filled input: untried candidates, wins so far
     nodes = 0
-
-    def dfs(k: int, wins: int):
-        nonlocal best_wins, best_assignment, nodes
-        if k == len(inputs):
+    while frames:
+        k = len(frames) - 1
+        untried, wins = frames[-1]
+        cand = next(untried, None)
+        if cand is None:
+            frames.pop()
+            if picks:
+                picks.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"value search exceeded {budget} nodes")
+        sig = cand[2]
+        if sig is not None:
+            # x wins (x, x, i, i), and both orders of each pair it wins
+            wins += 1 + 2 * sum(sig[j] >> b & 1 for j, (_, b, other) in enumerate(picks)
+                                if other is not None)
+        if k + 1 == m:
             if wins > best_wins:
-                best_wins = wins
-                best_assignment = dict(assignment)
-            return
-        if wins + (total_pairs - k * k) <= best_wins:
-            return
-        i = inputs[k]
-        for x in candidates[i]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"value search exceeded {budget} nodes")
-            gained = 1 if g.wins(x, x, i, i) else 0
-            for j in inputs[:k]:
-                y = assignment[j]
-                gained += 1 if g.wins(y, x, j, i) else 0
-                gained += 1 if g.wins(x, y, i, j) else 0
-            assignment[i] = x
-            dfs(k + 1, wins + gained)
-            del assignment[i]
-
-    dfs(0, 0)
-    return DeterministicStrategy(best_assignment), Fraction(best_wins, total_pairs)
+                best_wins, best = wins, picks + [cand]
+        elif wins + total_pairs - (k + 1) ** 2 > best_wins:
+            picks.append(cand)
+            frames.append((iter(candidates[k + 1]), wins))
+    assignment = {i: g.outputs[t] for i, (t, _, _) in zip(inputs, best)}
+    return DeterministicStrategy(assignment), Fraction(best_wins, total_pairs)

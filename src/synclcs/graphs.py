@@ -144,7 +144,7 @@ def is_isomorphism(G: GameGraph, H: GameGraph, bij: VertexBijection) -> bool:
         return False
     if set(bij.inverse) != set(H.vertices):
         return False
-    perm = np.array([H.index(bij.forward[v]) for v in G.vertices])
+    perm = np.array([H.index(bij.forward[v]) for v in G.vertices], dtype=np.intp)
     return bool(np.array_equal(G.adj, H.adj[np.ix_(perm, perm)]))
 
 

@@ -35,7 +35,7 @@ from .graphs import EQUAL, GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
 from .matops import dagger, eye_like, frob, is_exact
 from .reporting import CheckRecord
-from .system import LinearSystem, is_row_solution, row_support
+from .system import LinearSystem, is_row_solution, json_typed, row_support
 from .zp import ZpVector, check_prime
 
 OMEGA_CONVENTION = "exp(2*pi*i/p)"
@@ -620,11 +620,11 @@ def save_representation(rep: Representation, path: str):
 
 def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:
     try:
-        p = int(doc["p"])
-        dim = int(doc["dim"])
+        p = json_typed(doc["p"], int, "p")
+        dim = json_typed(doc["dim"], int, "dim")
         convention = doc["omega_convention"]
         generators = doc["generators"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed representation document: {exc}") from exc
     if not isinstance(generators, dict):
         raise ParseError("generators must be a JSON object")

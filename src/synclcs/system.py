@@ -18,6 +18,14 @@ from .errors import (
 from .zp import ZpMatrix, ZpVector, enumerate_affine, gauss_solve, is_prime, support
 
 
+def json_typed(value, kind: type, name: str):
+    """A field of a JSON document, which must be of exactly this type (so
+    no boolean is an int); anything else is a parse error, never coerced."""
+    if type(value) is not kind:
+        raise ParseError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """A game parameter: prime p, m x n matrix A and length-m vector b.
@@ -55,10 +63,11 @@ class LinearSystem:
     @staticmethod
     def from_json(doc: dict) -> "LinearSystem":
         try:
-            p = int(doc["p"])
-            A = [[int(e) for e in row] for row in doc["A"]]
-            b = [int(e) for e in doc["b"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            p = json_typed(doc["p"], int, "p")
+            A = [[json_typed(e, int, "an entry of A") for e in json_typed(row, list, "a row of A")]
+                 for row in json_typed(doc["A"], list, "A")]
+            b = [json_typed(e, int, "an entry of b") for e in json_typed(doc["b"], list, "b")]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed system document: {exc}") from exc
         widths = {len(row) for row in A}
         if len(widths) > 1:
@@ -214,9 +223,9 @@ def validate_document(doc: dict) -> tuple[LinearSystem | None, ValidationReport]
     """
     report = ValidationReport()
     try:
-        p = int(doc["p"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ParseError("missing or non-integer field 'p'")
+        p = json_typed(doc["p"], int, "p")
+    except (KeyError, TypeError):
+        raise ParseError("missing field 'p'")
     try:
         prime = is_prime(p)
     except NotPrime as exc:  # beyond the range is_prime can certify

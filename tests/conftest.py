@@ -88,11 +88,13 @@ def rng() -> random.Random:
 
 def json_like(*plausible):
     """Hypothesis strategy for JSON-like values: the given plausible values,
-    infinities, null, booleans, integers, floats, short strings, and nested
-    arrays and objects of these."""
+    infinities, values that coerce to integers (2.9, 2.0, "11", an object
+    with digit keys), null, booleans, integers, floats, short strings, and
+    nested arrays and objects of these."""
     from hypothesis import strategies as st
 
-    scalars = (st.sampled_from((math.inf, -math.inf) + plausible) | st.none()
+    coercible = (2.9, 2.0, "11", "0", {"1": 0, "0": 1})
+    scalars = (st.sampled_from((math.inf, -math.inf) + coercible + plausible) | st.none()
                | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
     return scalars | st.recursive(
         scalars,

@@ -398,9 +398,37 @@ def test_system_with_infinite_number_is_parse_error(capsys, tmp_path, doc):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("doc", [
+    '{"p": 2.9, "A": ["11", {"1": 0, "0": 1}], "b": [true, "0"]}',
+    '{"p": 2.0, "A": [[1, 1]], "b": [0]}',
+    '{"p": "2", "A": [[1, 1]], "b": [0]}',
+    '{"p": 2, "A": ["11"], "b": [0]}',
+    '{"p": 2, "A": [{"1": 0, "0": 1}], "b": [0]}',
+    '{"p": 2, "A": [[1, 1.0]], "b": [0]}',
+    '{"p": 2, "A": [[1, 1]], "b": [true]}',
+], ids=["mixed", "p-float", "p-string", "A-row-string", "A-row-object", "A-float", "b-bool"])
+def test_system_with_non_integer_field_is_parse_error(capsys, tmp_path, doc):
+    path = tmp_path / "coerced.json"
+    path.write_text(doc)
+    code, out = run(capsys, ["validate", str(path)])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "solve", "graph", "iso", "group"])
+def test_system_without_equations(capsys, tmp_path, command):
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps({"p": 2, "A": [], "b": []}))
+    code, out = run(capsys, [command, str(path)])
+    assert code == 0
+    assert json.loads(out)["summary"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("field, value", [
     ("p", "1e400"), ("dim", "1e400"), ("generators", '["J"]'), ("generators", '"J"'),
-], ids=["p-infinite", "dim-infinite", "generators-array", "generators-string"])
+    ("p", "2.0"), ("p", "true"), ("dim", "1.0"), ("dim", '"1"'),
+], ids=["p-infinite", "dim-infinite", "generators-array", "generators-string",
+        "p-float", "p-bool", "dim-float", "dim-string"])
 def test_repcheck_malformed_rep_document_is_parse_error(capsys, tmp_path, field, value):
     path = write_preset(capsys, tmp_path, "one-eq")
     rep_path = tmp_path / "rep.json"

@@ -1,8 +1,20 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closure_game import (
+    best_search,
+    check_synchronous,
+    closure_synclcs_game,
+    game_value,
+    is_perfect,
+    perfect_search,
+    rule_table,
+)
 from conftest import random_system, zvec
 from synclcs import (
     DeterministicStrategy,
@@ -12,15 +24,12 @@ from synclcs import (
     build_game_graph,
     build_iso_game,
     build_synclcs_game,
-    check_synchronous,
     find_perfect_deterministic,
-    game_value,
     gauss_solve,
-    is_perfect,
     row_solutions,
     row_support,
 )
-from synclcs.errors import EnumerationTooLarge, SearchBudgetExceeded
+from synclcs.errors import SearchBudgetExceeded
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 
 
@@ -188,7 +197,7 @@ def test_value_one_iff_perfect(rng):
 
 def test_rule_table_export():
     g = build_synclcs_game(one_eq_system())
-    table = g.rule_table()
+    table = rule_table(g)
     # winning entries only; symmetric and diagonal-complete
     assert {(row["i"], row["x"], row["j"], row["y"]) for row in table} == {
         ("1", "(0,0)", "1", "(0,0)"),
@@ -197,5 +206,97 @@ def test_rule_table_export():
     import json
 
     json.dumps(table)  # JSON-serializable
-    with pytest.raises(EnumerationTooLarge):
-        g.rule_table(max_entries=1)
+
+
+# ------------------------------------------- compiled searches vs closures
+
+
+def _grid_square(p: int, size: int) -> LinearSystem:
+    """size x size grid over Z_p: rows sum to 0, columns to 0 except the
+    last, which sums to 1; no classical solution for any p."""
+    cells = range(size * size)
+    A = [[int(k // size == r) for k in cells] for r in range(size)]
+    A += [[int(k % size == c) for k in cells] for c in range(size)]
+    return LinearSystem.from_ints(p, A, [0] * (2 * size - 1) + [1])
+
+
+def _pentagram() -> LinearSystem:
+    lines = ((0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8), (2, 9, 5, 8), (3, 9, 7, 6))
+    return LinearSystem.from_ints(2, [[int(k in line) for k in range(10)] for line in lines],
+                                  [1, 0, 0, 0, 0])
+
+
+@st.composite
+def small_systems(draw):
+    """Up to 4 rows x 5 variables over Z_2, Z_3 or Z_5, zero rows and
+    m = 0 included; each row has at most 16 solutions, so the closure
+    searches stay fast."""
+    # sampled_from draws uniformly, where integers() favours small values
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([5, 4, 3, 2, 1]))
+    m = draw(st.sampled_from([4, 3, 2, 1, 0]))
+    A = []
+    for _ in range(m):
+        width = min(n, draw(st.sampled_from(range({2: 5, 3: 3, 5: 2}[p], -1, -1))))
+        cols = draw(st.sets(st.integers(0, n - 1), min_size=width, max_size=width))
+        A.append([draw(st.integers(1, p - 1)) if c in cols else 0 for c in range(n)])
+    b = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    return LinearSystem.from_ints(p, A, b)
+
+
+def _labels(strategy):
+    return None if strategy is None else {
+        i: x.label() for i, x in strategy.assignment.items()}
+
+
+def _assert_same_as_closure_searches(sys_):
+    game, oracle = build_synclcs_game(sys_), closure_synclcs_game(sys_)
+    assert game.outputs == oracle.outputs
+    perfect, perfect_nodes = perfect_search(oracle)
+    best, value, best_nodes = best_search(oracle)
+    assert _labels(find_perfect_deterministic(game)) == _labels(perfect)
+    got, got_value = best_deterministic_strategy(game)
+    assert (_labels(got), got_value) == (_labels(best), value)
+    # the budget trips at the node the closure search would reach
+    assert _labels(find_perfect_deterministic(game, budget=perfect_nodes)) == _labels(perfect)
+    assert best_deterministic_strategy(game, budget=best_nodes)[1] == value
+    if perfect_nodes:
+        with pytest.raises(SearchBudgetExceeded):
+            find_perfect_deterministic(game, budget=perfect_nodes - 1)
+    if best_nodes:
+        with pytest.raises(SearchBudgetExceeded):
+            best_deterministic_strategy(game, budget=best_nodes - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_compiled_searches_match_closure_searches(sys_):
+    _assert_same_as_closure_searches(sys_)
+
+
+@pytest.mark.parametrize("sys_", [
+    magic_square_system(), _pentagram(), _grid_square(3, 3), _grid_square(2, 4),
+], ids=["magic-square", "pentagram", "square-3x3-z3", "square-4x4-z2"])
+def test_compiled_searches_match_closure_searches_on_squares(sys_):
+    _assert_same_as_closure_searches(sys_)
+
+
+def test_compiled_tables_stay_linear_in_the_outputs():
+    # two 8-variable rows over Z_3 on one support, x1+...+x8 = 0 and = 1:
+    # every key of one row is the whole solution, and no key has a partner
+    # in the other row, so the search exhausts through all 2,187 keys
+    sys_ = LinearSystem.from_ints(3, [[1] * 8, [1] * 8], [0, 1])
+    tracemalloc.start()
+    try:
+        rows = [row_solutions(sys_, i) for i in (1, 2)]
+        enumerated = tracemalloc.get_traced_memory()[1]
+        del rows
+        tracemalloc.reset_peak()
+        game = build_synclcs_game(sys_)
+        assert find_perfect_deterministic(game) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one |S_1| x |S_2| bitset table would take 2187 * 2187 / 8 bytes,
+    # 598 KB, in each direction
+    assert peak - enumerated < 600_000

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from closure_game import check_synchronous
 from conftest import edges_preserved, random_consistent_system, random_system, zvec
 from synclcs import (
     LinearSystem,
     build_game_graph,
     build_iso_game,
-    check_synchronous,
     compatible,
     export_dot,
     gauss_solve,

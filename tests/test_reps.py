@@ -456,12 +456,13 @@ def test_load_flags_unidentified_j(tmp_path):
 @settings(max_examples=300, deadline=None)
 @given(json_like(),
        st.dictionaries(st.sampled_from(["p", "dim", "omega_convention", "generators"]),
-                       json_like(2, 3, 1, "J", ["J"]), max_size=2),
+                       json_like(2, 3, 1, 1.0, True, "J", ["J"]), max_size=2),
        st.dictionaries(st.sampled_from(["g1", "g2", "J", "h1"]), json_like(0.0, 1.0),
                        max_size=2))
 def test_representation_from_json_fails_closed(junk, fields, generators):
     # documents malformed as a whole, in up to two fields or in up to two
-    # generators end in a toolkit error, never in another exception
+    # generators end in a toolkit error, never in another exception; an
+    # accepted p and dim were written as integers, not coerced to them
     valid = representation_to_json(scalar_rep_from_solution(one_eq_system(), zvec(2, 1, 1)))
     doc = dict(valid, generators=dict(valid["generators"], **generators))
     doc.update(fields)
@@ -469,7 +470,8 @@ def test_representation_from_json_fails_closed(junk, fields, generators):
         try:
             representation_from_json(candidate)
         except SyncLCSError:
-            pass
+            continue
+        assert type(candidate["p"]) is int and type(candidate["dim"]) is int
 
 
 def test_load_rejects_nonunitary():

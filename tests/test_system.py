@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,12 +172,19 @@ def test_json_roundtrip_and_digest_stability():
 
 @settings(max_examples=300, deadline=None)
 @given(json_like(), st.dictionaries(st.sampled_from(["p", "A", "b"]),
-                                    json_like(2, 5, [[1, 1]], [0]), max_size=2))
+                                    json_like(2, 5, [[1, 1]], [0], ["11", {"1": 0, "0": 1}],
+                                              [True, "0"], [[1, 2.0, 0], [0, 1, 1]]),
+                                    max_size=2))
 def test_validate_document_fails_closed(junk, fields):
     # documents malformed as a whole or in up to two fields end in a
-    # ParseError, never in another exception
+    # ParseError, never in another exception; what is accepted was written
+    # as integers, not coerced to them
     for doc in (junk, dict({"p": 3, "A": [[1, 2, 0], [0, 1, 1]], "b": [1, 2]}, **fields)):
         try:
-            validate_document(doc)
+            system, _ = validate_document(doc)
         except ParseError:
-            pass
+            continue
+        assert type(doc["p"]) is int
+        if system is not None:
+            assert all(type(row) is list for row in doc["A"])
+            assert all(type(v) is int for v in [*itertools.chain(*doc["A"]), *doc["b"]])
