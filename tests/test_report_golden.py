@@ -20,6 +20,7 @@ import pytest
 
 from conftest import random_consistent_system
 from synclcs.cli import main
+from synclcs import LinearSystem
 from synclcs.presets import magic_square_system, p3_demo_system
 
 TIMESTAMP_LINE = re.compile(r'^\s*"timestamp": .*$', re.MULTILINE)
@@ -29,6 +30,10 @@ SYSTEMS = {
     "p3.json": p3_demo_system,
     "s3.json": lambda: random_consistent_system(random.Random(3), 3, 3, 4),
     "s5.json": lambda: random_consistent_system(random.Random(5), 5, 2, 3),
+    # a zero row with b = 0, and row 3 repeating row 1
+    "z3.json": lambda: LinearSystem.from_ints(
+        3, [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 2]], [1, 0, 1, 2]),
+    "s7.json": lambda: LinearSystem.from_ints(7, [[1, 2, 0], [0, 3, 1], [1, 5, 4]], [6, 0, 3]),
 }
 
 CLASSICAL = [
@@ -43,6 +48,8 @@ CASES = [
     ("repcheck", "p3.json", "--rep", "scalar:1,0,0"),
     ("repcheck", "s3.json", "--rep", "scalar:1,1,2,0"),
     ("repcheck", "s5.json", "--rep", "scalar:3,2,0"),
+    ("repcheck", "z3.json", "--rep", "scalar:1,0,1"),
+    ("repcheck", "s7.json", "--rep", "scalar:3,5,6"),
 ]
 
 GOLDEN = {
@@ -67,6 +74,8 @@ GOLDEN = {
     "repcheck p3.json --rep scalar:1,0,0": (0, "b3cc19875aaba96091db9bdf7961fd943be387904aab13108605bc1e8ffea55a"),
     "repcheck s3.json --rep scalar:1,1,2,0": (0, "a1b6cdb8d84984d45dfb99819fd27b830acd05aca83c0ae5022c2b340ffe633f"),
     "repcheck s5.json --rep scalar:3,2,0": (0, "d397c420030d9c3a918bc25f8c2b13b4d857c018721883a319fefc55e2d53854"),
+    "repcheck z3.json --rep scalar:1,0,1": (0, "970ce6e8146a95b05d436f731b97eceb1a277b3d6672251071b8becd6b67319d"),
+    "repcheck s7.json --rep scalar:3,5,6": (0, "1b999e9304937cc12fee36c73e3276cd7aaef20a97a69b7ab85788bfd405af70"),
 }
 
 

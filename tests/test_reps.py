@@ -43,6 +43,7 @@ from synclcs.errors import (
     UnitarityViolation,
     VariableUnused,
 )
+from synclcs.cyclotomic import Cyclotomic
 from synclcs.matops import dagger, frob
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 from synclcs.reps import _assemble_family, psi_iso_consistency_checks
@@ -592,23 +593,80 @@ def _oracle_residuals(rep, sys_):
     out["iso-rule-orthogonality"] = max(
         (frob(E[u] @ E[v]) for pair in conflicting for u, v in (pair, pair[::-1])),
         default=0.0)
+    hom = sys_.homogeneous()
+    hom_rows = {i: row_solutions(hom, i) for i in range(1, sys_.m + 1)}
+    for i, ys in hom_rows.items():
+        for y in ys:
+            total = zero
+            for x in rows.get(i, ()):
+                total = total + E[(i, x + y)]
+            out[f"iso-sum-over-inhomogeneous:{i}:{y.label()}"] = frob(total - identity)
+    for (i, x), M in E.items():
+        total = zero
+        for y in hom_rows[i]:
+            total = total + E[(i, x + y)]
+        out[f"iso-sum-over-homogeneous:{i}:{x.label()}"] = frob(total - identity)
+        total = zero
+        for k in range(1, sys_.m + 1):
+            total = total + (M if k == i else zero)
+        out[f"iso-zero-column:{i}:{x.label()}"] = frob(total - M)
     return out
 
 
-@pytest.mark.parametrize("source", ["pauli-ms", "pauli-ms-conjugated", "scalar-p3"])
+def _direct_sum_scalar_rep(sys_, *solutions):
+    """The diagonal exact representation g_j -> diag(omega^{x_j}, ...) over
+    the given vectors, J -> omega * I; a solution group representation
+    exactly when every vector solves the system."""
+    p, d = sys_.p, len(solutions)
+
+    def diagonal(powers):
+        M = np.empty((d, d), dtype=object)
+        for r in range(d):
+            for c in range(d):
+                M[r, c] = Cyclotomic.omega_power(p, powers[r]) if r == c else Cyclotomic(p, [0] * p)
+        return M
+
+    images = {f"g{j}": diagonal([x[j - 1] for x in solutions]) for j in range(1, sys_.n + 1)}
+    images["J"] = diagonal([1] * d)
+    return make_representation(p, images)
+
+
+# p = 3 with a zero row and a duplicated row; (1,0,1) and (0,1,2) solve it
+# for b2 = 0 and agree on no row support; for b2 = 1 row 2 has no solution
+# and (0,0,0) fails rows 1 to 4
+def _zero_row_system(b2):
+    return LinearSystem.from_ints(3, [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 2]],
+                                  [1, b2, 1, 2])
+
+
+@pytest.mark.parametrize("source", ["pauli-ms", "pauli-ms-conjugated", "scalar-p3",
+                                    "exact-direct-sum", "exact-non-solution"])
 def test_suite_residuals_match_direct_formulas(source):
     if source == "scalar-p3":
         sys_ = random_consistent_system(random.Random(3), 3, 3, 4)
         rep = scalar_rep_from_solution(sys_, zvec(3, 1, 1, 2, 0))
+    elif source == "exact-direct-sum":
+        sys_ = _zero_row_system(0)
+        rep = _direct_sum_scalar_rep(sys_, (1, 0, 1), (0, 1, 2))
+        values = {tuple(E.flat) for E in _assemble_family(rep, sys_, TOL, 2**20).entries.values()}
+        assert len(values) == 4
+    elif source == "exact-non-solution":
+        sys_ = _zero_row_system(1)
+        rep = _direct_sum_scalar_rep(sys_, (0, 0, 0))
     else:
         sys_, rep = magic_square_system(), pauli_magic_square_rep()
         if source == "pauli-ms-conjugated":
             rep = conjugate_representation(rep, seeded_unitary(4, 11))
     expected = _oracle_residuals(rep, sys_)
     prefixes = ("psi-", "phi-", "roundtrip-", "iso-idempotent", "iso-selfadjoint",
-                "iso-rule-orthogonality")
+                "iso-rule-orthogonality", "iso-sum-over-", "iso-zero-column")
     got = {r.name: r.residual for r in run_check_suite(rep, sys_)
            if r.name.startswith(prefixes)}
     assert got == expected
+    if source == "exact-non-solution":
+        assert got["psi-rowsum:1"] > 0 and "psi-rowsum:2" not in got
+        assert got["iso-sum-over-homogeneous:1:(1,0,0)"] > 0
+        assert got["iso-sum-over-inhomogeneous:2:(0,0,0)"] == 1.0
+        assert got["iso-sum-over-inhomogeneous:4:(0,0,0)"] > 0
     orthogonal = [name for name in got if name.startswith("psi-orthogonal")]
     assert orthogonal == [name for name in expected if name.startswith("psi-orthogonal")]
