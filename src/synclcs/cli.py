@@ -21,9 +21,10 @@ import traceback
 from datetime import datetime, timezone
 
 from . import __version__
-from .config import DEFAULT_TOL, Limits
+from .config import DEFAULT_TOL, MAX_REPCHECK_P, Limits
 from .errors import (
     EnumerationTooLarge,
+    ModulusTooLarge,
     NotASolution,
     ParseError,
     SearchBudgetExceeded,
@@ -287,10 +288,17 @@ def _resolve_representation(spec: str, system: LinearSystem, tol: float):
     return rep, {"rep_source": spec}
 
 
+def _bound_modulus(p: int) -> None:
+    if p > MAX_REPCHECK_P:
+        raise ModulusTooLarge(
+            f"modulus {p} exceeds {MAX_REPCHECK_P}, the largest repcheck certifies")
+
+
 def cmd_repcheck(args, limits: Limits) -> int:
     system, inputs, code = _require_system("repcheck", args)
     if system is None:
         return code
+    _bound_modulus(system.p)
     tol = args.tol
     report = _base_report("repcheck", inputs, tolerance=tol)
     try:
@@ -310,6 +318,7 @@ def cmd_repcheck(args, limits: Limits) -> int:
         report["summary"] = {"verdict": "fail", "first_failure": type(exc).__name__}
         _emit(report, args.out)
         return EXIT_CHECK_FAILURE
+    _bound_modulus(rep.p)
     report["inputs"].update(rep_inputs)
     report["representation"] = {"dim": rep.dim, "p": rep.p,
                                 "exact": rep.exact}

@@ -9,6 +9,13 @@ DEFAULT_ENUM_CAP = 2**20
 DEFAULT_SEARCH_BUDGET = 10**7
 DEFAULT_TOL = 1e-9
 
+# Largest modulus repcheck certifies.  A variable can take p values, each
+# with its own spectral projection: a sum of p powers of its image.  So the
+# work per variable grows as p**2 matrix products, each of p rational
+# coefficients when exact.  At this cap a variable that takes every value
+# costs about 0.6 s.
+MAX_REPCHECK_P = 31
+
 ENUM_CAP_ENV = "SYNCLCS_ENUM_CAP"
 SEARCH_BUDGET_ENV = "SYNCLCS_SEARCH_BUDGET"
 

@@ -21,6 +21,10 @@ class EnumerationTooLarge(SyncLCSError):
     """An enumeration would exceed the configured cap."""
 
 
+class ModulusTooLarge(EnumerationTooLarge):
+    """A modulus exceeds the largest one certification runs over."""
+
+
 class NotASolution(SyncLCSError):
     """A vector claimed as a solution does not satisfy its equation(s)."""
 

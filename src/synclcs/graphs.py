@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,12 @@ class GameGraph:
     def solutions_by_row(self) -> dict[int, list[ZpVector]]:
         """Solutions of each row that has any, in vertex order."""
         return self._rows
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """"i:(x_1,...,x_n)" of each vertex, in vertex order, as check
+        record names spell it."""
+        return tuple(f"{i}:{x.label()}" for i, x in self.vertices)
 
 
 def build_game_graph(

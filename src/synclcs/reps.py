@@ -8,6 +8,12 @@ the quotient group algebra, and the isomorphism-game algebra.
 Representations from classical solutions use exact cyclotomic scalars, so
 their residuals are exactly zero; matrix representations use complex
 floats and are judged against a Frobenius-norm tolerance.
+
+Exact values are canonical and exact sums do not depend on their order,
+so the exact path certifies by value: a sum that permutes a row's family
+entries is the row sum, and a product of two entries is computed once per
+pair of distinct entry values.  Float sums and products keep the order
+and operands of the direct formulas, which decide their bits.
 """
 
 from __future__ import annotations
@@ -228,13 +234,13 @@ class ProjectionFamily:
     """The matrices standing for the game-algebra generators, one per
     (row, solution) pair, built through the spectral projections.
 
-    The residuals, edge products and phase sums that several check
-    families read are computed once, from the entries as they stand at
-    first use."""
+    The residuals, edge products, row sums and phase sums that several
+    check families read are computed once, from the entries as they stand
+    at first use."""
 
     rep: Representation
     graph: GameGraph  # G(A,b): its system, rows and vertices index the entries
-    entries: dict  # (i, ZpVector) -> matrix
+    entries: dict  # (i, ZpVector) -> matrix, in vertex order
 
     def entry(self, i: int, x: ZpVector) -> np.ndarray:
         return self.entries[(i, x)]
@@ -251,13 +257,37 @@ class ProjectionFamily:
     @cached_property
     def edge_products(self) -> np.ndarray:
         """frob(E_u E_v) and frob(E_v E_u) for each edge (u, v) of
-        graph.edges(), in that order; shape (edges, 2)."""
-        edges, V = self.graph.edges(), self.graph.vertices
-        out = np.zeros((len(edges), 2))
-        for e, (a, bq) in enumerate(edges):
-            Eu, Ev = self.entry(*V[a]), self.entry(*V[bq])
-            out[e] = frob(Eu @ Ev), frob(Ev @ Eu)
-        return out
+        graph.edges(), in that order; shape (edges, 2).
+
+        Each vertex is keyed by the first vertex with an equal entry when
+        the family is exact (equal canonical entries have equal products),
+        and by itself when it is float; one product is computed per
+        distinct ordered key pair."""
+        entries = list(self.entries.values())
+        if self.rep.exact:
+            first = {}
+            keys = [first.setdefault(tuple(E.flat), k) for k, E in enumerate(entries)]
+        else:
+            keys = range(len(entries))
+        n = len(entries)
+        u, v = np.array(keys, dtype=np.int64)[self.graph.edges()].T
+        # one code per ordered key pair: (u, v) of every edge, then (v, u)
+        codes, inverse = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
+        lefts, rights = np.divmod(codes, n)
+        norms = [frob(entries[a] @ entries[b]) for a, b in zip(lefts.tolist(), rights.tolist())]
+        return np.array(norms, dtype=float)[inverse.reshape(-1)].reshape(2, -1).T
+
+    @cached_property
+    def row_sums(self) -> dict[int, np.ndarray]:
+        """row_sums[i] = sum over x in S_i of family(i, x), in vertex order,
+        for every row that has a solution."""
+        zero, sums = np.zeros_like(self.rep.image("J")), {}
+        for i, sols in self.graph.solutions_by_row().items():
+            total = zero
+            for x in sols:
+                total = total + self.entry(i, x)
+            sums[i] = total
+        return sums
 
     @cached_property
     def phase_sums(self) -> dict[int, dict[int, np.ndarray]]:
@@ -293,27 +323,26 @@ def projection_family_checks(
 ) -> list[CheckRecord]:
     """Idempotency, self-adjointness, orthogonality on incompatible pairs,
     and the per-row resolutions of identity."""
+    G = fam.graph
     records = []
-    for (i, x), (idem, adj) in zip(fam.entries, fam.entry_residuals.tolist()):
-        records.append(CheckRecord(f"psi-idempotent:{i}:{x.label()}", idem, tol))
-        records.append(CheckRecord(f"psi-selfadjoint:{i}:{x.label()}", adj, tol))
+    for label, (idem, adj) in zip(G.labels, fam.entry_residuals.tolist()):
+        records.append(CheckRecord(f"psi-idempotent:{label}", idem, tol))
+        records.append(CheckRecord(f"psi-selfadjoint:{label}", adj, tol))
 
     # incompatible pairs in sorted-key order, the lower key on the left
-    G = fam.graph
     order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
     pairs = np.argsort(order)[G.edges()]  # sorted-key positions of each edge's ends
     products = fam.edge_products
-    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
+    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1]).tolist()
     pairs.sort(axis=1)
-    for e in np.lexsort(pairs.T[::-1]):
-        (i, x), (k, y) = (G.vertices[order[s]] for s in pairs[e])
-        records.append(CheckRecord(f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}",
-                                   float(residuals[e]), tol))
+    sorted_labels = [G.labels[k] for k in order]
+    positions = pairs.tolist()
+    for e in np.lexsort(pairs.T[::-1]).tolist():
+        a, b = positions[e]
+        records.append(CheckRecord(
+            f"psi-orthogonal:{sorted_labels[a]}|{sorted_labels[b]}", residuals[e], tol))
 
-    for i, sols in G.solutions_by_row().items():
-        total = np.zeros_like(fam.rep.image("J"))
-        for x in sols:
-            total = total + fam.entry(i, x)
+    for i, total in fam.row_sums.items():
         records.append(CheckRecord(
             f"psi-rowsum:{i}", frob(total - eye_like(total)), tol))
     return records
@@ -417,13 +446,12 @@ def check_mutual_inverse(
     projection = cache(lambda j, s: _spectral_projection(
         next(iter(sums[j].values())), s, rep.p, rep.exact))
     identity = eye_like(rep.image("J"))
-    for i, sols in fam.graph.solutions_by_row().items():
-        cols = sorted(row_support(fam.graph.system, i))
-        for y in sols:
-            result = _spectral_product(identity, cols, y, projection)
-            records.append(CheckRecord(
-                f"roundtrip-projection:{i}:{y.label()}",
-                frob(result - fam.entry(i, y)), tol))
+    G = fam.graph
+    cols = {i: sorted(row_support(G.system, i)) for i in G.solutions_by_row()}
+    for (i, y), label in zip(G.vertices, G.labels):
+        result = _spectral_product(identity, cols[i], y, projection)
+        records.append(CheckRecord(
+            f"roundtrip-projection:{label}", frob(result - fam.entry(i, y)), tol))
     return records
 
 
@@ -467,21 +495,37 @@ def iso_partition_checks(
     iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
     """Both partition-of-unity identities: summing E over all vertices of
-    either graph, the other one held fixed, gives the identity."""
-    # only same-row pairs are nonzero; each sum runs in vertex order
-    over_g = {vh: iso.zero for vh in iso.h_vertices}
-    over_h = {vg: iso.zero for vg in iso.g_vertices}
-    hom_solutions = iso.hom_graph.solutions_by_row()
-    for i, x in iso.g_vertices:
-        for y in hom_solutions[i]:
-            E = iso.entry((i, x), (i, y))
-            over_g[(i, y)] = over_g[(i, y)] + E
-            over_h[(i, x)] = over_h[(i, x)] + E
+    either graph, the other one held fixed, gives the identity.
+
+    Only same-row pairs are nonzero, and translation by a homogeneous
+    solution permutes S_i(A,b), so both sums at a vertex of row i add up
+    the family entries of row i.  Exact sums do not depend on their order,
+    so every residual of row i is that of its row sum (zero when row i has
+    no solution).  Float sums run in the vertex order of the summed graph.
+    """
+    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
+    identity = eye_like(iso.zero)
+    if fam.rep.exact:
+        by_row = {i: frob(fam.row_sums.get(i, iso.zero) - identity)
+                  for i in H.solutions_by_row()}
+        over_g = [by_row[i] for i, _ in H.vertices]
+        over_h = [by_row[i] for i, _ in G.vertices]
+    else:
+        sums_g = {vh: iso.zero for vh in H.vertices}
+        sums_h = {vg: iso.zero for vg in G.vertices}
+        hom_solutions = H.solutions_by_row()
+        for i, x in G.vertices:
+            for y in hom_solutions[i]:
+                E = iso.entry((i, x), (i, y))
+                sums_g[(i, y)] = sums_g[(i, y)] + E
+                sums_h[(i, x)] = sums_h[(i, x)] + E
+        over_g = [frob(total - identity) for total in sums_g.values()]
+        over_h = [frob(total - identity) for total in sums_h.values()]
     return [
-        CheckRecord(f"{family}:{i}:{x.label()}", frob(total - eye_like(total)), tol)
-        for family, sums in (("iso-sum-over-inhomogeneous", over_g),
-                             ("iso-sum-over-homogeneous", over_h))
-        for (i, x), total in sums.items()
+        CheckRecord(f"{family}:{label}", residual, tol)
+        for family, labels, residuals in (("iso-sum-over-inhomogeneous", H.labels, over_g),
+                                          ("iso-sum-over-homogeneous", G.labels, over_h))
+        for label, residual in zip(labels, residuals)
     ]
 
 
@@ -564,13 +608,12 @@ def psi_iso_consistency_checks(
     fam = iso.family
     sys = fam.graph.system
     zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
-    for (i, x) in iso.g_vertices:
+    for (i, x), label in zip(iso.g_vertices, fam.graph.labels):
         total = iso.zero
         for k in range(1, sys.m + 1):
             total = total + iso.entry((i, x), (k, zero_vec))
         records.append(CheckRecord(
-            f"iso-zero-column:{i}:{x.label()}",
-            frob(total - fam.entry(i, x)), tol))
+            f"iso-zero-column:{label}", frob(total - fam.entry(i, x)), tol))
     return records
 
 

@@ -1,11 +1,16 @@
+import cmath
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from synclcs.cli import main
+from synclcs.config import MAX_REPCHECK_P
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 
 TIMESTAMP_LINE = re.compile(r'^\s*"timestamp": .*$', re.MULTILINE)
@@ -436,3 +441,44 @@ def test_repcheck_malformed_rep_document_is_parse_error(capsys, tmp_path, field,
     code, out = run(capsys, ["repcheck", path, "--rep", str(rep_path)])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def _one_dim_rep(p):
+    omega = cmath.exp(2j * cmath.pi / p)
+    return {"p": p, "dim": 1, "omega_convention": "exp(2*pi*i/p)",
+            "generators": {"g1": [[[1.0, 0.0]]], "J": [[[omega.real, omega.imag]]]}}
+
+
+@pytest.mark.parametrize("p, rep", [
+    (10007, "scalar:0"), (MERSENNE_61, "scalar:0"), (MERSENNE_61, "file"),
+], ids=["scalar-p10007", "scalar-p2^61-1", "file-p2^61-1"])
+def test_repcheck_rejects_modulus_above_cap(tmp_path, p, rep):
+    # exact projections and p-th powers cost O(p**2) each: unbounded, these
+    # ran past 60 s, raised MemoryError (exit 5) and ran past 20 s
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": p, "A": [[1]], "b": [0]}))
+    if rep == "file":
+        rep = str(tmp_path / "rep.json")
+        (tmp_path / "rep.json").write_text(json.dumps(_one_dim_rep(p)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "synclcs.cli", "repcheck", str(path),
+                           "--rep", rep], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 4, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"]["type"] == "ModulusTooLarge"
+    assert str(MAX_REPCHECK_P) in report["error"]["message"]
+
+
+def test_repcheck_certifies_modulus_at_cap(capsys, tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"p": MAX_REPCHECK_P, "A": [[1]], "b": [0]}))
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(_one_dim_rep(MAX_REPCHECK_P)))
+    for rep in ("scalar:0", str(rep_path)):
+        code, out = run(capsys, ["repcheck", str(path), "--rep", rep])
+        assert code == 0
+        assert json.loads(out)["representation"]["p"] == MAX_REPCHECK_P
