@@ -264,18 +264,18 @@ class ProjectionFamily:
         and by itself when it is float; one product is computed per
         distinct ordered key pair."""
         entries = list(self.entries.values())
+        n = len(entries)
         if self.rep.exact:
             first = {}
             keys = [first.setdefault(tuple(E.flat), k) for k, E in enumerate(entries)]
         else:
-            keys = range(len(entries))
-        n = len(entries)
+            keys = range(n)
         u, v = np.array(keys, dtype=np.int64)[self.graph.edges()].T
         # one code per ordered key pair: (u, v) of every edge, then (v, u)
         codes, inverse = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
         lefts, rights = np.divmod(codes, n)
         norms = [frob(entries[a] @ entries[b]) for a, b in zip(lefts.tolist(), rights.tolist())]
-        return np.array(norms, dtype=float)[inverse.reshape(-1)].reshape(2, -1).T
+        return np.array(norms, dtype=float)[inverse].reshape(2, -1).T
 
     @cached_property
     def row_sums(self) -> dict[int, np.ndarray]:
@@ -333,14 +333,12 @@ def projection_family_checks(
     order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
     pairs = np.argsort(order)[G.edges()]  # sorted-key positions of each edge's ends
     products = fam.edge_products
-    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1]).tolist()
+    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
     pairs.sort(axis=1)
-    sorted_labels = [G.labels[k] for k in order]
-    positions = pairs.tolist()
-    for e in np.lexsort(pairs.T[::-1]).tolist():
-        a, b = positions[e]
-        records.append(CheckRecord(
-            f"psi-orthogonal:{sorted_labels[a]}|{sorted_labels[b]}", residuals[e], tol))
+    ranked = np.lexsort(pairs.T[::-1])
+    lefts, rights = np.array([G.labels[k] for k in order], dtype=object)[pairs[ranked].T]
+    for left, right, residual in zip(lefts, rights, residuals[ranked].tolist()):
+        records.append(CheckRecord(f"psi-orthogonal:{left}|{right}", residual, tol))
 
     for i, total in fam.row_sums.items():
         records.append(CheckRecord(
