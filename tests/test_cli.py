@@ -453,16 +453,17 @@ def _one_dim_rep(p):
 
 
 @pytest.mark.parametrize("p, rep", [
-    (10007, "scalar:0"), (MERSENNE_61, "scalar:0"), (MERSENNE_61, "file"),
-], ids=["scalar-p10007", "scalar-p2^61-1", "file-p2^61-1"])
+    (10007, "scalar:0"), (MERSENNE_61, "scalar:0"), (MERSENNE_61, MERSENNE_61), (2, MERSENNE_61),
+], ids=["scalar-p10007", "scalar-p2^61-1", "file-p2^61-1", "file-p2^61-1-on-p2"])
 def test_repcheck_rejects_modulus_above_cap(tmp_path, p, rep):
-    # exact projections and p-th powers cost O(p**2) each: unbounded, these
-    # ran past 60 s, raised MemoryError (exit 5) and ran past 20 s
+    # exact projections and p-th powers cost O(p**2) each: unbounded, the
+    # first ran past 60 s, the second raised MemoryError (exit 5) and the
+    # float files ran past 20 s; an integer rep is the p of a 1x1 file
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": p, "A": [[1]], "b": [0]}))
-    if rep == "file":
+    if isinstance(rep, int):
+        (tmp_path / "rep.json").write_text(json.dumps(_one_dim_rep(rep)))
         rep = str(tmp_path / "rep.json")
-        (tmp_path / "rep.json").write_text(json.dumps(_one_dim_rep(p)))
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "synclcs.cli", "repcheck", str(path),
