@@ -26,6 +26,30 @@ def random_consistent_system(rng: random.Random, p: int, m: int, n: int) -> Line
     return LinearSystem.from_ints(p, A, b)
 
 
+def planted_system(rng: random.Random, p: int, n: int, supports) -> LinearSystem:
+    """Rows with the given supports (0-based columns) and seeded nonzero
+    coefficients, with b = A x* for a seeded x*.  Row i has p^(|S_i| - 1)
+    solutions, so the supports fix the size of the game graphs."""
+    xstar = [rng.randrange(p) for _ in range(n)]
+    A = [[rng.randrange(1, p) if c in cols else 0 for c in range(n)] for cols in supports]
+    b = [sum(a * x for a, x in zip(row, xstar)) % p for row in A]
+    return LinearSystem.from_ints(p, A, b)
+
+
+def pentagram_system() -> LinearSystem:
+    """Mermin's pentagram over Z_2: ten variables on five lines of four,
+    the first line summing to 1.  Every variable lies on two lines, so the
+    equations sum to 0 = 1 and there is no classical solution."""
+    lines = ((0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8), (2, 9, 5, 8), (3, 9, 7, 6))
+    return LinearSystem.from_ints(2, [[int(k in line) for k in range(10)] for line in lines],
+                                  [1, 0, 0, 0, 0])
+
+
+# supports of a 7-variable system over Z_7 whose game graphs have
+# 343 + 49 + 49 = 441 vertices
+P7_441_SUPPORTS = ([0, 1, 2, 3], [3, 4, 5], [0, 5, 6])
+
+
 def brute_force_solutions(p: int, A: list[list[int]], b: list[int]) -> list[tuple[int, ...]]:
     """Exhaustive solution search over Z_p^n; the oracle for solvers."""
     n = len(A[0]) if A else 0

@@ -15,7 +15,7 @@ from closure_game import (
     perfect_search,
     rule_table,
 )
-from conftest import random_system, zvec
+from conftest import pentagram_system, random_system, zvec
 from synclcs import (
     DeterministicStrategy,
     LinearSystem,
@@ -220,12 +220,6 @@ def _grid_square(p: int, size: int) -> LinearSystem:
     return LinearSystem.from_ints(p, A, [0] * (2 * size - 1) + [1])
 
 
-def _pentagram() -> LinearSystem:
-    lines = ((0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8), (2, 9, 5, 8), (3, 9, 7, 6))
-    return LinearSystem.from_ints(2, [[int(k in line) for k in range(10)] for line in lines],
-                                  [1, 0, 0, 0, 0])
-
-
 @st.composite
 def small_systems(draw):
     """Up to 4 rows x 5 variables over Z_2, Z_3 or Z_5, zero rows and
@@ -275,7 +269,7 @@ def test_compiled_searches_match_closure_searches(sys_):
 
 
 @pytest.mark.parametrize("sys_", [
-    magic_square_system(), _pentagram(), _grid_square(3, 3), _grid_square(2, 4),
+    magic_square_system(), pentagram_system(), _grid_square(3, 3), _grid_square(2, 4),
 ], ids=["magic-square", "pentagram", "square-3x3-z3", "square-4x4-z2"])
 def test_compiled_searches_match_closure_searches_on_squares(sys_):
     _assert_same_as_closure_searches(sys_)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,16 @@ from pathlib import Path
 import pytest
 
 from closure_game import check_synchronous
-from conftest import edges_preserved, random_consistent_system, random_system, zvec
+from conftest import (
+    P7_441_SUPPORTS,
+    edges_preserved,
+    pentagram_system,
+    planted_system,
+    random_consistent_system,
+    random_system,
+    zvec,
+)
+from iso_oracle import mask_copy_search
 from synclcs import (
     LinearSystem,
     build_game_graph,
@@ -228,11 +238,12 @@ def test_classical_chain_on_random_systems(rng):
         assert (isomorphism_search(G, H).bijection is not None) == consistent
 
 
-_DEEP_SEARCH = """
+_DEEP_ROWS = [[1, 1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 0, 1]]
+
+_DEEP_SEARCH = f"""
 import json, sys
 from synclcs import LinearSystem, build_game_graph, isomorphism_search
-rows = [[1, 1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 0, 1]]
-sys_ = LinearSystem.from_ints(3, rows, [0, 0, 0])
+sys_ = LinearSystem.from_ints(3, {_DEEP_ROWS}, [0, 0, 0])
 G, H = build_game_graph(sys_), build_game_graph(sys_, homogeneous=True)
 sys.setrecursionlimit(100)
 result = isomorphism_search(G, H)
@@ -248,3 +259,43 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [165, "found", 165]
+
+
+# ------------------------------------------- bitset search vs mask copies
+
+
+def _assert_same_as_mask_copy_search(sys_):
+    G, H = _graph_pair(sys_)
+    got, want = isomorphism_search(G, H), mask_copy_search(G, H)
+    assert (got.outcome, got.nodes, got.wl_rounds) == (want.outcome, want.nodes, want.wl_rounds)
+    assert (got.bijection is None) == (want.bijection is None)
+    if want.bijection is not None:
+        assert got.bijection.forward == want.bijection.forward
+    return got
+
+
+@pytest.mark.parametrize("sys_, outcome, nodes", [
+    (magic_square_system(), "exhausted", 9600),
+    (pentagram_system(), "exhausted", 12200),
+    (LinearSystem.from_ints(3, _DEEP_ROWS, [0, 0, 0]), "found", 165),
+    (planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS), "found", 441),
+], ids=["magic-square", "pentagram", "deep-165v", "p7-441v"])
+def test_search_matches_mask_copy_search(sys_, outcome, nodes):
+    got = _assert_same_as_mask_copy_search(sys_)
+    assert (got.outcome, got.nodes) == (outcome, nodes)
+
+
+def test_search_matches_mask_copy_search_on_random_systems(rng):
+    # the systems of test_classical_chain_on_random_systems
+    for _ in range(20):
+        _assert_same_as_mask_copy_search(
+            random_system(rng, rng.choice([2, 3]), rng.randint(1, 3), rng.randint(1, 3)))
+
+
+def test_search_budget_trips_at_the_mask_copy_node_count():
+    G, H = _graph_pair(magic_square_system())
+    nodes = mask_copy_search(G, H).nodes
+    for search in (isomorphism_search, mask_copy_search):
+        with pytest.raises(SearchBudgetExceeded):
+            search(G, H, budget=nodes - 1)
+        assert search(G, H, budget=nodes).outcome == "exhausted"

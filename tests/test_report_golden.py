@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from conftest import random_consistent_system
+from conftest import P7_441_SUPPORTS, planted_system, random_consistent_system
 from synclcs.cli import main
 from synclcs import LinearSystem
 from synclcs.presets import magic_square_system, p3_demo_system
@@ -34,6 +34,9 @@ SYSTEMS = {
     "z3.json": lambda: LinearSystem.from_ints(
         3, [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 2]], [1, 0, 1, 2]),
     "s7.json": lambda: LinearSystem.from_ints(7, [[1, 2, 0], [0, 3, 1], [1, 5, 4]], [6, 0, 3]),
+    # 441 vertices per graph: the search maps every vertex, so the report
+    # pins a whole bijection found 441 levels deep
+    "p7.json": lambda: planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS),
 }
 
 CLASSICAL = [
@@ -50,6 +53,7 @@ CASES = [
     ("repcheck", "s5.json", "--rep", "scalar:3,2,0"),
     ("repcheck", "z3.json", "--rep", "scalar:1,0,1"),
     ("repcheck", "s7.json", "--rep", "scalar:3,5,6"),
+    ("iso", "p7.json"),
 ]
 
 GOLDEN = {
@@ -76,6 +80,7 @@ GOLDEN = {
     "repcheck s5.json --rep scalar:3,2,0": (0, "d397c420030d9c3a918bc25f8c2b13b4d857c018721883a319fefc55e2d53854"),
     "repcheck z3.json --rep scalar:1,0,1": (0, "970ce6e8146a95b05d436f731b97eceb1a277b3d6672251071b8becd6b67319d"),
     "repcheck s7.json --rep scalar:3,5,6": (0, "1b999e9304937cc12fee36c73e3276cd7aaef20a97a69b7ab85788bfd405af70"),
+    "iso p7.json": (0, "8d151b5f55fed88d0244395d5871b317e0ad041cf6668e41ffb245de5c8ff76b"),
 }
 
 
