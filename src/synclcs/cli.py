@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .config import DEFAULT_TOL, MAX_REPCHECK_P, Limits
 from .errors import (
+    DimensionMismatch,
     EnumerationTooLarge,
     ModulusTooLarge,
     NotASolution,
@@ -294,6 +295,14 @@ def _bound_modulus(p: int) -> None:
             f"modulus {p} exceeds {MAX_REPCHECK_P}, the largest repcheck certifies")
 
 
+def _refuse(report: dict, error: Exception, out_path: str | None, code: int, **summary) -> int:
+    """Emit a repcheck report that ends in error before or during the checks."""
+    report["error"] = {"type": type(error).__name__, "message": str(error)}
+    report["summary"] = {"verdict": "fail", **summary}
+    _emit(report, out_path)
+    return code
+
+
 def cmd_repcheck(args, limits: Limits) -> int:
     system, inputs, code = _require_system("repcheck", args)
     if system is None:
@@ -305,21 +314,22 @@ def cmd_repcheck(args, limits: Limits) -> int:
         rep, rep_inputs = _resolve_representation(args.rep, system, tol)
     except NotASolution as exc:
         report["inputs"]["rep_source"] = args.rep
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["summary"] = {"verdict": "fail"}
-        _emit(report, args.out)
-        return EXIT_VALIDATION
+        return _refuse(report, exc, args.out, EXIT_VALIDATION)
     except SyncLCSError as exc:
         if isinstance(exc, ParseError):
             raise
         # unitarity / J-identification problems are check failures
         report["inputs"]["rep_source"] = args.rep
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["summary"] = {"verdict": "fail", "first_failure": type(exc).__name__}
-        _emit(report, args.out)
-        return EXIT_CHECK_FAILURE
+        return _refuse(report, exc, args.out, EXIT_CHECK_FAILURE,
+                       first_failure=type(exc).__name__)
     _bound_modulus(rep.p)
     report["inputs"].update(rep_inputs)
+    if rep.p != system.p:
+        # the checks would pair p-th roots of unity with Z_p solutions of
+        # another p, and fail or pass by accident
+        mismatch = DimensionMismatch(
+            f"representation modulus {rep.p} differs from system modulus {system.p}")
+        return _refuse(report, mismatch, args.out, EXIT_VALIDATION)
     report["representation"] = {"dim": rep.dim, "p": rep.p,
                                 "exact": rep.exact}
     try:
@@ -327,10 +337,8 @@ def cmd_repcheck(args, limits: Limits) -> int:
     except SyncLCSError as exc:
         if isinstance(exc, (EnumerationTooLarge, SearchBudgetExceeded)):
             raise
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        report["summary"] = {"verdict": "fail", "first_failure": type(exc).__name__}
-        _emit(report, args.out)
-        return EXIT_CHECK_FAILURE
+        return _refuse(report, exc, args.out, EXIT_CHECK_FAILURE,
+                       first_failure=type(exc).__name__)
     report["checks"] = [rec.to_json() for rec in records]
     failures = [rec for rec in records if not rec.passed]
     report["summary"] = {

@@ -3,6 +3,7 @@ brute-force isomorphism search, and the translation isomorphism."""
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -11,7 +12,7 @@ import numpy as np
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
-from .games import SynchronousGame
+from .games import SynchronousGame, _bitset
 from .system import LinearSystem, row_solutions, row_support
 from .zp import ZpVector
 
@@ -209,16 +210,29 @@ class IsoSearchResult:
     wl_rounds: int
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def isomorphism_search(
     G: GameGraph, H: GameGraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> IsoSearchResult:
     """Backtracking isomorphism search with refinement and forward checking.
 
-    Every unmapped vertex keeps a candidate mask (same refinement color,
-    adjacency pattern consistent with everything mapped so far); each step
-    assigns the vertex with the fewest candidates and narrows the other
-    masks, backtracking as soon as any of them empties.  None is returned
-    only with the tree exhausted; budget exhaustion raises instead.
+    Every unmapped G vertex keeps its candidates as a bitset over the H
+    vertices: same refinement color, adjacency pattern consistent with
+    everything mapped so far.  Each step maps the first unmapped vertex
+    with the fewest candidates to each of them in ascending order, and
+    narrows every other set by the H row of the image (when adjacent in G)
+    or by its complement, backtracking as soon as one of them empties.
+    The sets a step changes keep their old values on one undo trail, which
+    a frame pops back to its mark before its next candidate, so memory is
+    O(|V|^2/8) for the sets plus the changed rows on the trail.  None is
+    returned only with the tree exhausted; budget exhaustion raises instead.
     """
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)
@@ -231,39 +245,55 @@ def isomorphism_search(
     if refined is None:
         return IsoSearchResult(None, "wl-distinguished", 0, 0)
     colors_g, colors_h, rounds = refined
-    cand = np.array(colors_g)[:, None] == np.array(colors_h)[None, :]
-    mapping = np.full(n, -1, dtype=int)  # G index -> H index
+    by_color: dict[int, int] = {}
+    for q, c in enumerate(colors_h):
+        by_color[c] = by_color.get(c, 0) | 1 << q
+    cand = [by_color[c] for c in colors_g]  # G index -> bitset of H indices
+    h_rows = [_bitset(row) for row in H.adj]
+    full = (1 << n) - 1
+    unmapped = list(range(n))  # ascending
+    mapping = [-1] * n  # G index -> H index
     nodes = 0
-    # frames: (G vertex, its untried H candidates, the masks it was
-    # chosen under, the vertices unmapped at that point); cand holds the
-    # masks of a newly extended mapping, None after a backtrack
-    stack = []
+    # trail: (G vertex, its candidates before a step narrowed them);
+    # frames: (G vertex, its untried H candidates, the trail length when
+    # it was chosen); extended is false after a backtrack or a step that
+    # emptied a candidate set
+    trail, stack, extended = [], [], True
     while True:
-        if cand is not None:
-            unmapped = np.nonzero(mapping < 0)[0]
-            if unmapped.size == 0:
+        if extended:
+            if not unmapped:
                 break
-            counts = cand[unmapped].sum(axis=1)
-            if counts.min() > 0:
-                a = int(unmapped[int(np.argmin(counts))])
-                stack.append((a, iter(np.nonzero(cand[a])[0]), cand, unmapped))
+            a = min(unmapped, key=lambda u: cand[u].bit_count())
+            unmapped.remove(a)
+            stack.append((a, _bits(cand[a]), len(trail)))
         if not stack:
             return IsoSearchResult(None, "exhausted", nodes, rounds)
-        a, untried, masks, unmapped = stack[-1]
+        a, untried, mark = stack[-1]
+        while len(trail) > mark:
+            u, old = trail.pop()
+            cand[u] = old
         q = next(untried, None)
         if q is None:
-            mapping[a] = -1
             stack.pop()
-            cand = None
+            insort(unmapped, a)
+            extended = False
             continue
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(f"isomorphism search exceeded {budget} nodes")
         mapping[a] = q
-        cand = masks.copy()
-        cand[:, q] = False
-        cand[a] = False
-        cand[unmapped] &= G.adj[unmapped, a][:, None] == H.adj[q]
+        on = h_rows[q]
+        off = full & ~(on | 1 << q)
+        extended = True
+        for u, adjacent in zip(unmapped, G.adj[a, unmapped].tolist()):
+            old = cand[u]
+            new = old & (on if adjacent else off)
+            if new != old:
+                trail.append((u, old))
+                cand[u] = new
+                if not new:
+                    extended = False
+                    break
     forward = {G.vertices[a]: H.vertices[mapping[a]] for a in range(n)}
     bij = VertexBijection.from_forward(forward)
     assert is_isomorphism(G, H, bij)

@@ -474,6 +474,23 @@ def test_repcheck_rejects_modulus_above_cap(tmp_path, p, rep):
     assert str(MAX_REPCHECK_P) in report["error"]["message"]
 
 
+def test_repcheck_rejects_representation_of_another_modulus(capsys, tmp_path):
+    # before, one-eq (p=2) with this valid p=3 file ran all 34 checks and
+    # exited 1 on relation:order-J:J, with nothing naming the mismatch
+    path = write_preset(capsys, tmp_path, "one-eq")
+    doc = _one_dim_rep(3)
+    doc["generators"]["g2"] = doc["generators"]["g1"]
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(doc))
+    code, out = run(capsys, ["repcheck", path, "--rep", str(rep_path)])
+    assert code == 2
+    report = json.loads(out)
+    assert "checks" not in report and report["summary"] == {"verdict": "fail"}
+    assert report["error"] == {
+        "type": "DimensionMismatch",
+        "message": "representation modulus 3 differs from system modulus 2"}
+
+
 def test_repcheck_certifies_modulus_at_cap(capsys, tmp_path):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps({"p": MAX_REPCHECK_P, "A": [[1]], "b": [0]}))
