@@ -263,8 +263,8 @@ def isomorphism_search(
         if extended:
             if not unmapped:
                 break
-            a = min(unmapped, key=lambda u: cand[u].bit_count())
-            unmapped.remove(a)
+            counts = [cand[u].bit_count() for u in unmapped]
+            a = unmapped.pop(counts.index(min(counts)))
             stack.append((a, _bits(cand[a]), len(trail)))
         if not stack:
             return IsoSearchResult(None, "exhausted", nodes, rounds)

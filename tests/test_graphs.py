@@ -303,9 +303,8 @@ def test_search_budget_trips_at_the_mask_copy_node_count():
 
 
 def test_search_verdict_matches_vf2_and_gauss(rng):
-    # VF2 is exponential on these graphs once rows have three unknowns
-    # over Z_3 (it ran past 60 s on a 21-vertex pair), so the systems are
-    # kept at 3 variables
+    # VF2 ran past 60 s on the 21-vertex pair of a 4-variable system over
+    # Z_3, so the systems keep to 3 variables
     nx = pytest.importorskip("networkx")
 
     def nx_graph(G):
@@ -326,8 +325,8 @@ def test_search_verdict_matches_vf2_and_gauss(rng):
 
 
 def test_search_memory_stays_quadratic():
-    # one |V| x |V| mask copy per level took about 84 MiB here; bitset
-    # candidate sets with an undo trail take about 7 MiB
+    # on this system the mask-copy search of iso_oracle peaks at about
+    # 84 MiB, and the bitset search at about 7 MiB
     G, H = _graph_pair(planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS))
     tracemalloc.start()
     try:
