@@ -8,9 +8,11 @@ code; these catch a refactor that changes any byte of a report.
 Only reports without float residuals are pinned (classical commands and
 exact scalar certification), so the digests do not depend on the BLAS
 build.  Commands run from a temporary directory with relative file names,
-so the echoed input paths are stable.
+so the echoed input paths are stable.  Error and refusal reports are pinned
+too, so their shapes cannot drift either.
 """
 
+import cmath
 import hashlib
 import json
 import random
@@ -37,6 +39,23 @@ SYSTEMS = {
     # 441 vertices per graph: the search maps every vertex, so the report
     # pins a whole bijection found 441 levels deep
     "p7.json": lambda: planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS),
+}
+
+
+def _one_dim_rep(p: int, n: int) -> dict:
+    omega = cmath.exp(2j * cmath.pi / p)
+    generators = {f"g{j}": [[[1.0, 0.0]]] for j in range(1, n + 1)}
+    generators["J"] = [[[omega.real, omega.imag]]]
+    return {"p": p, "dim": 1, "omega_convention": "exp(2*pi*i/p)", "generators": generators}
+
+
+# documents the error reports read, written as they are
+DOCUMENTS = {
+    "c6.json": {"p": 6, "A": [[1, 1]], "b": [0]},
+    "ragged.json": {"p": 2, "A": [[1, 1], [1]], "b": [0, 0]},
+    "p37.json": {"p": 37, "A": [[1]], "b": [0]},
+    # a valid p=3 representation with as many generators as ms.json has variables
+    "rep3.json": _one_dim_rep(3, 9),
 }
 
 CLASSICAL = [
@@ -88,16 +107,45 @@ GOLDEN = {
 def workdir(tmp_path, monkeypatch):
     for name, build in SYSTEMS.items():
         (tmp_path / name).write_text(json.dumps(build().to_json()))
+    for name, doc in DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_report_matches_golden_digest(argv, workdir, capsys):
+def run_digest(argv, capsys) -> tuple[int, str]:
     code = main(list(argv))
     out = TIMESTAMP_LINE.sub("", capsys.readouterr().out)
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert (code, digest) == GOLDEN[" ".join(argv)]
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_report_matches_golden_digest(argv, workdir, capsys):
+    assert run_digest(argv, capsys) == GOLDEN[" ".join(argv)]
+
+
+# reports that end in a validation failure, a parse error, a cap or a
+# repcheck refusal; a leading NAME=value sets an environment variable
+ERROR_GOLDEN = {
+    "validate c6.json": (2, "d06cf316a33319d1e941c1c48ea8292467a5104abf4b30cad97c8a751f1f9453"),
+    "solve c6.json": (2, "539ce7c3fbc7d738f0b6dc3a7e5c050326105e00a8da7bc99d2126e2a86e221d"),
+    "validate ragged.json": (3, "36cfab4364e272a0da334b1cc79fc89aa72fd0add672f3aaf5611e2f35fdf8fe"),
+    "SYNCLCS_SEARCH_BUDGET=5 iso ms.json": (4, "daf8b8d0f885f47cc7074f6bb44eca608d4cf2932cbe8be25e63c1e6648611ea"),
+    "examples nope": (2, "86e3c5d31862060fea7e20da32f6d6a9c79452f70de3bc302c9ac9a6a2d2e6f7"),
+    "repcheck p3.json --rep scalar:0,0,0": (2, "91e75bd87e02931531a100e44ba12dcc8e85d8d5368a53a2d922d70572b7415b"),
+    "repcheck p3.json --rep pauli-ms": (2, "e417f17cd9d68877eba09ead78d36d56ea7f43ee79b19583b53290f87b205a22"),
+    "repcheck ms.json --rep rep3.json": (2, "ca9ff3334ad20056df030fc2b2897f37ff03bef4c44ffc8d2a44db94fe883f24"),
+    "repcheck p37.json --rep scalar:0": (4, "4f5a18972cb2eb90778371f83122b02674d301cad0755560457ceb5f5a6145b9"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_GOLDEN)
+def test_error_report_matches_golden_digest(case, workdir, capsys, monkeypatch):
+    argv = case.split()
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=")
+        monkeypatch.setenv(name, value)
+    assert run_digest(argv, capsys) == ERROR_GOLDEN[case]
 
 
 # sha256 of the whole file written by `graph --dot`
