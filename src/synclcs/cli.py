@@ -5,9 +5,13 @@ examples.  Every command prints one JSON report to stdout; identical
 inputs and flags produce byte-identical reports apart from the volatile
 "timestamp" field.
 
-Exit codes: 0 pass, 1 check failure, 2 validation failure, 3 parse error,
-4 enumeration cap or search budget exceeded, 5 internal error (an
-unexpected exception; the report names it and stderr has the traceback).
+Exit codes: 0 pass, 1 check failure, 2 validation failure (a repcheck
+representation whose modulus or generator count differs from the
+system's included), 3 parse error (an unreadable or non-UTF-8 input or
+output file, a non-integer environment override and a negative or
+non-finite --tol included), 4 enumeration cap or search budget exceeded,
+5 internal error (an unexpected exception; the report names it and stderr
+has the traceback).  Every failure still prints exactly one report.
 
 Environment overrides: SYNCLCS_ENUM_CAP, SYNCLCS_SEARCH_BUDGET.
 """
@@ -53,33 +57,35 @@ EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
+# The exit code of every error a command may end in, first match wins; any
+# other exception is an internal error and leaves its traceback on stderr.
+EXIT_CODES = (
+    ((ParseError, OSError, UnicodeDecodeError), EXIT_PARSE),
+    ((EnumerationTooLarge, SearchBudgetExceeded), EXIT_BUDGET),
+    ((UnknownExample, NotASolution), EXIT_VALIDATION),
+)
+
 
 def _emit(report: dict, out_path: str | None = None) -> None:
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, indent=2) + "\n"
-    _sys.stdout.write(text)
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    _sys.stdout.write(text)
 
 
-def _base_report(command: str, inputs: dict, tolerance: float | None = None) -> dict:
-    report = {
+def _base_report(command: str, inputs: dict) -> dict:
+    return {
         "command": command,
         "toolkit_version": __version__,
         "omega_convention": OMEGA_CONVENTION,
         "inputs": inputs,
     }
-    if tolerance is not None:
-        report["tolerance"] = tolerance
-    return report
 
 
-def _error_report(command: str, inputs: dict, error: Exception) -> dict:
-    report = _base_report(command, inputs)
-    report["error"] = {"type": type(error).__name__, "message": str(error)}
-    report["summary"] = {"verdict": "error"}
-    return report
+def _error_json(error: Exception) -> dict:
+    return {"type": type(error).__name__, "message": str(error)}
 
 
 def _load_system(path: str) -> tuple[LinearSystem | None, dict, dict]:
@@ -98,30 +104,19 @@ def _load_system(path: str) -> tuple[LinearSystem | None, dict, dict]:
     return system, inputs, validation.to_json()
 
 
-def cmd_validate(args, limits: Limits) -> int:
-    system, inputs, validation = _load_system(args.path)
-    report = _base_report("validate", inputs)
-    report["checks"] = validation["records"]
-    report["summary"] = {"verdict": validation["verdict"]}
-    _emit(report, args.out)
-    return EXIT_PASS if validation["verdict"] == "pass" else EXIT_VALIDATION
+# Each cmd_* runs on a system that passed validation (examples gets None),
+# adds its fields to the report and returns its exit code and summary.
+
+def cmd_validate(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    # main has put the validation records into the report
+    return EXIT_PASS, {"verdict": "pass"}
 
 
-def _require_system(command: str, args) -> tuple[LinearSystem | None, dict, int]:
-    system, inputs, validation = _load_system(args.path)
-    if system is None:
-        report = _base_report(command, inputs)
-        report["checks"] = validation["records"]
-        report["summary"] = {"verdict": "fail"}
-        _emit(report, args.out)
-        return None, inputs, EXIT_VALIDATION
-    return system, inputs, EXIT_PASS
+def _graph_counts(G) -> dict:
+    return {"vertices": G.order(), "edges": G.edge_count()}
 
 
-def cmd_analyze(args, limits: Limits) -> int:
-    system, inputs, code = _require_system("analyze", args)
-    if system is None:
-        return code
+def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
     H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
     solutions = G.solutions_by_row()
@@ -130,14 +125,9 @@ def cmd_analyze(args, limits: Limits) -> int:
         V = sorted(row_support(system, i))
         rows.append({"row": i, "support": V, "support_size": len(V),
                      "solutions": len(solutions.get(i, ()))})
-    solvable = gauss_solve(system.A, system.b) is not None
-    report = _base_report("analyze", inputs)
     report["rows"] = rows
-    report["classically_solvable"] = solvable
-    report["graphs"] = {
-        "inhomogeneous": {"vertices": G.order(), "edges": G.edge_count()},
-        "homogeneous": {"vertices": H.order(), "edges": H.edge_count()},
-    }
+    report["classically_solvable"] = gauss_solve(system.A, system.b) is not None
+    report["graphs"] = {"inhomogeneous": _graph_counts(G), "homogeneous": _graph_counts(H)}
     warnings = [
         {"row": i, "message": "zero row with nonzero right-hand side"}
         for i in range(1, system.m + 1)
@@ -145,18 +135,12 @@ def cmd_analyze(args, limits: Limits) -> int:
     ]
     if warnings:
         report["warnings"] = warnings
-    report["summary"] = {"verdict": "pass"}
-    _emit(report, args.out)
-    return EXIT_PASS
+    return EXIT_PASS, {"verdict": "pass"}
 
 
-def cmd_solve(args, limits: Limits) -> int:
-    system, inputs, code = _require_system("solve", args)
-    if system is None:
-        return code
+def cmd_solve(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     solution_set = gauss_solve(system.A, system.b)
     game = build_synclcs_game(system, cap=limits.enum_cap)
-    report = _base_report("solve", inputs)
     if solution_set is None:
         report["linear_system"] = {"consistent": False}
     else:
@@ -178,41 +162,26 @@ def cmd_solve(args, limits: Limits) -> int:
             str(i): best.assignment[i].label() for i in game.inputs
         }
         report["best_value"] = str(value)
-    report["summary"] = {"verdict": "pass"}
-    _emit(report, args.out)
-    return EXIT_PASS
+    return EXIT_PASS, {"verdict": "pass"}
 
 
-def cmd_graph(args, limits: Limits) -> int:
-    system, inputs, code = _require_system("graph", args)
-    if system is None:
-        return code
+def cmd_graph(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     G = build_game_graph(system, homogeneous=args.homogeneous, cap=limits.enum_cap)
-    report = _base_report("graph", inputs)
     report["homogeneous"] = bool(args.homogeneous)
     report["graph"] = graph_to_json(G)
-    report["counts"] = {"vertices": G.order(), "edges": G.edge_count()}
+    report["counts"] = _graph_counts(G)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(export_dot(G))
         report["dot_file"] = args.dot
-    report["summary"] = {"verdict": "pass"}
-    _emit(report, args.out)
-    return EXIT_PASS
+    return EXIT_PASS, {"verdict": "pass"}
 
 
-def cmd_iso(args, limits: Limits) -> int:
-    system, inputs, code = _require_system("iso", args)
-    if system is None:
-        return code
+def cmd_iso(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
     H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
     result = isomorphism_search(G, H, budget=limits.search_budget)
-    report = _base_report("iso", inputs)
-    report["graphs"] = {
-        "inhomogeneous": {"vertices": G.order(), "edges": G.edge_count()},
-        "homogeneous": {"vertices": H.order(), "edges": H.edge_count()},
-    }
+    report["graphs"] = {"inhomogeneous": _graph_counts(G), "homogeneous": _graph_counts(H)}
     report["search"] = {
         "outcome": result.outcome,
         "nodes": result.nodes,
@@ -233,60 +202,37 @@ def cmd_iso(args, limits: Limits) -> int:
             "verified": True,
             "agrees_with_search": result.bijection is not None,
         }
-    report["summary"] = {"verdict": "pass"}
-    _emit(report, args.out)
-    return EXIT_PASS
+    return EXIT_PASS, {"verdict": "pass"}
 
 
-def cmd_group(args, limits: Limits) -> int:
-    system, inputs, code = _require_system("group", args)
-    if system is None:
-        return code
+def cmd_group(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     pres = build_presentation(system)
-    report = _base_report("group", inputs)
     report["relation_counts"] = pres.counts_by_family()
     report["relation_total"] = len(pres.relations)
-    if args.format == "json":
-        payload = pres.to_json()
-        if args.presentation_out:
-            with open(args.presentation_out, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            report["presentation_file"] = args.presentation_out
-        else:
-            report["presentation"] = payload
+    payload = pres.to_json() if args.format == "json" else pres.to_relators_text()
+    if args.presentation_out:
+        with open(args.presentation_out, "w") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n")
+        report["presentation_file"] = args.presentation_out
     else:
-        text = pres.to_relators_text()
-        if args.presentation_out:
-            with open(args.presentation_out, "w") as fh:
-                fh.write(text)
-            report["presentation_file"] = args.presentation_out
-        else:
-            report["presentation"] = text
-    report["summary"] = {"verdict": "pass"}
-    _emit(report, args.out)
-    return EXIT_PASS
+        report["presentation"] = payload
+    return EXIT_PASS, {"verdict": "pass"}
 
 
 def _resolve_representation(spec: str, system: LinearSystem, tol: float):
     if spec == "pauli-ms":
-        expected = magic_square_system().digest()
-        if system.digest() != expected:
+        if system.digest() != magic_square_system().digest():
             raise NotASolution(
                 "pauli-ms is only valid for the built-in magic-square system"
             )
-        return pauli_magic_square_rep(), {"rep_source": "pauli-ms"}
+        return pauli_magic_square_rep()
     if spec.startswith("scalar:"):
         try:
             values = [int(v) for v in spec[len("scalar:"):].split(",")]
         except ValueError as exc:
             raise ParseError(f"bad scalar solution syntax: {exc}") from exc
-        xstar = ZpVector(system.p, tuple(values))
-        return scalar_rep_from_solution(system, xstar), {
-            "rep_source": spec,
-        }
-    rep = load_representation(spec, tol)
-    return rep, {"rep_source": spec}
+        return scalar_rep_from_solution(system, ZpVector(system.p, tuple(values)))
+    return load_representation(spec, tol)
 
 
 def _bound_modulus(p: int) -> None:
@@ -295,76 +241,58 @@ def _bound_modulus(p: int) -> None:
             f"modulus {p} exceeds {MAX_REPCHECK_P}, the largest repcheck certifies")
 
 
-def _refuse(report: dict, error: Exception, out_path: str | None, code: int, **summary) -> int:
-    """Emit a repcheck report that ends in error before or during the checks."""
-    report["error"] = {"type": type(error).__name__, "message": str(error)}
-    report["summary"] = {"verdict": "fail", **summary}
-    _emit(report, out_path)
-    return code
-
-
-def cmd_repcheck(args, limits: Limits) -> int:
-    system, inputs, code = _require_system("repcheck", args)
-    if system is None:
-        return code
-    _bound_modulus(system.p)
+def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     tol = args.tol
-    report = _base_report("repcheck", inputs, tolerance=tol)
+    if not 0 <= tol < float("inf"):
+        raise ParseError(f"--tol must be a finite number >= 0, not {tol}")
+    _bound_modulus(system.p)
+    report["tolerance"] = tol
+    report["inputs"]["rep_source"] = args.rep
     try:
-        rep, rep_inputs = _resolve_representation(args.rep, system, tol)
-    except NotASolution as exc:
-        report["inputs"]["rep_source"] = args.rep
-        return _refuse(report, exc, args.out, EXIT_VALIDATION)
-    except SyncLCSError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        # unitarity / J-identification problems are check failures
-        report["inputs"]["rep_source"] = args.rep
-        return _refuse(report, exc, args.out, EXIT_CHECK_FAILURE,
-                       first_failure=type(exc).__name__)
-    _bound_modulus(rep.p)
-    report["inputs"].update(rep_inputs)
-    if rep.p != system.p:
+        rep = _resolve_representation(args.rep, system, tol)
+        _bound_modulus(rep.p)
         # the checks would pair p-th roots of unity with Z_p solutions of
-        # another p, and fail or pass by accident
-        mismatch = DimensionMismatch(
-            f"representation modulus {rep.p} differs from system modulus {system.p}")
-        return _refuse(report, mismatch, args.out, EXIT_VALIDATION)
-    report["representation"] = {"dim": rep.dim, "p": rep.p,
-                                "exact": rep.exact}
-    try:
+        # another p, or generators with variables that are not there
+        if rep.p != system.p:
+            raise DimensionMismatch(
+                f"representation modulus {rep.p} differs from system modulus {system.p}")
+        if rep.n != system.n:
+            raise DimensionMismatch(
+                f"representation has {rep.n} generators g_j, system has {system.n} variables")
+        report["representation"] = {"dim": rep.dim, "p": rep.p, "exact": rep.exact}
         records = run_check_suite(rep, system, tol=tol, cap=limits.enum_cap)
+    except (ParseError, EnumerationTooLarge, SearchBudgetExceeded):
+        raise
     except SyncLCSError as exc:
-        if isinstance(exc, (EnumerationTooLarge, SearchBudgetExceeded)):
-            raise
-        return _refuse(report, exc, args.out, EXIT_CHECK_FAILURE,
-                       first_failure=type(exc).__name__)
+        # a representation of another system is refused; any other error
+        # fails the checks
+        report["error"] = _error_json(exc)
+        if isinstance(exc, (NotASolution, DimensionMismatch)):
+            return EXIT_VALIDATION, {"verdict": "fail"}
+        return EXIT_CHECK_FAILURE, {"verdict": "fail", "first_failure": type(exc).__name__}
     report["checks"] = [rec.to_json() for rec in records]
     failures = [rec for rec in records if not rec.passed]
-    report["summary"] = {
+    summary = {
         "verdict": "pass" if not failures else "fail",
         "checks": len(records),
         "failures": len(failures),
         "max_residual": max((rec.residual for rec in records), default=0.0),
     }
     if failures:
-        report["summary"]["first_failure"] = failures[0].name
-    _emit(report, args.out)
-    return EXIT_PASS if not failures else EXIT_CHECK_FAILURE
+        summary["first_failure"] = failures[0].name
+    return (EXIT_PASS if not failures else EXIT_CHECK_FAILURE), summary
 
 
-def cmd_examples(args, limits: Limits) -> int:
+def cmd_examples(system: None, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    # main loads no system for examples: this command writes one
     system = preset_system(args.name)
     path = args.out_file or f"{args.name}.json"
     with open(path, "w") as fh:
         json.dump(system.to_json(), fh, indent=2)
         fh.write("\n")
-    report = _base_report("examples", {"name": args.name})
     report["written"] = path
     report["system_digest"] = system.digest()
-    report["summary"] = {"verdict": "pass"}
-    _emit(report, args.out)
-    return EXIT_PASS
+    return EXIT_PASS, {"verdict": "pass"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,30 +348,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> tuple[int, dict]:
+    """Resolve the limits, load and validate the system, run the command."""
     limits = Limits.from_env()
-    command = args.command
-    inputs = {"path": getattr(args, "path", None)}
-    try:
-        return args.func(args, limits)
-    except ParseError as exc:
-        _emit(_error_report(command, inputs, exc), args.out)
-        return EXIT_PARSE
-    except (EnumerationTooLarge, SearchBudgetExceeded) as exc:
-        _emit(_error_report(command, inputs, exc), args.out)
-        return EXIT_BUDGET
-    except (UnknownExample, NotASolution) as exc:
-        _emit(_error_report(command, inputs, exc), args.out)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        _emit(_error_report(command, inputs, exc), args.out)
-        return EXIT_PARSE
-    except Exception as exc:
+    system = None
+    if args.command == "examples":
+        report = _base_report("examples", {"name": args.name})
+    else:
+        system, inputs, validation = _load_system(args.path)
+        report = _base_report(args.command, inputs)
+        if system is None or args.command == "validate":
+            report["checks"] = validation["records"]
+        if system is None:
+            report["summary"] = {"verdict": "fail"}
+            return EXIT_VALIDATION, report
+    code, report["summary"] = args.func(system, report, args, limits)
+    return code, report
+
+
+def _failure(args, error: Exception) -> tuple[int, dict]:
+    """The exit code and error report of a command that raised `error`."""
+    code = next((code for kinds, code in EXIT_CODES if isinstance(error, kinds)), EXIT_INTERNAL)
+    if code == EXIT_INTERNAL:
         traceback.print_exc(file=_sys.stderr)
-        _emit(_error_report(command, inputs, exc), args.out)
-        return EXIT_INTERNAL
+    report = _base_report(args.command, {"path": getattr(args, "path", None)})
+    report["error"] = _error_json(error)
+    report["summary"] = {"verdict": "error"}
+    return code, report
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code, report = _run(args)
+    except Exception as exc:
+        code, report = _failure(args, exc)
+    try:
+        _emit(report, args.out)
+    except Exception as exc:  # the --out file, or a float JSON cannot hold
+        code, report = _failure(args, exc)
+        _emit(report)
+    return code
 
 
 def entrypoint() -> None:

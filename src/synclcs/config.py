@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import ParseError
+
 DEFAULT_ENUM_CAP = 2**20
 DEFAULT_SEARCH_BUDGET = 10**7
 DEFAULT_TOL = 1e-9
@@ -30,6 +32,15 @@ class Limits:
     @staticmethod
     def from_env() -> "Limits":
         """Read overrides from SYNCLCS_ENUM_CAP / SYNCLCS_SEARCH_BUDGET."""
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-        budget = int(os.environ.get(SEARCH_BUDGET_ENV, DEFAULT_SEARCH_BUDGET))
-        return Limits(enum_cap=cap, search_budget=budget)
+        return Limits(enum_cap=_env_int(ENUM_CAP_ENV, DEFAULT_ENUM_CAP),
+                      search_budget=_env_int(SEARCH_BUDGET_ENV, DEFAULT_SEARCH_BUDGET))
+
+
+def _env_int(name: str, default: int) -> int:
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{name}={value!r} is not an integer") from None

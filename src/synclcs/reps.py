@@ -114,7 +114,8 @@ def scalar_rep_from_solution(sys: LinearSystem, xstar: ZpVector) -> Representati
     cyclotomic arithmetic so every certified identity has residual 0.
     """
     if xstar.p != sys.p or len(xstar) != sys.n:
-        raise DimensionMismatch("solution shape or modulus disagrees with system")
+        raise DimensionMismatch(f"solution has {len(xstar)} entries mod {xstar.p}, "
+                                f"system has {sys.n} variables mod {sys.p}")
     if sys.A.apply(xstar) != sys.b:
         raise NotASolution("xstar does not solve the system")
     p = sys.p

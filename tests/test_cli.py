@@ -500,3 +500,69 @@ def test_repcheck_certifies_modulus_at_cap(capsys, tmp_path):
         code, out = run(capsys, ["repcheck", str(path), "--rep", rep])
         assert code == 0
         assert json.loads(out)["representation"]["p"] == MAX_REPCHECK_P
+
+
+def _rep_doc(n: int, entry: float = 1.0) -> dict:
+    generators = {f"g{j}": [[[entry, 0.0]]] for j in range(1, n + 1)}
+    generators["J"] = [[[-1.0, 0.0]]]
+    return {"p": 2, "dim": 1, "omega_convention": "exp(2*pi*i/p)", "generators": generators}
+
+
+# inputs that once ended in a traceback, a non-JSON report, two reports or
+# the wrong exit code: (environment, argv, exit code, error type, message part)
+DEFECTS = {
+    "enum-cap-not-integer": ({"SYNCLCS_ENUM_CAP": "abc"}, "validate one.json",
+                             3, "ParseError", "SYNCLCS_ENUM_CAP"),
+    "search-budget-not-integer": ({"SYNCLCS_SEARCH_BUDGET": "1e3"}, "iso one.json",
+                                  3, "ParseError", "SYNCLCS_SEARCH_BUDGET"),
+    "tol-inf": ({}, "repcheck one.json --rep scalar:0,0 --tol inf", 3, "ParseError", "--tol"),
+    "tol-nan": ({}, "repcheck one.json --rep scalar:0,0 --tol nan", 3, "ParseError", "--tol"),
+    "tol-negative": ({}, "repcheck one.json --rep scalar:0,0 --tol -0.001",
+                     3, "ParseError", "--tol"),
+    "out-in-missing-directory": ({}, "--out missing/r.json validate one.json",
+                                 3, "FileNotFoundError", "missing/r.json"),
+    "out-in-missing-directory-after-error": ({}, "--out missing/r.json validate absent.json",
+                                             3, "FileNotFoundError", "missing/r.json"),
+    "system-is-directory": ({}, "validate .", 3, "IsADirectoryError", ""),
+    "system-not-utf8": ({}, "solve latin1.json", 3, "UnicodeDecodeError", ""),
+    "rep-is-directory": ({}, "repcheck one.json --rep .", 3, "IsADirectoryError", ""),
+    "rep-not-utf8": ({}, "repcheck one.json --rep latin1.json", 3, "UnicodeDecodeError", ""),
+    "out-file-is-directory": ({}, "examples one-eq --out-file .", 3, "IsADirectoryError", ""),
+    "dot-in-missing-directory": ({}, "graph one.json --dot missing/g.dot",
+                                 3, "FileNotFoundError", ""),
+    "scalar-short": ({}, "repcheck one.json --rep scalar:0", 2, "DimensionMismatch",
+                     "1 entries"),
+    "scalar-long": ({}, "repcheck one.json --rep scalar:0,0,0", 2, "DimensionMismatch",
+                    "3 entries"),
+    "rep-file-short": ({}, "repcheck one.json --rep rep1.json", 2, "DimensionMismatch",
+                       "1 generators"),
+    "rep-file-long": ({}, "repcheck one.json --rep rep3.json", 2, "DimensionMismatch",
+                      "3 generators"),
+    # unitary within a huge tolerance, so products overflow to an infinite
+    # residual, which a JSON report cannot hold
+    "residual-overflows": ({}, "repcheck one.json --rep huge.json --tol 1e150",
+                           5, "ValueError", ""),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("case", DEFECTS)
+def test_defect_input_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
+    env, argv, exit_code, error_type, fragment = DEFECTS[case]
+    (tmp_path / "one.json").write_text(json.dumps(one_eq_system().to_json()))
+    (tmp_path / "latin1.json").write_bytes('{"p": 2, "A": [[1]], "b": [0], "é": 0}'.encode("latin-1"))
+    for name, doc in [("rep1.json", _rep_doc(1)), ("rep3.json", _rep_doc(3)),
+                      ("huge.json", _rep_doc(2, 1e70))]:
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    assert code == exit_code
+    assert report["error"]["type"] == error_type
+    assert fragment in report["error"]["message"]
+    assert "checks" not in report and "representation" not in report
+    assert ("Traceback" in captured.err) == (exit_code == 5)
+    assert not (tmp_path / "missing").exists()
