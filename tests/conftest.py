@@ -45,6 +45,15 @@ def pentagram_system() -> LinearSystem:
                                   [1, 0, 0, 0, 0])
 
 
+def wide_modulus_system() -> LinearSystem:
+    """Four one-variable rows over p = 2**64 - 59, whose residues do not fit
+    an int64: each row has one solution, x_j = b_i, and two of them are
+    adjacent exactly when they pin the same variable to different values."""
+    p = 2**64 - 59
+    return LinearSystem.from_ints(p, [[1, 0], [1, 0], [1, 0], [0, 1]],
+                                  [p - 1, p - 1, p - 2, 3])
+
+
 # supports of a 7-variable system over Z_7 whose game graphs have
 # 343 + 49 + 49 = 441 vertices
 P7_441_SUPPORTS = ([0, 1, 2, 3], [3, 4, 5], [0, 5, 6])

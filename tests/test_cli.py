@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import wide_modulus_system
 from synclcs.cli import main
 from synclcs.config import MAX_REPCHECK_P
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
@@ -89,12 +90,10 @@ def test_validate_modulus_beyond_certified_range(capsys, tmp_path):
 
 
 def test_graph_modulus_above_int64(capsys, tmp_path):
-    # one-variable rows: one solution each, x_j = b_i, adjacent exactly
-    # when two rows pin the same variable to different values
-    p = 2**64 - 59
+    wide = wide_modulus_system()
+    p = wide.p
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps(
-        {"p": p, "A": [[1, 0], [1, 0], [1, 0], [0, 1]], "b": [p - 1, p - 1, p - 2, 3]}))
+    path.write_text(json.dumps(wide.to_json()))
     code, out = run(capsys, ["graph", str(path)])
     assert code == 0
     graph = json.loads(out)["graph"]

@@ -20,7 +20,12 @@ import re
 
 import pytest
 
-from conftest import P7_441_SUPPORTS, planted_system, random_consistent_system
+from conftest import (
+    P7_441_SUPPORTS,
+    planted_system,
+    random_consistent_system,
+    wide_modulus_system,
+)
 from synclcs.cli import main
 from synclcs import LinearSystem
 from synclcs.presets import magic_square_system, p3_demo_system
@@ -35,6 +40,13 @@ SYSTEMS = {
     # a zero row with b = 0, and row 3 repeating row 1
     "z3.json": lambda: LinearSystem.from_ints(
         3, [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 2]], [1, 0, 1, 2]),
+    # a zero row with b != 0, row 3 repeating row 1, and rows 1 and 4 on
+    # disjoint supports
+    "zb3.json": lambda: LinearSystem.from_ints(
+        3, [[1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [0, 1, 1, 0]],
+        [1, 2, 1, 0, 2]),
+    # residues above int64
+    "wide.json": wide_modulus_system,
     "s7.json": lambda: LinearSystem.from_ints(7, [[1, 2, 0], [0, 3, 1], [1, 5, 4]], [6, 0, 3]),
     # 441 vertices per graph: the search maps every vertex, so the report
     # pins a whole bijection found 441 levels deep
@@ -73,6 +85,8 @@ CASES = [
     ("repcheck", "z3.json", "--rep", "scalar:1,0,1"),
     ("repcheck", "s7.json", "--rep", "scalar:3,5,6"),
     ("iso", "p7.json"),
+] + [
+    (command, path) for path in ("zb3.json", "wide.json") for command in ("analyze", "graph", "iso")
 ]
 
 GOLDEN = {
@@ -100,6 +114,12 @@ GOLDEN = {
     "repcheck z3.json --rep scalar:1,0,1": (0, "970ce6e8146a95b05d436f731b97eceb1a277b3d6672251071b8becd6b67319d"),
     "repcheck s7.json --rep scalar:3,5,6": (0, "1b999e9304937cc12fee36c73e3276cd7aaef20a97a69b7ab85788bfd405af70"),
     "iso p7.json": (0, "8d151b5f55fed88d0244395d5871b317e0ad041cf6668e41ffb245de5c8ff76b"),
+    "analyze zb3.json": (0, "5dcb9977699a2e87d424ee6a83c32aac807c21bf33fef94e7306ce27dc9a4ab1"),
+    "graph zb3.json": (0, "0d29a69604be22b1043a0716c362e76bd56fdef159415f863dd23d8d95874105"),
+    "iso zb3.json": (0, "ebd0e6ed5393a5cd1b9393590f6be1b259d258285b67beab65e977dd6085f728"),
+    "analyze wide.json": (0, "a6eb2ed7d0838a8552287f367a63de727a3f7841d68d48f9458268866232bdf3"),
+    "graph wide.json": (0, "a5b1b8b237738c7d99b5d8d1d6433945f4f40f5092612be0227112c067d54d57"),
+    "iso wide.json": (0, "734e4019ad5ad3c1197186f703419be4632c14ebee27bc773dd6e49526aa867c"),
 }
 
 
@@ -153,7 +173,7 @@ DOT_CASES = [
     (path, *flags)
     for path in ("ms.json", "p3.json", "s3.json")
     for flags in ((), ("--homogeneous",))
-]
+] + [("zb3.json",), ("wide.json",)]
 
 DOT_GOLDEN = {
     "ms.json": (0, "49360eb7abb99751339d97347c417919912f4010b99cb19268ea2e49b064c410"),
@@ -162,6 +182,8 @@ DOT_GOLDEN = {
     "p3.json --homogeneous": (0, "f5ca35930a99dc606f765b8d5d7fd40f93418af0dd142d7146edbac6f4e683e9"),
     "s3.json": (0, "2d29268ac0f156a6400be2a5f360ceb492235d13589e432f9a6d48e7d5a703d2"),
     "s3.json --homogeneous": (0, "3adb17e60294580e5d307a84aedc8f01ba2d479b98689f6acaaac505878625a5"),
+    "zb3.json": (0, "c3ff0c8183eefd6289cbf33c56d6e13a932ddec5b379913eb26570d017f66672"),
+    "wide.json": (0, "a750e3ac07fc046bb3323354aaccd1e15aeebb543846c89b2f7780a13f6ff9f2"),
 }
 
 
