@@ -119,13 +119,9 @@ def _graph_counts(G) -> dict:
 def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
     H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
-    solutions = G.solutions_by_row()
-    rows = []
-    for i in range(1, system.m + 1):
-        V = sorted(row_support(system, i))
-        rows.append({"row": i, "support": V, "support_size": len(V),
-                     "solutions": len(solutions.get(i, ()))})
-    report["rows"] = rows
+    supports = [sorted(row_support(system, i)) for i in range(1, system.m + 1)]
+    report["rows"] = [{"row": i, "support": V, "support_size": len(V),
+                       "solutions": len(G.rows.get(i, ()))} for i, V in enumerate(supports, 1)]
     report["classically_solvable"] = gauss_solve(system.A, system.b) is not None
     report["graphs"] = {"inhomogeneous": _graph_counts(G), "homogeneous": _graph_counts(H)}
     warnings = [

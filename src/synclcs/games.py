@@ -3,8 +3,8 @@ best-value searches, which run on the game compiled to integers: per input
 k, the outputs x that win (x, x, i, i), in output order (`rows[k]`), and
 per (j, a, k) the bitset over `rows[k]` of the outputs that win both
 orders against the a-th output of `rows[j]` (`compatible`).  In the syncLCS
-game those are the outputs with an equal key, the mixed-radix code of
-their entries on the support two rows share; each bitset is built on first
+game those are the outputs with an equal `system.shared_keys` code, as in
+the game graphs, on the support two rows share; each bitset is built on first
 use, once per (row, shared support, key).  Other games use their rule.
 The searches need a symmetric rule, wins(x, y, i, j) = wins(y, x, j, i),
 in which an output that loses (x, x, i, i) loses every pair at input i, as
@@ -20,7 +20,7 @@ from typing import Callable, Hashable
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
-from .system import LinearSystem, row_solutions, row_support
+from .system import LinearSystem, row_solutions, row_support, shared_keys
 from .zp import ZpVector
 
 
@@ -57,23 +57,15 @@ def _bitset(flags) -> int:
 
 class KeyTables:
     """The syncLCS game on integers: rows[k] holds the indices of the
-    outputs that solve row k+1, and keys(k, cols) the code of each of them
-    on the 1-based columns cols.  Keys and bitsets are cached by the columns
-    two rows share, not by the pair of rows, so their count does not grow
-    with the square of the number of rows."""
+    outputs that solve row k+1, and keys(k, cols) the `shared_keys` of each
+    of them on the 1-based columns cols.  Keys and bitsets are cached by the
+    columns two rows share, not by the pair of rows, so their count does not
+    grow with the square of the number of rows."""
 
     def __init__(self, p: int, supports: list, rows: list, outputs: list):
-        self.p, self.supports, self.rows, self.outputs = p, supports, rows, outputs
-        self.keys, self._matching, self._shared = cache(self._keys), cache(self._match), {}
-
-    def _keys(self, k: int, cols: frozenset) -> list[int]:
-        cols, codes = sorted(cols), []
-        for t in self.rows[k]:
-            entries, code = self.outputs[t].entries, 0
-            for c in cols:
-                code = code * self.p + entries[c - 1]
-            codes.append(code)
-        return codes
+        self.supports, self.rows = supports, rows
+        self.keys = cache(lambda k, cols: shared_keys(p, [outputs[t] for t in rows[k]], cols))
+        self._matching, self._shared = cache(self._match), {}
 
     def _match(self, key: int, k: int, cols: frozenset) -> int:
         codes = self.keys(k, cols)

@@ -13,7 +13,7 @@ import numpy as np
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
 from .games import SynchronousGame, _bitset
-from .system import LinearSystem, row_solutions, row_support
+from .system import LinearSystem, row_solutions, row_support, shared_keys
 from .zp import ZpVector
 
 # relationship of two vertices of one graph
@@ -26,25 +26,20 @@ class GameGraph:
 
     Vertices with equal solution vectors under different rows stay
     distinct.  No self-loops; adjacency is symmetric.  The graph is
-    G(system) or, when homogeneous, G(system with b = 0).
-    """
+    G(system) or, when homogeneous, G(system with b = 0).  `rows` maps each
+    row with a solution to its solutions, ascending; vertices follow it."""
 
     system: LinearSystem
     homogeneous: bool
-    vertices: tuple[tuple[int, ZpVector], ...]
-    adj: np.ndarray
+    rows: dict[int, list[ZpVector]]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {v: k for k, v in enumerate(self.vertices)}
-        )
-        rows: dict[int, list[ZpVector]] = {}
-        for i, x in self.vertices:
-            rows.setdefault(i, []).append(x)
-        object.__setattr__(self, "_rows", rows)
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ZpVector], ...]:
+        return tuple((i, x) for i, xs in self.rows.items() for x in xs)
 
-    def index(self, v) -> int:
-        return self._index[v]
+    @cached_property
+    def _index(self) -> dict:
+        return {v: k for k, v in enumerate(self.vertices)}
 
     def __contains__(self, v) -> bool:
         return v in self._index
@@ -52,27 +47,65 @@ class GameGraph:
     def order(self) -> int:
         return len(self.vertices)
 
+    def _key_blocks(self):
+        """(i, Q, a, b, keys) for each row i and each set C of columns it
+        shares, Q the rows whose support meets that of i in exactly C: a and
+        b number the keys on C of the solutions of i and of the rows of Q,
+        row after row, 0 to keys - 1.  Each ordered pair of rows that share
+        a column is in one block."""
+        supports = {i: row_support(self.system, i) for i in self.rows}
+        for i, support in supports.items():
+            meets: dict[frozenset, list[int]] = {}
+            for k, other in supports.items():
+                if support & other:
+                    meets.setdefault(frozenset(support & other), []).append(k)
+            for cols, Q in meets.items():
+                ids: dict[int, int] = {}
+                a, b = (np.array([ids.setdefault(key, len(ids))
+                                  for key in shared_keys(self.system.p, xs, cols)])
+                        for xs in (self.rows[i], [y for k in Q for y in self.rows[k]]))
+                yield i, Q, a, b, len(ids)
+
+    @cached_property
+    def pair_counts(self) -> np.ndarray:
+        """Ordered vertex-pair counts, shape (3, m, m): entry [r, i-1, k-1]
+        counts the pairs (u in row i, v in row k) whose relationship is r,
+        indexed EQUAL, ADJACENT, DISTINCT.  ADJACENT[i, k] is |S_i||S_k|
+        less the pairs with equal keys."""
+        sizes = np.array([len(self.rows.get(i, ())) for i in range(1, self.system.m + 1)])
+        equal, total = np.diag(sizes), np.outer(sizes, sizes)
+        agree = total.copy()  # rows that share no column agree on every pair
+        for i, Q, a, b, keys in self._key_blocks():
+            Q = np.array(Q) - 1
+            # counts[r, key]: the solutions of row Q[r] + 1 with that key
+            counts = np.bincount(np.repeat(np.arange(len(Q)), sizes[Q]) * keys + b,
+                                 minlength=len(Q) * keys).reshape(len(Q), keys)
+            agree[i - 1, Q] = counts @ np.bincount(a, minlength=keys)
+        # object entries: the quadruple counts grow as |V|^4
+        return np.stack([equal, total - agree, agree - equal]).astype(object)
+
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.adj)) // 2
+        return int(self.pair_counts[ADJACENT].sum()) // 2
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        """The dense |V| x |V| boolean adjacency, filled on first use."""
+        first = dict(zip(self.rows, np.cumsum([0, *map(len, self.rows.values())]).tolist()))
+        adj = np.zeros((self.order(), self.order()), dtype=bool)
+        for i, Q, a, b, _ in self._key_blocks():
+            v = [t for k in Q for t in range(first[k], first[k] + len(self.rows[k]))]
+            adj[first[i]:first[i] + len(a), v] = a[:, None] != b[None, :]
+        return adj
 
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
 
     def relationship(self, u, v) -> int:
-        if u == v:
-            return EQUAL
-        return ADJACENT if self.adjacent(u, v) else DISTINCT
-
-    def degrees(self) -> list[int]:
-        return [int(d) for d in self.adj.sum(axis=1)]
+        return EQUAL if u == v else ADJACENT if self.adjacent(u, v) else DISTINCT
 
     def edges(self) -> np.ndarray:
         """Index pairs a < b of the edges, in row-major order."""
         return np.argwhere(np.triu(self.adj, 1))
-
-    def solutions_by_row(self) -> dict[int, list[ZpVector]]:
-        """Solutions of each row that has any, in vertex order."""
-        return self._rows
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -87,19 +120,8 @@ def build_game_graph(
     """Graph on (row, solution) pairs, edges on shared-coordinate conflicts:
     u ~ v when both rows use some column c and the solutions differ at c."""
     target = sys.homogeneous() if homogeneous else sys
-    verts = [(i, x) for i in range(1, target.m + 1) for x in row_solutions(target, i, cap)]
-    d, n = len(verts), target.n
-    # entries are < p; left to itself numpy would round those above int64
-    # to float64, so they stay Python ints in an object array
-    dtype = np.int64 if target.p <= 2**63 else object
-    values = np.array([x.entries for _, x in verts], dtype=dtype).reshape(d, n)
-    uses = np.array([[a != 0 for a in target.A.rows[i - 1]] for i, _ in verts],
-                    dtype=bool).reshape(d, n)
-    adj = np.zeros((d, d), dtype=bool)
-    for c in range(n):
-        col = values[:, c]
-        adj |= np.outer(uses[:, c], uses[:, c]) & (col[:, None] != col[None, :])
-    return GameGraph(sys, homogeneous, tuple(verts), adj)
+    rows = {i: xs for i in range(1, target.m + 1) if (xs := row_solutions(target, i, cap))}
+    return GameGraph(sys, homogeneous, rows)
 
 
 def build_iso_game(G: GameGraph, H: GameGraph) -> SynchronousGame:
@@ -148,11 +170,9 @@ class VertexBijection:
 
 def is_isomorphism(G: GameGraph, H: GameGraph, bij: VertexBijection) -> bool:
     """Full edge-preservation verification over all vertex pairs."""
-    if G.order() != H.order() or set(bij.forward) != set(G.vertices):
-        return False
-    if set(bij.inverse) != set(H.vertices):
-        return False
-    perm = np.array([H.index(bij.forward[v]) for v in G.vertices], dtype=np.intp)
+    if set(bij.forward) != set(G.vertices) or set(bij.inverse) != set(H.vertices):
+        return False  # bij is a bijection, so the orders agree too
+    perm = np.array([H._index[bij.forward[v]] for v in G.vertices], dtype=np.intp)
     return bool(np.array_equal(G.adj, H.adj[np.ix_(perm, perm)]))
 
 
@@ -236,7 +256,7 @@ def isomorphism_search(
     """
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)
-    if sorted(G.degrees()) != sorted(H.degrees()):
+    if not np.array_equal(np.sort(G.adj.sum(axis=1)), np.sort(H.adj.sum(axis=1))):
         return IsoSearchResult(None, "wl-distinguished", 0, 1)
     n = G.order()
     if n == 0:

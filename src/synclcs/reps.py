@@ -282,25 +282,20 @@ class ProjectionFamily:
     def row_sums(self) -> dict[int, np.ndarray]:
         """row_sums[i] = sum over x in S_i of family(i, x), in vertex order,
         for every row that has a solution."""
-        zero, sums = np.zeros_like(self.rep.image("J")), {}
-        for i, sols in self.graph.solutions_by_row().items():
-            total = zero
-            for x in sols:
-                total = total + self.entry(i, x)
-            sums[i] = total
-        return sums
+        zero = np.zeros_like(self.rep.image("J"))
+        return {i: sum((self.entry(i, x) for x in sols), zero)
+                for i, sols in self.graph.rows.items()}
 
     @cached_property
     def phase_sums(self) -> dict[int, dict[int, np.ndarray]]:
         """phase_sums[j][i] = sum over x in S_i of omega^{x_j} family(i, x),
         for every variable j and every row i containing it, rows ascending."""
         rep, sums = self.rep, {}
-        for i, sols in self.graph.solutions_by_row().items():
+        for i, sols in self.graph.rows.items():
             for j in sorted(row_support(self.graph.system, i)):
-                total = np.zeros_like(rep.image("J"))
-                for x in sols:
-                    total = total + self.entry(i, x) * rep.omega_pow(x.entry(j))
-                sums.setdefault(j, {})[i] = total
+                sums.setdefault(j, {})[i] = sum(
+                    (self.entry(i, x) * rep.omega_pow(x.entry(j)) for x in sols),
+                    np.zeros_like(rep.image("J")))
         return sums
 
 
@@ -311,7 +306,7 @@ def _assemble_family(
     identity = eye_like(rep.image("J"))
     projection = cache(lambda j, s: f_projection(rep, j, s))
     entries = {}
-    for i, sols in graph.solutions_by_row().items():
+    for i, sols in graph.rows.items():
         cols = sorted(row_support(sys, i))
         _check_row_commutes(rep, i, cols, tol)
         for x in sols:
@@ -394,11 +389,8 @@ def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
 
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
-    total = np.zeros_like(fam.rep.image("J"))
-    for x in fam.graph.solutions_by_row()[i]:
-        if x.entry(j) == t % fam.rep.p:
-            total = total + fam.entry(i, x)
-    return total
+    return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x.entry(j) == t % fam.rep.p),
+               np.zeros_like(fam.rep.image("J")))
 
 
 def phi_welldefinedness_checks(
@@ -446,7 +438,7 @@ def check_mutual_inverse(
         next(iter(sums[j].values())), s, rep.p, rep.exact))
     identity = eye_like(rep.image("J"))
     G = fam.graph
-    cols = {i: sorted(row_support(G.system, i)) for i in G.solutions_by_row()}
+    cols = {i: sorted(row_support(G.system, i)) for i in G.rows}
     for (i, y), label in zip(G.vertices, G.labels):
         result = _spectral_product(identity, cols[i], y, projection)
         records.append(CheckRecord(
@@ -506,15 +498,14 @@ def iso_partition_checks(
     identity = eye_like(iso.zero)
     if fam.rep.exact:
         by_row = {i: frob(fam.row_sums.get(i, iso.zero) - identity)
-                  for i in H.solutions_by_row()}
+                  for i in H.rows}
         over_g = [by_row[i] for i, _ in H.vertices]
         over_h = [by_row[i] for i, _ in G.vertices]
     else:
         sums_g = {vh: iso.zero for vh in H.vertices}
         sums_h = {vg: iso.zero for vg in G.vertices}
-        hom_solutions = H.solutions_by_row()
         for i, x in G.vertices:
-            for y in hom_solutions[i]:
+            for y in H.rows[i]:
                 E = iso.entry((i, x), (i, y))
                 sums_g[(i, y)] = sums_g[(i, y)] + E
                 sums_h[(i, x)] = sums_h[(i, x)] + E
@@ -526,21 +517,6 @@ def iso_partition_checks(
                                           ("iso-sum-over-homogeneous", G.labels, over_h))
         for label, residual in zip(labels, residuals)
     ]
-
-
-def _pair_counts(graph: GameGraph) -> np.ndarray:
-    """Ordered vertex-pair counts of one graph, shape (3, m, m): entry
-    [r, i-1, k-1] counts the pairs (u in row i, v in row k) whose
-    relationship is r, indexed EQUAL, ADJACENT, DISTINCT."""
-    rows = np.array([i for i, _ in graph.vertices], dtype=int)
-    R = np.zeros((graph.order(), graph.system.m), dtype=np.int64)
-    R[np.arange(graph.order()), rows - 1] = 1
-    sizes = R.sum(axis=0)
-    equal = np.diag(sizes)
-    adjacent = R.T @ graph.adj @ R
-    # object entries: the quadruple counts grow as |V|^4
-    return np.stack([equal, adjacent, np.outer(sizes, sizes) - equal - adjacent]
-                    ).astype(object)
 
 
 def check_iso_relations(
@@ -566,7 +542,7 @@ def check_iso_relations(
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
 
     idem_max, adj_max = fam.entry_residuals.max(axis=0, initial=0.0).tolist()
-    counts_g, counts_h = _pair_counts(G), _pair_counts(H)
+    counts_g, counts_h = G.pair_counts, H.pair_counts
     nonzero = int((counts_g[EQUAL] * counts_h[EQUAL]).sum())
 
     # rule-zero quadruples (G pair and H pair related differently) over the

@@ -1,5 +1,5 @@
 """The linear-constraint-system model: per-row supports, per-row restricted
-solution sets, the compatibility predicate, and system validation."""
+solution sets, the compatibility predicate and its keys, and validation."""
 
 from __future__ import annotations
 
@@ -145,6 +145,19 @@ def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> b
         raise NotASolution(f"y is not a restricted solution of row {j}")
     shared = row_support(sys, i) & row_support(sys, j)
     return all(x.entry(k) == y.entry(k) for k in shared)
+
+
+def shared_keys(p: int, solutions, cols) -> list[int]:
+    """The mixed-radix code (a Python int) of each solution on the 1-based
+    columns cols: two rows' solutions are compatible iff their keys on the
+    columns the rows share are equal."""
+    cols, codes = sorted(cols), []
+    for x in solutions:
+        entries, code = x.entries, 0
+        for c in cols:
+            code = code * p + entries[c - 1]
+        codes.append(code)
+    return codes
 
 
 @dataclass

@@ -1,0 +1,39 @@
+"""Oracle for `GameGraph` adjacency: the dense build as it was before the
+graph was compiled from row keys.  It compares every vertex pair on every
+column ("both rows use column c and disagree there"), one |V| x |V| mask per
+column, so it takes O(n |V|^2) time; its pair counts are R^T adj R, with R
+the vertex-by-row incidence matrix."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from synclcs.graphs import GameGraph
+
+
+def per_column_adjacency(G: GameGraph) -> np.ndarray:
+    """The adjacency of G's vertices, one numpy comparison per column."""
+    d, n, p = G.order(), G.system.n, G.system.p
+    # entries are < p; left to itself numpy would round those above int64
+    # to float64, so they stay Python ints in an object array
+    dtype = np.int64 if p <= 2**63 else object
+    values = np.array([x.entries for _, x in G.vertices], dtype=dtype).reshape(d, n)
+    uses = np.array([[a != 0 for a in G.system.A.rows[i - 1]] for i, _ in G.vertices],
+                    dtype=bool).reshape(d, n)
+    adj = np.zeros((d, d), dtype=bool)
+    for c in range(n):
+        col = values[:, c]
+        adj |= np.outer(uses[:, c], uses[:, c]) & (col[:, None] != col[None, :])
+    return adj
+
+
+def incidence_pair_counts(G: GameGraph, adj: np.ndarray) -> np.ndarray:
+    """Ordered vertex-pair counts, shape (3, m, m), indexed EQUAL, ADJACENT,
+    DISTINCT, from a dense adjacency: ADJACENT is R^T adj R."""
+    rows = np.array([i for i, _ in G.vertices], dtype=int)
+    R = np.zeros((G.order(), G.system.m), dtype=np.int64)
+    R[np.arange(G.order()), rows - 1] = 1
+    sizes = R.sum(axis=0)
+    equal = np.diag(sizes)
+    adjacent = R.T @ adj.astype(np.int64) @ R
+    return np.stack([equal, adjacent, np.outer(sizes, sizes) - equal - adjacent])

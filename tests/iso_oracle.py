@@ -33,7 +33,7 @@ def mask_copy_search(
     """
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)
-    if sorted(G.degrees()) != sorted(H.degrees()):
+    if sorted(G.adj.sum(axis=1)) != sorted(H.adj.sum(axis=1)):
         return IsoSearchResult(None, "wl-distinguished", 0, 1)
     n = G.order()
     if n == 0:

@@ -5,11 +5,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import wide_modulus_system
+from synclcs import LinearSystem, build_game_graph
 from synclcs.cli import main
 from synclcs.config import MAX_REPCHECK_P
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
@@ -136,6 +138,27 @@ def test_analyze_magic_square(capsys, tmp_path):
     assert report["graphs"]["inhomogeneous"]["vertices"] == 24
     assert report["graphs"]["homogeneous"]["vertices"] == 24
     assert report["classically_solvable"] is False
+
+
+def test_analyze_stays_linear_in_the_vertices(capsys, tmp_path):
+    # two disjoint 8-variable rows over Z_3: 2 x 3^7 = 4,374 vertices per
+    # graph, whose dense adjacency alone would take 19 MB
+    sys_ = LinearSystem.from_ints(3, [[1] * 8 + [0] * 8, [0] * 8 + [1] * 8], [1, 2])
+    G = build_game_graph(sys_)
+    assert G.edge_count() == 4_780_782
+    assert "adj" not in G.__dict__
+    path = tmp_path / "two8.json"
+    path.write_text(json.dumps(sys_.to_json()))
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, ["analyze", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    counts = {"vertices": 4374, "edges": 4_780_782}
+    assert json.loads(out)["graphs"] == {"inhomogeneous": counts, "homogeneous": counts}
+    assert peak < 16 * 2**20
 
 
 def count_calls(monkeypatch, module: str, name: str) -> list:

@@ -6,8 +6,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from adjacency_oracle import incidence_pair_counts, per_column_adjacency
 from closure_game import check_synchronous
 from conftest import (
     P7_441_SUPPORTS,
@@ -16,6 +18,7 @@ from conftest import (
     planted_system,
     random_consistent_system,
     random_system,
+    wide_modulus_system,
     zvec,
 )
 from iso_oracle import mask_copy_search
@@ -62,10 +65,11 @@ def test_disjoint_supports_have_no_edges():
     assert all(not G.adjacent(u, v) for u in row1 for v in row2)
 
 
-def test_adjacency_negates_compatibility(rng):
-    # p up to 7 and up to 4 rows x 5 variables; row supports are capped so
-    # each row has at most 25 solutions and the pairwise oracle stays fast.
-    # For every p one system gets a zero row and one a duplicated row.
+def _widened_systems(rng):
+    """p up to 7 and up to 4 rows x 5 variables, each system with b and with
+    b = 0; row supports are capped so each row has at most 25 solutions and
+    the pairwise oracle stays fast.  For every p one system gets a zero row
+    and one a duplicated row."""
     for p in (2, 3, 5, 7):
         max_support = max(k for k in range(1, 6) if p ** (k - 1) <= 25)
         for case in range(4):
@@ -79,18 +83,35 @@ def test_adjacency_negates_compatibility(rng):
                 A[0] = [0] * n
             if case == 1:
                 A[1], b[1] = A[0], b[0]
-            for sys_ in (LinearSystem.from_ints(p, A, b),
-                         LinearSystem.from_ints(p, A, [0] * m)):
-                G = build_game_graph(sys_)
-                for u in G.vertices:
-                    for v in G.vertices:
-                        if u == v:
-                            continue
-                        i, x = u
-                        j, y = v
-                        assert G.adjacent(u, v) == (not compatible(sys_, i, j, x, y))
-                        if i == j:
-                            assert G.adjacent(u, v)  # same-row distinct solutions conflict
+            yield LinearSystem.from_ints(p, A, b)
+            yield LinearSystem.from_ints(p, A, [0] * m)
+
+
+def test_adjacency_negates_compatibility(rng):
+    for sys_ in _widened_systems(rng):
+        G = build_game_graph(sys_)
+        for u in G.vertices:
+            for v in G.vertices:
+                if u == v:
+                    continue
+                i, x = u
+                j, y = v
+                assert G.adjacent(u, v) == (not compatible(sys_, i, j, x, y))
+                if i == j:
+                    assert G.adjacent(u, v)  # same-row distinct solutions conflict
+
+
+def test_row_keys_match_per_column_build(rng):
+    for sys_ in [*_widened_systems(rng), wide_modulus_system()]:
+        for homogeneous in (False, True):
+            G = build_game_graph(sys_, homogeneous=homogeneous)
+            adj = per_column_adjacency(G)
+            # the counts come from the row keys alone, before adj is built
+            assert G.edge_count() == np.count_nonzero(adj) // 2
+            assert "adj" not in G.__dict__
+            assert np.array_equal(G.pair_counts.astype(np.int64), incidence_pair_counts(G, adj))
+            assert np.array_equal(G.adj, adj)
+            assert np.array_equal(G.edges(), np.argwhere(np.triu(adj, 1)))
 
 
 def test_distinct_rows_same_vector_stay_distinct_vertices():
