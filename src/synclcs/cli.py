@@ -7,11 +7,12 @@ inputs and flags produce byte-identical reports apart from the volatile
 
 Exit codes: 0 pass, 1 check failure, 2 validation failure (a repcheck
 representation whose modulus or generator count differs from the
-system's included), 3 parse error (an unreadable or non-UTF-8 input or
-output file, a non-integer environment override and a negative or
-non-finite --tol included), 4 enumeration cap or search budget exceeded,
-5 internal error (an unexpected exception; the report names it and stderr
-has the traceback).  Every failure still prints exactly one report.
+system's included), 3 parse error (a usage error such as an unknown
+command or option, an unreadable or non-UTF-8 input or output file, a
+non-integer environment override and a negative or non-finite --tol
+included), 4 enumeration cap or search budget exceeded, 5 internal error
+(an unexpected exception; the report names it and stderr has the
+traceback).  Every failure still prints exactly one report; --help exits 0.
 
 Environment overrides: SYNCLCS_ENUM_CAP, SYNCLCS_SEARCH_BUDGET.
 """
@@ -291,51 +292,45 @@ def cmd_examples(system: None, report: dict, args, limits: Limits) -> tuple[int,
     return EXIT_PASS, {"verdict": "pass"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors, so they too end in one report."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        raise ParseError(message)
+
+
+# (name, function, help) of each command that reads a system file
+SYSTEM_COMMANDS = (
+    ("validate", cmd_validate, "structural and semantic system checks"),
+    ("analyze", cmd_analyze, "row supports, solution counts, graph sizes"),
+    ("solve", cmd_solve, "classical solvability and deterministic strategies"),
+    ("graph", cmd_graph, "build an incompatibility graph"),
+    ("iso", cmd_iso, "search for a graph isomorphism to the homogeneous graph"),
+    ("group", cmd_group, "emit the solution-group presentation"),
+    ("repcheck", cmd_repcheck, "certify a representation against the system"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="synclcs",
-        description="Analyze linear-constraint-system games over Z_p.",
-    )
+    parser = _Parser(prog="synclcs", description="Analyze linear-constraint-system games over Z_p.")
     parser.add_argument("--out", help="also write the report JSON to this file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="structural and semantic system checks")
-    p_validate.add_argument("path")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_analyze = sub.add_parser("analyze", help="row supports, solution counts, graph sizes")
-    p_analyze.add_argument("path")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_solve = sub.add_parser("solve", help="classical solvability and deterministic strategies")
-    p_solve.add_argument("path")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_graph = sub.add_parser("graph", help="build an incompatibility graph")
-    p_graph.add_argument("path")
-    p_graph.add_argument("--homogeneous", action="store_true",
-                         help="use right-hand side 0 instead of b")
-    p_graph.add_argument("--dot", help="write Graphviz DOT to this file")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_iso = sub.add_parser("iso", help="search for a graph isomorphism to the homogeneous graph")
-    p_iso.add_argument("path")
-    p_iso.set_defaults(func=cmd_iso)
-
-    p_group = sub.add_parser("group", help="emit the solution-group presentation")
-    p_group.add_argument("path")
-    p_group.add_argument("--format", choices=("json", "relators"), default="json")
-    p_group.add_argument("--presentation-out", dest="presentation_out",
-                         help="write the presentation to this file instead of embedding it")
-    p_group.set_defaults(func=cmd_group)
-
-    p_rep = sub.add_parser("repcheck", help="certify a representation against the system")
-    p_rep.add_argument("path")
-    p_rep.add_argument("--rep", required=True,
-                       help="representation file, scalar:<v1,v2,...>, or pauli-ms")
-    p_rep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_rep.set_defaults(func=cmd_repcheck)
-
+    commands = {}
+    for name, func, help_text in SYSTEM_COMMANDS:
+        commands[name] = sub.add_parser(name, help=help_text)
+        commands[name].add_argument("path")
+        commands[name].set_defaults(func=func)
+    commands["graph"].add_argument("--homogeneous", action="store_true",
+                                   help="use right-hand side 0 instead of b")
+    commands["graph"].add_argument("--dot", help="write Graphviz DOT to this file")
+    commands["group"].add_argument("--format", choices=("json", "relators"), default="json")
+    commands["group"].add_argument(
+        "--presentation-out", dest="presentation_out",
+        help="write the presentation to this file instead of embedding it")
+    commands["repcheck"].add_argument(
+        "--rep", required=True, help="representation file, scalar:<v1,v2,...>, or pauli-ms")
+    commands["repcheck"].add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_ex = sub.add_parser("examples", help="write a built-in example system file")
     p_ex.add_argument("name")
     p_ex.add_argument("--out-file", dest="out_file",
@@ -367,15 +362,17 @@ def _failure(args, error: Exception) -> tuple[int, dict]:
     code = next((code for kinds, code in EXIT_CODES if isinstance(error, kinds)), EXIT_INTERNAL)
     if code == EXIT_INTERNAL:
         traceback.print_exc(file=_sys.stderr)
-    report = _base_report(args.command, {"path": getattr(args, "path", None)})
+    inputs = {"name": args.name} if args.command == "examples" else {"path": args.path}
+    report = _base_report(args.command, inputs)
     report["error"] = _error_json(error)
     report["summary"] = {"verdict": "error"}
     return code, report
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(command=None, path=None, out=None)  # until argv parses
     try:
+        args = build_parser().parse_args(argv)
         code, report = _run(args)
     except Exception as exc:
         code, report = _failure(args, exc)

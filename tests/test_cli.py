@@ -50,7 +50,9 @@ def test_examples_write_canonical_files(capsys, tmp_path):
 def test_examples_unknown_name(capsys, tmp_path):
     code, out = run(capsys, ["examples", "nope", "--out-file", str(tmp_path / "x.json")])
     assert code == 2
-    assert json.loads(out)["error"]["type"] == "UnknownExample"
+    report = json.loads(out)
+    assert report["error"]["type"] == "UnknownExample"
+    assert report["inputs"] == {"name": "nope"}
 
 
 def test_validate_magic_square_passes_with_warning(capsys, tmp_path):
@@ -588,3 +590,34 @@ def test_defect_input_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
     assert "checks" not in report and "representation" not in report
     assert ("Traceback" in captured.err) == (exit_code == 5)
     assert not (tmp_path / "missing").exists()
+
+
+# usage errors, which argparse would answer with usage text and exit 2
+USAGE_ERRORS = {
+    "unknown-command": ("frobnicate one.json", "invalid choice: 'frobnicate'"),
+    "unknown-option": ("validate one.json --bogus", "unrecognized arguments: --bogus"),
+    "missing-rep": ("repcheck one.json", "required: --rep"),
+    # argparse reads -1e-9 as an option, not as a negative number
+    "tol-negative-exponent": ("repcheck one.json --rep scalar:0,0 --tol -1e-9",
+                              "--tol: expected one argument"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
+    argv, fragment = USAGE_ERRORS[case]
+    (tmp_path / "one.json").write_text(json.dumps(one_eq_system().to_json()))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv.split())
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert report["error"]["type"] == "ParseError"
+    assert fragment in report["error"]["message"]
+    assert report["summary"] == {"verdict": "error"}
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "repcheck" in capsys.readouterr().out

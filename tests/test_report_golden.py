@@ -151,7 +151,7 @@ ERROR_GOLDEN = {
     "solve c6.json": (2, "539ce7c3fbc7d738f0b6dc3a7e5c050326105e00a8da7bc99d2126e2a86e221d"),
     "validate ragged.json": (3, "36cfab4364e272a0da334b1cc79fc89aa72fd0add672f3aaf5611e2f35fdf8fe"),
     "SYNCLCS_SEARCH_BUDGET=5 iso ms.json": (4, "daf8b8d0f885f47cc7074f6bb44eca608d4cf2932cbe8be25e63c1e6648611ea"),
-    "examples nope": (2, "86e3c5d31862060fea7e20da32f6d6a9c79452f70de3bc302c9ac9a6a2d2e6f7"),
+    "examples nope": (2, "025567de417dd4943c73f50013b54d21a60f1fcc9ef22f569709a2fdfd072b0c"),
     "repcheck p3.json --rep scalar:0,0,0": (2, "91e75bd87e02931531a100e44ba12dcc8e85d8d5368a53a2d922d70572b7415b"),
     "repcheck p3.json --rep pauli-ms": (2, "e417f17cd9d68877eba09ead78d36d56ea7f43ee79b19583b53290f87b205a22"),
     "repcheck ms.json --rep rep3.json": (2, "ca9ff3334ad20056df030fc2b2897f37ff03bef4c44ffc8d2a44db94fe883f24"),
