@@ -313,7 +313,8 @@ SYSTEM_COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="synclcs", description="Analyze linear-constraint-system games over Z_p.")
+    parser = _Parser(prog="synclcs",
+                     description="Analyze linear-constraint-system games over Z_p.")
     parser.add_argument("--out", help="also write the report JSON to this file")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
@@ -333,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands["repcheck"].add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_ex = sub.add_parser("examples", help="write a built-in example system file")
     p_ex.add_argument("name")
-    p_ex.add_argument("--out-file", dest="out_file",
-                      help="destination path (default <name>.json)")
+    p_ex.add_argument("--out-file", dest="out_file", help="destination path (default <name>.json)")
     p_ex.set_defaults(func=cmd_examples)
     return parser
 

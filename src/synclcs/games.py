@@ -63,9 +63,9 @@ class KeyTables:
     grow with the square of the number of rows."""
 
     def __init__(self, p: int, supports: list, rows: list, outputs: list):
-        self.supports, self.rows = supports, rows
+        self.supports, self.rows, self._shared = supports, rows, {}
         self.keys = cache(lambda k, cols: shared_keys(p, [outputs[t] for t in rows[k]], cols))
-        self._matching, self._shared = cache(self._match), {}
+        self._matching = cache(self._match)
 
     def _match(self, key: int, k: int, cols: frozenset) -> int:
         codes = self.keys(k, cols)

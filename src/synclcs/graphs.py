@@ -48,60 +48,64 @@ class GameGraph:
         return len(self.vertices)
 
     def _key_blocks(self):
-        """(i, Q, a, b, keys) for each row i and each set C of columns it
-        shares, Q the rows whose support meets that of i in exactly C: a and
-        b number the keys on C of the solutions of i and of the rows of Q,
-        row after row, 0 to keys - 1.  Each ordered pair of rows that share
-        a column is in one block."""
-        supports = {i: row_support(self.system, i) for i in self.rows}
-        for i, support in supports.items():
+        """(P, Q, a, b, keys): for the rows P of one support and each set C of
+        columns it shares, Q lists the rows whose support meets it in exactly
+        C, and a and b number the keys on C of the solutions of P's and of
+        Q's rows, row after row, 0 to keys - 1.  Each ordered pair of rows
+        that share a column is in one block."""
+        groups: dict[frozenset, list[int]] = {}
+        for i in self.rows:
+            groups.setdefault(frozenset(row_support(self.system, i)), []).append(i)
+        for support, P in groups.items():
             meets: dict[frozenset, list[int]] = {}
-            for k, other in supports.items():
+            for other, Q in groups.items():
                 if support & other:
-                    meets.setdefault(frozenset(support & other), []).append(k)
+                    meets.setdefault(support & other, []).extend(Q)
             for cols, Q in meets.items():
                 ids: dict[int, int] = {}
-                a, b = (np.array([ids.setdefault(key, len(ids))
-                                  for key in shared_keys(self.system.p, xs, cols)])
-                        for xs in (self.rows[i], [y for k in Q for y in self.rows[k]]))
-                yield i, Q, a, b, len(ids)
+                a, b = (np.array([ids.setdefault(key, len(ids)) for key in shared_keys(
+                    self.system.p, [x for i in rows for x in self.rows[i]], cols)])
+                        for rows in (P, Q))
+                yield P, Q, a, b, len(ids)
 
     @cached_property
     def pair_counts(self) -> np.ndarray:
-        """Ordered vertex-pair counts, shape (3, m, m): entry [r, i-1, k-1]
-        counts the pairs (u in row i, v in row k) whose relationship is r,
-        indexed EQUAL, ADJACENT, DISTINCT.  ADJACENT[i, k] is |S_i||S_k|
-        less the pairs with equal keys."""
+        """Ordered vertex-pair counts, shape (3, m, m): [r, i-1, k-1] counts
+        the pairs (u in row i, v in row k) whose relationship is r (EQUAL,
+        ADJACENT or DISTINCT); ADJACENT is |S_i||S_k| less equal-key pairs."""
         sizes = np.array([len(self.rows.get(i, ())) for i in range(1, self.system.m + 1)])
         equal, total = np.diag(sizes), np.outer(sizes, sizes)
         agree = total.copy()  # rows that share no column agree on every pair
-        for i, Q, a, b, keys in self._key_blocks():
-            Q = np.array(Q) - 1
-            # counts[r, key]: the solutions of row Q[r] + 1 with that key
-            counts = np.bincount(np.repeat(np.arange(len(Q)), sizes[Q]) * keys + b,
-                                 minlength=len(Q) * keys).reshape(len(Q), keys)
-            agree[i - 1, Q] = counts @ np.bincount(a, minlength=keys)
-        # object entries: the quadruple counts grow as |V|^4
-        return np.stack([equal, total - agree, agree - equal]).astype(object)
+        for P, Q, a, b, keys in self._key_blocks():
+            P, Q = np.array(P) - 1, np.array(Q) - 1
+            # counts[r, key]: the solutions of the r-th row with that key
+            cp, cq = (np.bincount(np.repeat(np.arange(len(R)), sizes[R]) * keys + ids,
+                                  minlength=len(R) * keys).reshape(len(R), keys)
+                      for R, ids in ((P, a), (Q, b)))
+            agree[np.ix_(P, Q)] = cp @ cq.T
+        return np.stack([equal, total - agree, agree - equal])
 
     def edge_count(self) -> int:
-        return int(self.pair_counts[ADJACENT].sum()) // 2
+        """Half the ordered pairs with unequal keys, in O(|V|), not O(m^2)."""
+        return sum(len(a) * len(b) - int(np.bincount(a, minlength=keys) @ np.bincount(
+            b, minlength=keys)) for _, _, a, b, keys in self._key_blocks()) // 2
 
     @cached_property
     def adj(self) -> np.ndarray:
         """The dense |V| x |V| boolean adjacency, filled on first use."""
-        first = dict(zip(self.rows, np.cumsum([0, *map(len, self.rows.values())]).tolist()))
         adj = np.zeros((self.order(), self.order()), dtype=bool)
-        for i, Q, a, b, _ in self._key_blocks():
-            v = [t for k in Q for t in range(first[k], first[k] + len(self.rows[k]))]
-            adj[first[i]:first[i] + len(a), v] = a[:, None] != b[None, :]
+        for P, Q, a, b, _ in self._key_blocks():
+            u, v = ([self._index[i, x] for i in rows for x in self.rows[i]] for rows in (P, Q))
+            adj[np.ix_(u, v)] = a[:, None] != b[None, :]
         return adj
 
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
 
     def relationship(self, u, v) -> int:
-        return EQUAL if u == v else ADJACENT if self.adjacent(u, v) else DISTINCT
+        if u == v:
+            return EQUAL
+        return ADJACENT if self.adjacent(u, v) else DISTINCT
 
     def edges(self) -> np.ndarray:
         """Index pairs a < b of the edges, in row-major order."""

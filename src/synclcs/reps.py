@@ -497,8 +497,7 @@ def iso_partition_checks(
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
     identity = eye_like(iso.zero)
     if fam.rep.exact:
-        by_row = {i: frob(fam.row_sums.get(i, iso.zero) - identity)
-                  for i in H.rows}
+        by_row = {i: frob(fam.row_sums.get(i, iso.zero) - identity) for i in H.rows}
         over_g = [by_row[i] for i, _ in H.vertices]
         over_h = [by_row[i] for i, _ in G.vertices]
     else:
@@ -542,7 +541,8 @@ def check_iso_relations(
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
 
     idem_max, adj_max = fam.entry_residuals.max(axis=0, initial=0.0).tolist()
-    counts_g, counts_h = G.pair_counts, H.pair_counts
+    # object entries: the quadruple counts grow as |V|^4
+    counts_g, counts_h = G.pair_counts.astype(object), H.pair_counts.astype(object)
     nonzero = int((counts_g[EQUAL] * counts_h[EQUAL]).sum())
 
     # rule-zero quadruples (G pair and H pair related differently) over the

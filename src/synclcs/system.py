@@ -148,9 +148,8 @@ def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> b
 
 
 def shared_keys(p: int, solutions, cols) -> list[int]:
-    """The mixed-radix code (a Python int) of each solution on the 1-based
-    columns cols: two rows' solutions are compatible iff their keys on the
-    columns the rows share are equal."""
+    """Each solution's mixed-radix code (a Python int) on the 1-based columns
+    cols: two rows' solutions are compatible iff equal on the shared cols."""
     cols, codes = sorted(cols), []
     for x in solutions:
         entries, code = x.entries, 0
