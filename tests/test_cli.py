@@ -566,6 +566,13 @@ DEFECTS = {
     # residual, which a JSON report cannot hold
     "residual-overflows": ({}, "repcheck one.json --rep huge.json --tol 1e150",
                            5, "ValueError", ""),
+    # usage errors, which argparse answers with usage text and exit 2
+    "unknown-command": ({}, "frobnicate one.json", 3, "ParseError", "invalid choice"),
+    "unknown-option": ({}, "validate one.json --bogus", 3, "ParseError", "--bogus"),
+    "missing-rep": ({}, "repcheck one.json", 3, "ParseError", "required: --rep"),
+    # argparse reads -1e-9 as an option, not as a negative number
+    "tol-negative-exponent": ({}, "repcheck one.json --rep scalar:0,0 --tol -1e-9",
+                              3, "ParseError", "--tol: expected one argument"),
 }
 
 
@@ -590,30 +597,6 @@ def test_defect_input_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
     assert "checks" not in report and "representation" not in report
     assert ("Traceback" in captured.err) == (exit_code == 5)
     assert not (tmp_path / "missing").exists()
-
-
-# usage errors, which argparse would answer with usage text and exit 2
-USAGE_ERRORS = {
-    "unknown-command": ("frobnicate one.json", "invalid choice: 'frobnicate'"),
-    "unknown-option": ("validate one.json --bogus", "unrecognized arguments: --bogus"),
-    "missing-rep": ("repcheck one.json", "required: --rep"),
-    # argparse reads -1e-9 as an option, not as a negative number
-    "tol-negative-exponent": ("repcheck one.json --rep scalar:0,0 --tol -1e-9",
-                              "--tol: expected one argument"),
-}
-
-
-@pytest.mark.parametrize("case", USAGE_ERRORS)
-def test_usage_error_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
-    argv, fragment = USAGE_ERRORS[case]
-    (tmp_path / "one.json").write_text(json.dumps(one_eq_system().to_json()))
-    monkeypatch.chdir(tmp_path)
-    code = main(argv.split())
-    report = json.loads(capsys.readouterr().out)
-    assert code == 3
-    assert report["error"]["type"] == "ParseError"
-    assert fragment in report["error"]["message"]
-    assert report["summary"] == {"verdict": "error"}
 
 
 def test_help_exits_zero(capsys):
