@@ -2,7 +2,7 @@
 
 From a linear system Ax = b over Z_p this package constructs the
 synchronous game verifying a shared solution, the finitely presented
-solution group, the incompatibility graphs with their isomorphism game,
+solution group, the incompatibility graphs with an isomorphism search,
 and a numerical certification suite for finite-dimensional unitary
 representations of the solution group.
 """
@@ -22,7 +22,6 @@ from .graphs import (
     GameGraph,
     VertexBijection,
     build_game_graph,
-    build_iso_game,
     export_dot,
     graph_to_json,
     is_isomorphism,
@@ -45,7 +44,6 @@ from .reps import (
     build_projection_family,
     check_iso_relations,
     check_mutual_inverse,
-    conjugate_representation,
     f_projection,
     iso_generator_images,
     iso_partition_checks,
@@ -55,11 +53,9 @@ from .reps import (
     phi_image,
     phi_welldefinedness_checks,
     projection_family_checks,
-    psi_image,
     representation_from_json,
     representation_to_json,
     run_check_suite,
-    save_representation,
     scalar_rep_from_solution,
 )
 from .system import (

@@ -49,7 +49,7 @@ from .reps import (
     scalar_rep_from_solution,
 )
 from .system import LinearSystem, row_support, validate_document
-from .zp import ZpVector, gauss_solve
+from .zp import ZpVector
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -123,7 +123,7 @@ def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tup
     supports = [sorted(row_support(system, i)) for i in range(1, system.m + 1)]
     report["rows"] = [{"row": i, "support": V, "support_size": len(V),
                        "solutions": len(G.rows.get(i, ()))} for i, V in enumerate(supports, 1)]
-    report["classically_solvable"] = gauss_solve(system.A, system.b) is not None
+    report["classically_solvable"] = system.solutions is not None
     report["graphs"] = {"inhomogeneous": _graph_counts(G), "homogeneous": _graph_counts(H)}
     warnings = [
         {"row": i, "message": "zero row with nonzero right-hand side"}
@@ -136,7 +136,7 @@ def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tup
 
 
 def cmd_solve(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
-    solution_set = gauss_solve(system.A, system.b)
+    solution_set = system.solutions
     game = build_synclcs_game(system, cap=limits.enum_cap)
     if solution_set is None:
         report["linear_system"] = {"consistent": False}
@@ -191,7 +191,7 @@ def cmd_iso(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[i
                 result.bijection.forward.items(), key=lambda kv: (kv[0][0], kv[0][1].entries)
             )
         }
-    solution_set = gauss_solve(system.A, system.b)
+    solution_set = system.solutions
     if solution_set is not None:
         translate_isomorphism(G, H, solution_set.particular)
         report["translation"] = {

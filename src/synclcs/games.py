@@ -1,22 +1,21 @@
-"""Synchronous games, the syncLCS game, and the perfect-strategy and
-best-value searches, which run on the game compiled to integers: per input
-k, the outputs x that win (x, x, i, i), in output order (`rows[k]`), and
-per (j, a, k) the bitset over `rows[k]` of the outputs that win both
-orders against the a-th output of `rows[j]` (`compatible`).  In the syncLCS
-game those are the outputs with an equal `system.shared_keys` code, as in
-the game graphs, on the support two rows share; each bitset is built on first
-use, once per (row, shared support, key).  Other games use their rule.
-The searches need a symmetric rule, wins(x, y, i, j) = wins(y, x, j, i),
-in which an output that loses (x, x, i, i) loses every pair at input i, as
-in the syncLCS and the graph isomorphism games.
+"""The syncLCS game, compiled to integers, and the perfect-strategy and
+best-value searches that run on it: per input k, the outputs x that win
+(x, x, i, i), in output order (`rows[k]`), and per (j, a, k) the bitset
+over `rows[k]` of the outputs that win both orders against the a-th output
+of `rows[j]` (`compatible`).  Those are the outputs with an equal
+`system.shared_keys` code, as in the game graphs, on the support two rows
+share; each bitset is built on first use, once per (row, shared support,
+key).  The searches rely on the rule being symmetric, wins(x, y, i, j) =
+wins(y, x, j, i), and on an output that loses (x, x, i, i) losing every
+pair at input i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Hashable
+from functools import cache, cached_property
+from typing import Hashable
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
@@ -26,21 +25,31 @@ from .zp import ZpVector
 
 @dataclass(frozen=True, eq=False)
 class SynchronousGame:
-    """A two-player game with shared input/output sets and rule lambda.
-
-    The rule is a total predicate rule(x, y, i, j) in {0,1}; synchrony
-    demands rule(x, y, i, i) = 0 whenever x != y.  `tables` is the game
-    compiled for the searches; without it they compile the rule.
-    """
+    """A two-player game with shared input and output sets, given by its
+    compiled `tables`: the answers (x, y) to (i, j) win when x solves row
+    i, y solves row j and the two agree on the columns the rows share, so
+    wins(x, y, i, i) = 0 whenever x != y (synchrony)."""
 
     inputs: tuple[Hashable, ...]
     outputs: tuple[Hashable, ...]
-    rule: Callable[[Hashable, Hashable, Hashable, Hashable], bool]
+    tables: KeyTables = field(repr=False)
     name: str = ""
-    tables: KeyTables | None = field(default=None, repr=False)
+
+    @cached_property
+    def _positions(self) -> dict:
+        """(input, output) -> (input index k, position in tables.rows[k])."""
+        return {(i, self.outputs[t]): (k, a)
+                for k, (i, row) in enumerate(zip(self.inputs, self.tables.rows))
+                for a, t in enumerate(row)}
 
     def wins(self, x, y, i, j) -> bool:
-        return bool(self.rule(x, y, i, j))
+        """The rule, read from the tables; an output that does not solve its
+        input's row, or an unknown input, loses."""
+        pos = self._positions
+        if (i, x) not in pos or (j, y) not in pos:
+            return False
+        (k, a), (l, b) = pos[i, x], pos[j, y]
+        return bool(self.tables.compatible(k, a, l) >> b & 1)
 
 
 @dataclass
@@ -77,22 +86,6 @@ class KeyTables:
         return self._matching(self.keys(j, cols)[a], k, cols)
 
 
-class RuleTables:
-    """A game compiled by evaluating its rule."""
-
-    def __init__(self, g: SynchronousGame):
-        self.game = g
-        self.rows = [[t for t, x in enumerate(g.outputs) if g.wins(x, x, i, i)]
-                     for i in g.inputs]
-        self.compatible = cache(self._compatible)
-
-    def _compatible(self, j: int, a: int, k: int) -> int:
-        g = self.game
-        h, i, y = g.inputs[j], g.inputs[k], g.outputs[self.rows[j][a]]
-        return _bitset(g.wins(y, g.outputs[t], h, i) and g.wins(g.outputs[t], y, i, h)
-                       for t in self.rows[k])
-
-
 def build_synclcs_game(sys: LinearSystem, cap: int = DEFAULT_ENUM_CAP) -> SynchronousGame:
     """The synchronous game verifying a shared solution of Ax = b.
 
@@ -115,17 +108,8 @@ def build_synclcs_game(sys: LinearSystem, cap: int = DEFAULT_ENUM_CAP) -> Synchr
         rows.append(sorted(row))
     if not outputs:
         outputs = [ZpVector.zero(sys.p, sys.n)]
-    members: set[tuple[int, tuple]] = set()  # (row, solution), filled on first use
-
-    def rule(x, y, i, j) -> bool:
-        if not members:
-            members.update((k, outputs[t].entries) for k, row in zip(inputs, rows) for t in row)
-        if (i, x.entries) not in members or (j, y.entries) not in members:
-            return False
-        return all(x.entry(c) == y.entry(c) for c in supports[i - 1] & supports[j - 1])
-
-    return SynchronousGame(inputs, tuple(outputs), rule, "synclcs",
-                           KeyTables(sys.p, supports, rows, outputs))
+    return SynchronousGame(inputs, tuple(outputs), KeyTables(sys.p, supports, rows, outputs),
+                           "synclcs")
 
 
 def find_perfect_deterministic(
@@ -142,7 +126,7 @@ def find_perfect_deterministic(
     """
     if not g.inputs:
         return DeterministicStrategy({})
-    tables = g.tables or RuleTables(g)
+    tables = g.tables
     rows, last, m = tables.rows, len(g.outputs) - 1, len(g.inputs)
     # per filled input: untried bitset, last output counted, position in rows[k] chosen
     frames: list[list[int]] = []
@@ -190,7 +174,7 @@ def best_deterministic_strategy(
     inputs = g.inputs
     if not inputs:
         return DeterministicStrategy({}), Fraction(1)
-    tables = g.tables or RuleTables(g)
+    tables = g.tables
     m = len(inputs)
     candidates = []  # per input: (output, position in rows[k] or None, signature)
     for k, row in enumerate(tables.rows):

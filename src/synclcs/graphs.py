@@ -1,5 +1,5 @@
-"""Incompatibility graphs of a linear system, the graph isomorphism game,
-brute-force isomorphism search, and the translation isomorphism."""
+"""Incompatibility graphs of a linear system, brute-force isomorphism
+search, and the translation isomorphism."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ import numpy as np
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
-from .games import SynchronousGame, _bitset
+from .games import _bitset
 from .system import LinearSystem, row_solutions, row_support, shared_keys
 from .zp import ZpVector
 
-# relationship of two vertices of one graph
+# how two vertices of one graph relate
 EQUAL, ADJACENT, DISTINCT = 0, 1, 2
 
 
@@ -71,7 +71,7 @@ class GameGraph:
     @cached_property
     def pair_counts(self) -> np.ndarray:
         """Ordered vertex-pair counts, shape (3, m, m): [r, i-1, k-1] counts
-        the pairs (u in row i, v in row k) whose relationship is r (EQUAL,
+        the pairs (u in row i, v in row k) that relate as r (EQUAL,
         ADJACENT or DISTINCT); ADJACENT is |S_i||S_k| less equal-key pairs."""
         sizes = np.array([len(self.rows.get(i, ())) for i in range(1, self.system.m + 1)])
         equal, total = np.diag(sizes), np.outer(sizes, sizes)
@@ -102,11 +102,6 @@ class GameGraph:
     def adjacent(self, u, v) -> bool:
         return bool(self.adj[self._index[u], self._index[v]])
 
-    def relationship(self, u, v) -> int:
-        if u == v:
-            return EQUAL
-        return ADJACENT if self.adjacent(u, v) else DISTINCT
-
     def edges(self) -> np.ndarray:
         """Index pairs a < b of the edges, in row-major order."""
         return np.argwhere(np.triu(self.adj, 1))
@@ -126,30 +121,6 @@ def build_game_graph(
     target = sys.homogeneous() if homogeneous else sys
     rows = {i: xs for i in range(1, target.m + 1) if (xs := row_solutions(target, i, cap))}
     return GameGraph(sys, homogeneous, rows)
-
-
-def build_iso_game(G: GameGraph, H: GameGraph) -> SynchronousGame:
-    """The synchronous graph isomorphism game on V(G) disjoint-union V(H).
-
-    Inputs and outputs are graph-tagged vertices.  A pair of answers wins
-    when each answer lies in the opposite graph from its question and the
-    relationship (equal / adjacent / distinct non-adjacent) of the two
-    G-side vertices matches that of the two H-side vertices.  The pairing
-    into sides covers both the "questions share a graph" and "answers
-    share a graph" orientations symmetrically.
-    """
-    tagged = tuple(("G", v) for v in G.vertices) + tuple(("H", v) for v in H.vertices)
-
-    def rule(x, y, v, w) -> bool:
-        if x[0] == v[0] or y[0] == w[0]:
-            return False
-        alice_g, alice_h = (v[1], x[1]) if v[0] == "G" else (x[1], v[1])
-        bob_g, bob_h = (w[1], y[1]) if w[0] == "G" else (y[1], w[1])
-        if alice_g not in G or bob_g not in G or alice_h not in H or bob_h not in H:
-            return False
-        return G.relationship(alice_g, bob_g) == H.relationship(alice_h, bob_h)
-
-    return SynchronousGame(inputs=tagged, outputs=tagged, rule=rule, name="iso")
 
 
 @dataclass

@@ -41,7 +41,7 @@ from .graphs import EQUAL, GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
 from .matops import dagger, eye_like, frob, is_exact
 from .reporting import CheckRecord
-from .system import LinearSystem, is_row_solution, json_typed, row_support
+from .system import LinearSystem, json_typed, row_support
 from .zp import ZpVector, check_prime
 
 OMEGA_CONVENTION = "exp(2*pi*i/p)"
@@ -162,14 +162,6 @@ def pauli_magic_square_rep() -> Representation:
     return make_representation(2, images)
 
 
-def conjugate_representation(
-    rep: Representation, U: np.ndarray, tol: float = DEFAULT_TOL
-) -> Representation:
-    """Simultaneous unitary conjugation M -> U M U* of all images."""
-    images = {name: U @ M @ dagger(U) for name, M in rep.images.items()}
-    return make_representation(rep.p, images, tol=tol)
-
-
 def f_projection(rep: Representation, j: int, s) -> np.ndarray:
     """Spectral projection (1/p) sum_t (omega^{-s} g_j)^t onto the
     omega^s-eigenspace of the image of g_j."""
@@ -185,27 +177,6 @@ def _spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarr
         term = term @ M
         total = total + term
     return total / p
-
-
-def psi_image(
-    rep: Representation,
-    sys: LinearSystem,
-    i: int,
-    x: ZpVector,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Image of the game-algebra generator for (row i, solution x): the
-    product of the per-variable spectral projections over the row support.
-
-    The product is only order-independent when the row's generator images
-    commute, so that is verified rather than assumed.
-    """
-    if not is_row_solution(sys, i, x):
-        raise NotASolution(f"x is not a restricted solution of row {i}")
-    cols = sorted(row_support(sys, i))
-    _check_row_commutes(rep, i, cols, tol)
-    return _spectral_product(eye_like(rep.image("J")), cols, x,
-                             lambda j, s: f_projection(rep, j, s))
 
 
 def _check_row_commutes(rep: Representation, i: int, cols: list[int], tol: float):
@@ -530,9 +501,9 @@ def check_iso_relations(
     counted.  For the rest, the product is family(i, x+y) family(i', x'+y'),
     and the translated pairs (x+y, x'+y') arising from rule-zero quadruples
     are exactly the adjacent vertex pairs of the inhomogeneous graph: a
-    relationship mismatch forces a coordinate conflict in the sums, and
-    conversely any conflicting pair is reached by taking both homogeneous
-    parts zero.  So the edge products of the family, in both orders,
+    mismatch in how the pairs relate forces a coordinate conflict in the
+    sums, and conversely any conflicting pair is reached by taking both
+    homogeneous parts zero.  So the edge products of the family, in both orders,
     cover every rule-zero quadruple.  Likewise the nonzero generators of
     row i are exactly its family entries, each repeated |S_i(A,0)| times,
     so idempotency and self-adjointness are those of the family entries.
@@ -628,12 +599,6 @@ def representation_to_json(rep: Representation) -> dict:
         "omega_convention": OMEGA_CONVENTION,
         "generators": {name: encode(rep.images[name]) for name in names},
     }
-
-
-def save_representation(rep: Representation, path: str):
-    with open(path, "w") as fh:
-        json.dump(representation_to_json(rep), fh, indent=2)
-        fh.write("\n")
 
 
 def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:

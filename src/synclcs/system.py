@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT_ENUM_CAP
 from .errors import (
@@ -15,7 +16,15 @@ from .errors import (
     ParseError,
     RowOutOfRange,
 )
-from .zp import ZpMatrix, ZpVector, enumerate_affine, gauss_solve, is_prime, support
+from .zp import (
+    AffineSolutionSet,
+    ZpMatrix,
+    ZpVector,
+    enumerate_affine,
+    gauss_solve,
+    is_prime,
+    support,
+)
 
 
 def json_typed(value, kind: type, name: str):
@@ -52,6 +61,11 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.A.n
+
+    @cached_property
+    def solutions(self) -> AffineSolutionSet | None:
+        """The solution set of Ax = b, None when inconsistent; solved once."""
+        return gauss_solve(self.A, self.b)
 
     def homogeneous(self) -> "LinearSystem":
         return LinearSystem(self.p, self.A, ZpVector.zero(self.p, self.m))
@@ -216,7 +230,7 @@ def validate_system(sys: LinearSystem) -> ValidationReport:
         else:
             seen[key] = i
 
-    if gauss_solve(sys.A, sys.b) is None:
+    if sys.solutions is None:
         report.add(
             "classical-solvability",
             "warning",

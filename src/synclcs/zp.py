@@ -172,9 +172,6 @@ class AffineSolutionSet:
             if rank(mat) != len(self.basis):
                 raise ValueError("kernel basis vectors are linearly dependent")
 
-    def size(self) -> int:
-        return self.particular.p ** len(self.basis)
-
 
 def _rref(A: ZpMatrix, rhs: ZpVector | None):
     """Reduced row echelon form with first-nonzero pivoting.

@@ -1,15 +1,19 @@
-"""Oracles for the games module: the syncLCS game as a rule closure over
-per-row solution sets, and the perfect-strategy and best-value searches
-that evaluate a game's rule for every pair they try.  The library searches
-run on compiled tables; these evaluate `SynchronousGame.wins` directly,
-and report how many nodes they visited."""
+"""Oracles for the games module: games given by a rule closure, namely the
+syncLCS game over per-row solution sets and the synchronous graph
+isomorphism game, and the perfect-strategy and best-value searches that
+evaluate a game's rule for every pair they try.  The library's game is its
+compiled tables; these evaluate `wins` directly, and report how many nodes
+they visited."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Hashable
 
 from synclcs import (
     DeterministicStrategy,
+    GameGraph,
     LinearSystem,
     SynchronousGame,
     ZpVector,
@@ -17,9 +21,25 @@ from synclcs import (
     row_support,
 )
 from synclcs.errors import SearchBudgetExceeded
+from synclcs.graphs import ADJACENT, DISTINCT, EQUAL
 
 
-def closure_synclcs_game(sys: LinearSystem) -> SynchronousGame:
+@dataclass(frozen=True)
+class RuleGame:
+    """A synchronous game given by a total predicate rule(x, y, i, j)."""
+
+    inputs: tuple[Hashable, ...]
+    outputs: tuple[Hashable, ...]
+    rule: Callable[[Hashable, Hashable, Hashable, Hashable], bool]
+
+    def wins(self, x, y, i, j) -> bool:
+        return bool(self.rule(x, y, i, j))
+
+
+Game = RuleGame | SynchronousGame  # the helpers below read inputs, outputs and wins
+
+
+def closure_synclcs_game(sys: LinearSystem) -> RuleGame:
     """The syncLCS game with the same inputs and outputs as
     `build_synclcs_game`, deciding each pair from stored solution sets."""
     solutions = {i: row_solutions(sys, i) for i in range(1, sys.m + 1)}
@@ -41,10 +61,41 @@ def closure_synclcs_game(sys: LinearSystem) -> SynchronousGame:
             return False
         return all(x.entries[k - 1] == y.entries[k - 1] for k in supports[i] & supports[j])
 
-    return SynchronousGame(tuple(range(1, sys.m + 1)), tuple(outputs), rule, "synclcs")
+    return RuleGame(tuple(range(1, sys.m + 1)), tuple(outputs), rule)
 
 
-def perfect_search(g: SynchronousGame, budget: int = 10**9):
+def relationship(G: GameGraph, u, v) -> int:
+    """EQUAL, ADJACENT or DISTINCT (distinct and not adjacent)."""
+    if u == v:
+        return EQUAL
+    return ADJACENT if G.adjacent(u, v) else DISTINCT
+
+
+def build_iso_game(G: GameGraph, H: GameGraph) -> RuleGame:
+    """The synchronous graph isomorphism game on V(G) disjoint-union V(H).
+
+    Inputs and outputs are graph-tagged vertices.  A pair of answers wins
+    when each answer lies in the opposite graph from its question and the
+    relationship (equal / adjacent / distinct non-adjacent) of the two
+    G-side vertices matches that of the two H-side vertices.  The pairing
+    into sides covers both the "questions share a graph" and "answers
+    share a graph" orientations symmetrically.
+    """
+    tagged = tuple(("G", v) for v in G.vertices) + tuple(("H", v) for v in H.vertices)
+
+    def rule(x, y, v, w) -> bool:
+        if x[0] == v[0] or y[0] == w[0]:
+            return False
+        alice_g, alice_h = (v[1], x[1]) if v[0] == "G" else (x[1], v[1])
+        bob_g, bob_h = (w[1], y[1]) if w[0] == "G" else (y[1], w[1])
+        if alice_g not in G or bob_g not in G or alice_h not in H or bob_h not in H:
+            return False
+        return relationship(G, alice_g, bob_g) == relationship(H, alice_h, bob_h)
+
+    return RuleGame(tagged, tagged, rule)
+
+
+def perfect_search(g: Game, budget: int = 10**9):
     """(strategy or None, nodes): backtracking in index order, one node
     per output tried."""
     inputs, assignment, nodes = g.inputs, {}, 0
@@ -72,7 +123,7 @@ def perfect_search(g: SynchronousGame, budget: int = 10**9):
     return backtrack(0), nodes
 
 
-def behavior_signature(g: SynchronousGame, i, x) -> tuple:
+def behavior_signature(g: Game, i, x) -> tuple:
     sig = [g.wins(x, x, i, i)]
     for j in g.inputs:
         for y in g.outputs:
@@ -81,7 +132,7 @@ def behavior_signature(g: SynchronousGame, i, x) -> tuple:
     return tuple(sig)
 
 
-def best_search(g: SynchronousGame, budget: int = 10**9):
+def best_search(g: Game, budget: int = 10**9):
     """(strategy, value, nodes): branch and bound over the first output
     of each behavior signature, one node per candidate tried."""
     inputs = g.inputs
@@ -123,7 +174,7 @@ def best_search(g: SynchronousGame, budget: int = 10**9):
     return DeterministicStrategy(best_assignment), Fraction(best_wins, total_pairs), nodes
 
 
-def rule_table(g: SynchronousGame) -> list[dict]:
+def rule_table(g: Game) -> list[dict]:
     """Every winning (i, j, x, y), labelled."""
     def label(obj) -> str:
         return obj.label() if isinstance(obj, ZpVector) else str(obj)
@@ -133,14 +184,14 @@ def rule_table(g: SynchronousGame) -> list[dict]:
             for x in g.outputs for y in g.outputs if g.wins(x, y, i, j)]
 
 
-def check_synchronous(g: SynchronousGame) -> bool:
+def check_synchronous(g: Game) -> bool:
     """Same question, different answers lose."""
     return not any(g.wins(x, y, i, i) or g.wins(y, x, i, i)
                    for i in g.inputs
                    for a, x in enumerate(g.outputs) for y in g.outputs[a + 1:])
 
 
-def is_perfect(s: DeterministicStrategy, g: SynchronousGame) -> bool:
+def is_perfect(s: DeterministicStrategy, g: Game) -> bool:
     for i in g.inputs:
         if i not in s.assignment:
             raise ValueError(f"strategy not total: missing input {i!r}")
@@ -148,7 +199,7 @@ def is_perfect(s: DeterministicStrategy, g: SynchronousGame) -> bool:
                for i in g.inputs for j in g.inputs)
 
 
-def game_value(s: DeterministicStrategy, g: SynchronousGame) -> Fraction:
+def game_value(s: DeterministicStrategy, g: Game) -> Fraction:
     """Winning probability under uniform question pairs, exact."""
     wins = sum(1 for i in g.inputs for j in g.inputs
                if g.wins(s.assignment[i], s.assignment[j], i, j))

@@ -1,0 +1,56 @@
+"""Test-side helpers for the reps module: the image of one game-algebra
+generator by its direct formula (an oracle for the family entries), the
+unitary conjugate of a representation, and writing a representation file."""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from synclcs import LinearSystem, Representation, ZpVector, make_representation
+from synclcs.config import DEFAULT_TOL
+from synclcs.errors import NotASolution
+from synclcs.matops import dagger, eye_like
+from synclcs.reps import (
+    _check_row_commutes,
+    _spectral_product,
+    f_projection,
+    representation_to_json,
+)
+from synclcs.system import is_row_solution, row_support
+
+
+def conjugate_representation(
+    rep: Representation, U: np.ndarray, tol: float = DEFAULT_TOL
+) -> Representation:
+    """Simultaneous unitary conjugation M -> U M U* of all images."""
+    images = {name: U @ M @ dagger(U) for name, M in rep.images.items()}
+    return make_representation(rep.p, images, tol=tol)
+
+
+def psi_image(
+    rep: Representation,
+    sys: LinearSystem,
+    i: int,
+    x: ZpVector,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Image of the game-algebra generator for (row i, solution x): the
+    product of the per-variable spectral projections over the row support.
+
+    The product is only order-independent when the row's generator images
+    commute, so that is verified rather than assumed.
+    """
+    if not is_row_solution(sys, i, x):
+        raise NotASolution(f"x is not a restricted solution of row {i}")
+    cols = sorted(row_support(sys, i))
+    _check_row_commutes(rep, i, cols, tol)
+    return _spectral_product(eye_like(rep.image("J")), cols, x,
+                             lambda j, s: f_projection(rep, j, s))
+
+
+def save_representation(rep: Representation, path: str):
+    with open(path, "w") as fh:
+        json.dump(representation_to_json(rep), fh, indent=2)
+        fh.write("\n")

@@ -12,12 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from closure_game import relationship
 from conftest import (
     brute_force_row_solutions,
     edges_preserved,
     random_system,
     seeded_unitary,
 )
+from rep_oracle import conjugate_representation
 from synclcs import (
     LinearSystem,
     best_deterministic_strategy,
@@ -27,7 +29,6 @@ from synclcs import (
     build_synclcs_game,
     check_iso_relations,
     check_mutual_inverse,
-    conjugate_representation,
     find_perfect_deterministic,
     gauss_solve,
     iso_generator_images,
@@ -195,10 +196,10 @@ def _iso_zero_quadruples_oracle(sys_) -> tuple[int, int]:
     zero = same_row = 0
     for vg1 in G.vertices:
         for vg2 in G.vertices:
-            rel_g = G.relationship(vg1, vg2)
+            rel_g = relationship(G, vg1, vg2)
             for vh1 in H.vertices:
                 for vh2 in H.vertices:
-                    if rel_g != H.relationship(vh1, vh2):
+                    if rel_g != relationship(H, vh1, vh2):
                         zero += 1
                         same_row += vg1[0] == vh1[0] and vg2[0] == vh2[0]
     return zero, same_row

@@ -198,6 +198,17 @@ def test_analyze_enumerates_each_row_once_per_graph(capsys, tmp_path, monkeypatc
     assert len(calls) == 2 * magic_square_system().m
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "solve", "iso"])
+def test_command_solves_the_system_once(capsys, tmp_path, monkeypatch, command):
+    path = write_preset(capsys, tmp_path, "magic-square")
+    calls = count_calls(monkeypatch, "zp", "gauss_solve")
+    code, _ = run(capsys, [command, path])
+    assert code == 0
+    # row_solutions solves each row on its own; those calls are not counted
+    whole = magic_square_system().A
+    assert sum(A == whole for A, _ in calls) == 1
+
+
 def test_solve_consistent_system(capsys, tmp_path):
     path = write_preset(capsys, tmp_path, "one-eq")
     code, out = run(capsys, ["solve", path])

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closure_game import (
+    RuleGame,
     best_search,
+    build_iso_game,
     check_synchronous,
     closure_synclcs_game,
     game_value,
@@ -19,10 +21,9 @@ from conftest import pentagram_system, random_system, zvec
 from synclcs import (
     DeterministicStrategy,
     LinearSystem,
-    SynchronousGame,
+    ZpVector,
     best_deterministic_strategy,
     build_game_graph,
-    build_iso_game,
     build_synclcs_game,
     find_perfect_deterministic,
     gauss_solve,
@@ -73,8 +74,7 @@ def test_check_synchronous():
     one = one_eq_system()
     iso = build_iso_game(build_game_graph(one), build_game_graph(one, homogeneous=True))
     assert check_synchronous(iso)
-    broken = SynchronousGame(inputs=(1,), outputs=("a", "b"),
-                             rule=lambda x, y, i, j: True)
+    broken = RuleGame(inputs=(1,), outputs=("a", "b"), rule=lambda x, y, i, j: True)
     assert not check_synchronous(broken)
 
 
@@ -121,7 +121,7 @@ def test_find_perfect_iso_k2_identity_ordered():
     G = build_game_graph(one)
     H = build_game_graph(one, homogeneous=True)
     iso = build_iso_game(G, H)
-    strat = find_perfect_deterministic(iso)
+    strat, _ = perfect_search(iso)
     assert strat is not None
     # first inputs are the G-side vertices in order; the search picks the
     # first workable H vertex, which is the identity-ordered bijection here
@@ -246,6 +246,15 @@ def _labels(strategy):
 def _assert_same_as_closure_searches(sys_):
     game, oracle = build_synclcs_game(sys_), closure_synclcs_game(sys_)
     assert game.outputs == oracle.outputs
+    # the rule read from the tables, on every (x, y, i, j), with the first
+    # vector that solves no row (when one exists) and inputs 0 and m + 1
+    solving = {x.entries for x in game.outputs}
+    outside = next((v for v in itertools.product(range(sys_.p), repeat=sys_.n)
+                    if v not in solving), None)
+    vectors = game.outputs + (() if outside is None else (ZpVector(sys_.p, outside),))
+    inputs = (0, *game.inputs, sys_.m + 1)
+    cases = [(x, y, i, j) for i in inputs for j in inputs for x in vectors for y in vectors]
+    assert [game.wins(*c) for c in cases] == [oracle.wins(*c) for c in cases]
     perfect, perfect_nodes = perfect_search(oracle)
     best, value, best_nodes = best_search(oracle)
     assert _labels(find_perfect_deterministic(game)) == _labels(perfect)

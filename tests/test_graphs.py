@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from adjacency_oracle import incidence_pair_counts, per_column_adjacency
-from closure_game import check_synchronous
+from closure_game import build_iso_game, check_synchronous
 from conftest import (
     P7_441_SUPPORTS,
     edges_preserved,
@@ -25,7 +25,6 @@ from iso_oracle import mask_copy_search
 from synclcs import (
     LinearSystem,
     build_game_graph,
-    build_iso_game,
     compatible,
     export_dot,
     gauss_solve,

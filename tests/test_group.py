@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import random_consistent_system, random_system, seeded_unitary
+from rep_oracle import conjugate_representation
 from synclcs import (
     LinearSystem,
     Representation,
     Word,
     build_presentation,
-    conjugate_representation,
     gauss_solve,
     pauli_magic_square_rep,
     relation_residuals,

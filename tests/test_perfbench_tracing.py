@@ -14,14 +14,21 @@ def test_tracer_installs_and_uninstalls():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    originals = {(mod, attr): getattr(sys.modules[f"synclcs.{mod}"], attr)
-                 for mod, attr, _ in tracing.SPANS}
+    # (owner, attribute) -> original: module functions timed as spans, and
+    # class methods that are only counted
+    originals = {}
+    for mod, attr, _ in tracing.SPANS:
+        owner = sys.modules[f"synclcs.{mod}"]
+        originals[owner, attr] = vars(owner)[attr]
+    for mod, cls, method, _ in tracing.COUNTERS:
+        owner = getattr(sys.modules[f"synclcs.{mod}"], cls)
+        originals[owner, method] = vars(owner)[method]
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        for (mod, attr), fn in originals.items():
-            assert getattr(sys.modules[f"synclcs.{mod}"], attr) is not fn, attr
+        for (owner, attr), fn in originals.items():
+            assert vars(owner)[attr] is not fn, attr
     finally:
         tracer.uninstall()
-    for (mod, attr), fn in originals.items():
-        assert getattr(sys.modules[f"synclcs.{mod}"], attr) is fn, attr
+    for (owner, attr), fn in originals.items():
+        assert vars(owner)[attr] is fn, attr

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_like, random_consistent_system, seeded_unitary, zvec
+from rep_oracle import conjugate_representation, psi_image, save_representation
 from synclcs import (
     LinearSystem,
     build_game_graph,
     build_projection_family,
     check_iso_relations,
     check_mutual_inverse,
-    conjugate_representation,
     f_projection,
     gauss_solve,
     iso_generator_images,
@@ -25,12 +25,10 @@ from synclcs import (
     phi_image,
     phi_welldefinedness_checks,
     projection_family_checks,
-    psi_image,
     representation_from_json,
     representation_to_json,
     row_solutions,
     run_check_suite,
-    save_representation,
     scalar_rep_from_solution,
 )
 from synclcs.errors import (
