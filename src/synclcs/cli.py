@@ -26,7 +26,7 @@ import traceback
 from datetime import datetime, timezone
 
 from . import __version__
-from .config import DEFAULT_TOL, MAX_REPCHECK_P, Limits
+from .config import DEFAULT_TOL, MAX_REPCHECK_P, OMEGA_CONVENTION, Limits
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -37,19 +37,12 @@ from .errors import (
     SyncLCSError,
     UnknownExample,
 )
-from .games import best_deterministic_strategy, build_synclcs_game, find_perfect_deterministic
-from .graphs import build_game_graph, export_dot, graph_to_json, isomorphism_search, translate_isomorphism
-from .group import build_presentation
 from .presets import magic_square_system, preset_system
-from .reps import (
-    OMEGA_CONVENTION,
-    load_representation,
-    pauli_magic_square_rep,
-    run_check_suite,
-    scalar_rep_from_solution,
-)
 from .system import LinearSystem, row_support, validate_document
 from .zp import ZpVector
+
+# Each command imports the games, graphs, group and reps names it runs, so
+# that validate, solve and examples start without loading numpy.
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -118,6 +111,7 @@ def _graph_counts(G) -> dict:
 
 
 def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    from .graphs import build_game_graph
     G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
     H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
     supports = [sorted(row_support(system, i)) for i in range(1, system.m + 1)]
@@ -136,6 +130,7 @@ def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tup
 
 
 def cmd_solve(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    from .games import best_deterministic_strategy, build_synclcs_game, find_perfect_deterministic
     solution_set = system.solutions
     game = build_synclcs_game(system, cap=limits.enum_cap)
     if solution_set is None:
@@ -163,6 +158,7 @@ def cmd_solve(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
 
 
 def cmd_graph(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    from .graphs import build_game_graph, export_dot, graph_to_json
     G = build_game_graph(system, homogeneous=args.homogeneous, cap=limits.enum_cap)
     report["homogeneous"] = bool(args.homogeneous)
     report["graph"] = graph_to_json(G)
@@ -175,6 +171,7 @@ def cmd_graph(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
 
 
 def cmd_iso(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    from .graphs import build_game_graph, isomorphism_search, translate_isomorphism
     G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
     H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
     result = isomorphism_search(G, H, budget=limits.search_budget)
@@ -203,6 +200,7 @@ def cmd_iso(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[i
 
 
 def cmd_group(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    from .group import build_presentation
     pres = build_presentation(system)
     report["relation_counts"] = pres.counts_by_family()
     report["relation_total"] = len(pres.relations)
@@ -217,6 +215,7 @@ def cmd_group(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
 
 
 def _resolve_representation(spec: str, system: LinearSystem, tol: float):
+    from .reps import load_representation, pauli_magic_square_rep, scalar_rep_from_solution
     if spec == "pauli-ms":
         if system.digest() != magic_square_system().digest():
             raise NotASolution(
@@ -239,6 +238,7 @@ def _bound_modulus(p: int) -> None:
 
 
 def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
+    from .reps import run_check_suite
     tol = args.tol
     if not 0 <= tol < float("inf"):
         raise ParseError(f"--tol must be a finite number >= 0, not {tol}")

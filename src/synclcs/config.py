@@ -18,6 +18,9 @@ DEFAULT_TOL = 1e-9
 # costs about 0.6 s.
 MAX_REPCHECK_P = 31
 
+# the root of unity J stands for in every report and representation file
+OMEGA_CONVENTION = "exp(2*pi*i/p)"
+
 ENUM_CAP_ENV = "SYNCLCS_ENUM_CAP"
 SEARCH_BUDGET_ENV = "SYNCLCS_SEARCH_BUDGET"
 

@@ -41,6 +41,12 @@ class GameGraph:
     def _index(self) -> dict:
         return {v: k for k, v in enumerate(self.vertices)}
 
+    @cached_property
+    def _positions(self) -> dict[int, np.ndarray]:
+        """The vertex indices of each row's solutions, one span per row."""
+        ends = np.cumsum([len(xs) for xs in self.rows.values()])
+        return {i: np.arange(end - len(xs), end) for (i, xs), end in zip(self.rows.items(), ends)}
+
     def __contains__(self, v) -> bool:
         return v in self._index
 
@@ -95,7 +101,7 @@ class GameGraph:
         """The dense |V| x |V| boolean adjacency, filled on first use."""
         adj = np.zeros((self.order(), self.order()), dtype=bool)
         for P, Q, a, b, _ in self._key_blocks():
-            u, v = ([self._index[i, x] for i in rows for x in self.rows[i]] for rows in (P, Q))
+            u, v = (np.concatenate([self._positions[i] for i in rows]) for rows in (P, Q))
             adj[np.ix_(u, v)] = a[:, None] != b[None, :]
         return adj
 

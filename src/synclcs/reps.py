@@ -25,7 +25,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .config import DEFAULT_ENUM_CAP, DEFAULT_TOL
+from .config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
 from .cyclotomic import Cyclotomic
 from .errors import (
     DimensionMismatch,
@@ -43,8 +43,6 @@ from .matops import dagger, eye_like, frob, is_exact
 from .reporting import CheckRecord
 from .system import LinearSystem, json_typed, row_support
 from .zp import ZpVector, check_prime
-
-OMEGA_CONVENTION = "exp(2*pi*i/p)"
 
 
 def omega_pow(p: int, k: int, exact: bool):

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import json
 import os
 import re
@@ -110,7 +111,7 @@ def test_unexpected_exception_exits_internal(capsys, tmp_path, monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     path = write_preset(capsys, tmp_path, "one-eq")
-    monkeypatch.setattr("synclcs.cli.isomorphism_search", overflow)
+    monkeypatch.setattr("synclcs.graphs.isomorphism_search", overflow)
     code, out = run(capsys, ["iso", path])
     assert code == 5
     report = json.loads(out)  # exactly one JSON document on stdout
@@ -507,6 +508,71 @@ def test_repcheck_rejects_modulus_above_cap(tmp_path, p, rep):
     report = json.loads(proc.stdout)
     assert report["error"]["type"] == "ModulusTooLarge"
     assert str(MAX_REPCHECK_P) in report["error"]["message"]
+
+
+# Runs `synclcs.cli.main` on its arguments, if any, in a fresh interpreter
+# and prints its exit code and which numpy-backed modules it loaded.
+LOAD_PROBE = """
+import contextlib, io, json, sys
+from synclcs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+heavy = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
+print(json.dumps({"exit": code, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("argv, numpy_free", [
+    ([], True),
+    (["validate", "{magic-square}"], True),
+    (["solve", "{magic-square}"], True),
+    (["examples", "magic-square", "--out-file", "{tmp}/written.json"], True),
+    (["iso", "{magic-square}"], False),
+    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], False),
+], ids=["import", "validate", "solve", "examples", "iso", "repcheck"])
+def test_commands_load_only_their_layers(capsys, tmp_path, argv, numpy_free):
+    names = {"tmp": str(tmp_path)}
+    for name in ("magic-square", "one-eq"):
+        names[name] = write_preset(capsys, tmp_path, name)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *(a.format_map(names) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["exit"] == 0
+    if numpy_free:
+        assert probe["loaded"] == []
+
+
+# the names `from synclcs import ...` has always offered
+PACKAGE_EXPORTS = """
+DEFAULT_ENUM_CAP DEFAULT_SEARCH_BUDGET DEFAULT_TOL Limits Cyclotomic
+DeterministicStrategy SynchronousGame best_deterministic_strategy build_synclcs_game
+find_perfect_deterministic GameGraph VertexBijection build_game_graph export_dot
+graph_to_json is_isomorphism isomorphism_search translate_isomorphism GroupPresentation
+Relation Word build_presentation relation_residuals PRESETS magic_square_system
+one_eq_system p3_demo_system preset_system IsoGeneratorFamily PhiImage ProjectionFamily
+Representation build_projection_family check_iso_relations check_mutual_inverse
+f_projection iso_generator_images iso_partition_checks load_representation
+make_representation pauli_magic_square_rep phi_image phi_welldefinedness_checks
+projection_family_checks representation_from_json representation_to_json run_check_suite
+scalar_rep_from_solution LinearSystem ValidationReport compatible is_row_solution
+row_solutions row_support validate_document validate_system AffineSolutionSet ZpMatrix
+ZpVector enumerate_affine gauss_solve is_prime rank support
+"""
+
+
+def test_package_exports_resolve_lazily():
+    import synclcs
+
+    for name in synclcs.__all__:
+        module = importlib.import_module(f"synclcs.{synclcs._MODULE_OF[name]}")
+        assert getattr(synclcs, name) is getattr(module, name), name
+    assert set(synclcs.__all__) == set(PACKAGE_EXPORTS.split())
+    assert set(synclcs.__all__) <= set(dir(synclcs))
+    with pytest.raises(AttributeError):
+        getattr(synclcs, "nope")
 
 
 def test_repcheck_rejects_representation_of_another_modulus(capsys, tmp_path):

@@ -100,8 +100,15 @@ def test_adjacency_negates_compatibility(rng):
                     assert G.adjacent(u, v)  # same-row distinct solutions conflict
 
 
+def _star_system(m: int) -> LinearSystem:
+    """m rows x_1 + x_j = 0 over Z_2, j = 2..m+1: every pair of rows shares
+    x_1, so one key block spans all the other rows."""
+    return LinearSystem.from_ints(2, [[1] + [int(j == i) for j in range(m)] for i in range(m)],
+                                  [0] * m)
+
+
 def test_row_keys_match_per_column_build(rng):
-    for sys_ in [*_widened_systems(rng), wide_modulus_system()]:
+    for sys_ in [*_widened_systems(rng), wide_modulus_system(), _star_system(300)]:
         for homogeneous in (False, True):
             G = build_game_graph(sys_, homogeneous=homogeneous)
             adj = per_column_adjacency(G)
