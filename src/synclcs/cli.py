@@ -9,10 +9,10 @@ Exit codes: 0 pass, 1 check failure, 2 validation failure (a repcheck
 representation whose modulus or generator count differs from the
 system's included), 3 parse error (a usage error such as an unknown
 command or option, an unreadable or non-UTF-8 input or output file, a
-non-integer environment override and a negative or non-finite --tol
-included), 4 enumeration cap or search budget exceeded, 5 internal error
-(an unexpected exception; the report names it and stderr has the
-traceback).  Every failure still prints exactly one report; --help exits 0.
+non-integer environment override and a --tol outside [0, 1) included), 4
+enumeration cap or search budget exceeded, 5 internal error (an
+unexpected exception; the report names it and stderr has the traceback).
+Every failure still prints exactly one report; --help exits 0.
 
 Environment overrides: SYNCLCS_ENUM_CAP, SYNCLCS_SEARCH_BUDGET.
 """
@@ -240,8 +240,9 @@ def _bound_modulus(p: int) -> None:
 def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
     from .reps import run_check_suite
     tol = args.tol
-    if not 0 <= tol < float("inf"):
-        raise ParseError(f"--tol must be a finite number >= 0, not {tol}")
+    # a residual of 1 or more cannot certify unitarity
+    if not 0 <= tol < 1:
+        raise ParseError(f"--tol must be a number in [0, 1), not {tol}")
     _bound_modulus(system.p)
     report["tolerance"] = tol
     report["inputs"]["rep_source"] = args.rep

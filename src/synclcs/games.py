@@ -4,10 +4,11 @@ best-value searches that run on it: per input k, the outputs x that win
 over `rows[k]` of the outputs that win both orders against the a-th output
 of `rows[j]` (`compatible`).  Those are the outputs with an equal
 `system.shared_keys` code, as in the game graphs, on the support two rows
-share; each bitset is built on first use, once per (row, shared support,
-key).  The searches rely on the rule being symmetric, wins(x, y, i, j) =
-wins(y, x, j, i), and on an output that loses (x, x, i, i) losing every
-pair at input i.
+share; each nonempty bitset is built on first use and kept, once per
+(row, shared support, key), and a key with no partner reads 0 after a scan
+of the row's keys, with nothing kept.  The searches rely on the rule being
+symmetric, wins(x, y, i, j) = wins(y, x, j, i), and on an output that
+loses (x, x, i, i) losing every pair at input i.
 """
 
 from __future__ import annotations
@@ -67,18 +68,22 @@ def _bitset(flags) -> int:
 class KeyTables:
     """The syncLCS game on integers: rows[k] holds the indices of the
     outputs that solve row k+1, and keys(k, cols) the `shared_keys` of each
-    of them on the 1-based columns cols.  Keys and bitsets are cached by the
-    columns two rows share, not by the pair of rows, so their count does not
-    grow with the square of the number of rows."""
+    of them on the 1-based columns cols.  Keys and nonempty bitsets are
+    cached by the columns two rows share, not by the pair of rows, so their
+    count does not grow with the square of the number of rows."""
 
     def __init__(self, p: int, supports: list, rows: list, outputs: list):
-        self.supports, self.rows, self._shared = supports, rows, {}
+        self.supports, self.rows, self._shared, self._hits = supports, rows, {}, {}
         self.keys = cache(lambda k, cols: shared_keys(p, [outputs[t] for t in rows[k]], cols))
-        self._matching = cache(self._match)
 
-    def _match(self, key: int, k: int, cols: frozenset) -> int:
-        codes = self.keys(k, cols)
-        return _bitset(c == key for c in codes) if key in codes else 0
+    def _matching(self, key: int, k: int, cols: frozenset) -> int:
+        bits = self._hits.get((key, k, cols))
+        if bits is None:
+            codes = self.keys(k, cols)
+            if key not in codes:
+                return 0
+            bits = self._hits[key, k, cols] = _bitset(c == key for c in codes)
+        return bits
 
     def compatible(self, j: int, a: int, k: int) -> int:
         cols = self.supports[j] & self.supports[k]

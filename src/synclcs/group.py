@@ -32,18 +32,6 @@ class Word:
 
     factors: tuple[tuple[str, int], ...]
 
-    def normalized(self, p: int) -> "Word":
-        """Exponents reduced mod p, zero factors dropped."""
-        out = []
-        for gen, e in self.factors:
-            e %= p
-            if e:
-                out.append((gen, e))
-        return Word(tuple(out))
-
-    def symbols(self) -> set[str]:
-        return {gen for gen, _ in self.factors}
-
     def display(self) -> str:
         if not self.factors:
             return "1"

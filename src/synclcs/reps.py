@@ -431,16 +431,9 @@ class IsoGeneratorFamily:
     def g_vertices(self) -> tuple:
         return self.family.graph.vertices
 
-    @property
-    def h_vertices(self) -> tuple:
-        return self.hom_graph.vertices
-
     def entry(self, vg, vh) -> np.ndarray:
         (i, x), (j, y) = vg, vh
         return self.family.entry(i, x + y) if i == j else self.zero
-
-    def is_structurally_zero(self, vg, vh) -> bool:
-        return vg[0] != vh[0]
 
 
 def iso_generator_images(

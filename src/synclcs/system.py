@@ -1,9 +1,10 @@
 """The linear-constraint-system model: per-row supports, per-row restricted
-solution sets, the compatibility predicate and its keys, and validation."""
+solution sets, the compatibility keys, and validation."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -11,20 +12,12 @@ from functools import cached_property
 from .config import DEFAULT_ENUM_CAP
 from .errors import (
     DimensionMismatch,
-    NotASolution,
+    EnumerationTooLarge,
     NotPrime,
     ParseError,
     RowOutOfRange,
 )
-from .zp import (
-    AffineSolutionSet,
-    ZpMatrix,
-    ZpVector,
-    enumerate_affine,
-    gauss_solve,
-    is_prime,
-    support,
-)
+from .zp import AffineSolutionSet, ZpMatrix, ZpVector, gauss_solve, is_prime, support
 
 
 def json_typed(value, kind: type, name: str):
@@ -115,50 +108,27 @@ def row_solutions(
 ) -> list[ZpVector]:
     """All x with row_i . x = b_i and supp(x) inside the row support.
 
-    Vectors have full length n, zero outside the support.  Order follows
-    the affine enumeration of the restricted system (deterministic).  A
-    zero row yields [0] when b_i = 0 and [] otherwise.
+    Vectors have full length n, zero outside the support.  The first support
+    column is solved for, inv(a_pivot) (b_i - sum of a_c x_c), while the
+    other support columns run through Z_p in lexicographic order, the last
+    column fastest.  A zero row yields [0] when b_i = 0 and [] otherwise.
     """
     sys._check_row(i)
     p, n = sys.p, sys.n
-    cols = sorted(row_support(sys, i))
-    bi = sys.b.entry(i)
+    row, bi = sys.A.rows[i - 1], sys.b.entry(i)
+    cols = [c for c in range(n) if row[c]]
     if not cols:
         return [ZpVector.zero(p, n)] if bi == 0 else []
-    row = sys.A.row(i)
-    restricted = ZpMatrix(p, (tuple(row.entry(c) for c in cols),))
-    sol = gauss_solve(restricted, ZpVector(p, (bi,)))
-    assert sol is not None  # a single nonzero equation is always solvable
-    out = []
-    for small in enumerate_affine(sol, cap=cap):
-        full = [0] * n
-        for c, val in zip(cols, small.entries):
-            full[c - 1] = val
-        out.append(ZpVector(p, tuple(full)))
+    pivot, free = cols[0], cols[1:]
+    if p ** len(free) > cap:
+        raise EnumerationTooLarge(f"{p}^{len(free)} points exceeds cap {cap}")
+    inv, x, out = pow(row[pivot], p - 2, p), [0] * n, []
+    for values in itertools.product(range(p), repeat=len(free)):
+        for c, v in zip(free, values):
+            x[c] = v
+        x[pivot] = inv * (bi - sum(row[c] * v for c, v in zip(free, values))) % p
+        out.append(ZpVector(p, tuple(x)))
     return out
-
-
-def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:
-    """Membership test for the restricted solution set of row i."""
-    sys._check_row(i)
-    if x.p != sys.p or len(x) != sys.n:
-        return False
-    if not support(x) <= row_support(sys, i):
-        return False
-    return sys.A.row(i).dot(x) == sys.b.entry(i)
-
-
-def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> bool:
-    """True iff x and y agree on every shared support coordinate.
-
-    x must solve row i and y row j; anything else raises NotASolution.
-    """
-    if not is_row_solution(sys, i, x):
-        raise NotASolution(f"x is not a restricted solution of row {i}")
-    if not is_row_solution(sys, j, y):
-        raise NotASolution(f"y is not a restricted solution of row {j}")
-    shared = row_support(sys, i) & row_support(sys, j)
-    return all(x.entry(k) == y.entry(k) for k in shared)
 
 
 def shared_keys(p: int, solutions, cols) -> list[int]:

@@ -1,17 +1,15 @@
 """Exact linear algebra over the prime field Z_p.
 
-Solving, affine solution spaces, enumeration, supports.  All indices in
+Solving, affine solution spaces, supports.  All indices in
 user-facing structures are 1-based; internal storage is 0-based tuples.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import DEFAULT_ENUM_CAP
-from .errors import DimensionMismatch, EnumerationTooLarge, NotPrime
+from .errors import DimensionMismatch, NotPrime
 
 
 # Deterministic Miller-Rabin over these bases is exact below PRIME_LIMIT
@@ -82,9 +80,6 @@ class ZpVector:
     def __sub__(self, other: "ZpVector") -> "ZpVector":
         self._check(other)
         return ZpVector(self.p, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: int) -> "ZpVector":
-        return ZpVector(self.p, tuple(c * a for a in self.entries))
 
     def dot(self, other: "ZpVector") -> int:
         self._check(other)
@@ -241,22 +236,3 @@ def gauss_solve(A: ZpMatrix, b: ZpVector) -> AffineSolutionSet | None:
             vec[c] = (-rows[r][f]) % p
         basis.append(ZpVector(p, tuple(vec)))
     return AffineSolutionSet(ZpVector(p, tuple(particular)), tuple(basis), n)
-
-
-def enumerate_affine(
-    s: AffineSolutionSet, cap: int = DEFAULT_ENUM_CAP
-) -> list[ZpVector]:
-    """All members of the affine set, ordered by lexicographic coefficient
-    tuples over the kernel basis."""
-    p = s.particular.p
-    k = len(s.basis)
-    if p**k > cap:
-        raise EnumerationTooLarge(f"{p}^{k} points exceeds cap {cap}")
-    out = []
-    for coeffs in itertools.product(range(p), repeat=k):
-        v = s.particular
-        for c, bvec in zip(coeffs, s.basis):
-            if c:
-                v = v + bvec.scale(c)
-        out.append(v)
-    return out

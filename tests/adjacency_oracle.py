@@ -1,14 +1,41 @@
-"""Oracle for `GameGraph` adjacency: the dense build as it was before the
-graph was compiled from row keys.  It compares every vertex pair on every
-column ("both rows use column c and disagree there"), one |V| x |V| mask per
-column, so it takes O(n |V|^2) time; its pair counts are R^T adj R, with R
-the vertex-by-row incidence matrix."""
+"""Oracles for `GameGraph` adjacency.  The compatibility predicate on a
+pair of row solutions, by its definition.  And the dense build as it was
+before the graph was compiled from row keys: it compares every vertex pair
+on every column ("both rows use column c and disagree there"), one
+|V| x |V| mask per column, so it takes O(n |V|^2) time; its pair counts are
+R^T adj R, with R the vertex-by-row incidence matrix."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from synclcs.errors import NotASolution
 from synclcs.graphs import GameGraph
+from synclcs.system import LinearSystem, row_support
+from synclcs.zp import ZpVector, support
+
+
+def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:
+    """Membership test for the restricted solution set of row i."""
+    sys._check_row(i)
+    if x.p != sys.p or len(x) != sys.n:
+        return False
+    if not support(x) <= row_support(sys, i):
+        return False
+    return sys.A.row(i).dot(x) == sys.b.entry(i)
+
+
+def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> bool:
+    """True iff x and y agree on every shared support coordinate.
+
+    x must solve row i and y row j; anything else raises NotASolution.
+    """
+    if not is_row_solution(sys, i, x):
+        raise NotASolution(f"x is not a restricted solution of row {i}")
+    if not is_row_solution(sys, j, y):
+        raise NotASolution(f"y is not a restricted solution of row {j}")
+    shared = row_support(sys, i) & row_support(sys, j)
+    return all(x.entry(k) == y.entry(k) for k in shared)
 
 
 def per_column_adjacency(G: GameGraph) -> np.ndarray:

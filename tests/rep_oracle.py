@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 
+from adjacency_oracle import is_row_solution
 from synclcs import LinearSystem, Representation, ZpVector, make_representation
 from synclcs.config import DEFAULT_TOL
 from synclcs.errors import NotASolution
@@ -18,7 +19,7 @@ from synclcs.reps import (
     f_projection,
     representation_to_json,
 )
-from synclcs.system import is_row_solution, row_support
+from synclcs.system import row_support
 
 
 def conjugate_representation(

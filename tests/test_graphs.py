@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adjacency_oracle import incidence_pair_counts, per_column_adjacency
+from adjacency_oracle import compatible, incidence_pair_counts, per_column_adjacency
 from closure_game import build_iso_game, check_synchronous
 from conftest import (
     P7_441_SUPPORTS,
@@ -25,7 +25,6 @@ from iso_oracle import mask_copy_search
 from synclcs import (
     LinearSystem,
     build_game_graph,
-    compatible,
     export_dot,
     gauss_solve,
     graph_to_json,

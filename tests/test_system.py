@@ -1,20 +1,27 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjacency_oracle import compatible, is_row_solution
 from conftest import brute_force_row_solutions, json_like, random_system, zvec
+from row_oracle import gauss_row_solutions
 from synclcs import (
     LinearSystem,
-    compatible,
-    is_row_solution,
     row_solutions,
     row_support,
     validate_document,
     validate_system,
 )
-from synclcs.errors import DimensionMismatch, NotASolution, ParseError, RowOutOfRange
+from synclcs.errors import (
+    DimensionMismatch,
+    EnumerationTooLarge,
+    NotASolution,
+    ParseError,
+    RowOutOfRange,
+)
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 
 
@@ -68,8 +75,6 @@ def test_zero_row_solutions():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.integers(0, 10**9))
 def test_row_solution_count_vs_brute_force(p, n, seed):
-    import random
-
     sys_ = random_system(random.Random(seed), p, 1, n)
     sols = {v.entries for v in row_solutions(sys_, 1)}
     assert sols == brute_force_row_solutions(sys_, 1)
@@ -78,6 +83,39 @@ def test_row_solution_count_vs_brute_force(p, n, seed):
         assert len(sols) == p ** (len(V) - 1)
     for v in row_solutions(sys_, 1):
         assert set(j + 1 for j, e in enumerate(v.entries) if e) <= V
+
+
+def _outcome(solve, sys_, i, cap):
+    """Row i's solutions as entry tuples, in order, or the cap's message."""
+    try:
+        return [v.entries for v in solve(sys_, i, cap)]
+    except EnumerationTooLarge as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 2**61 - 1, 2**64 - 59])
+def test_row_solutions_equal_the_gauss_path(p):
+    # sparse rows, so that wide moduli meet one-column supports, which have
+    # a single solution, as well as rows over the cap; and a zero row with
+    # b = 0 and one with b != 0
+    rng = random.Random(p)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        A = [[rng.randrange(1, p) if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(3)] + [[0] * n] * 2
+        b = [rng.randrange(p) for _ in range(3)] + [0, rng.randrange(1, p)]
+        sys_ = LinearSystem.from_ints(p, A, b)
+        for i in range(1, 6):
+            expected = _outcome(gauss_row_solutions, sys_, i, 1000)
+            assert _outcome(row_solutions, sys_, i, 1000) == expected
+
+
+def test_row_solutions_cap_is_inclusive():
+    sys_ = LinearSystem.from_ints(3, [[2, 1, 0, 1, 2]], [1])  # 3^3 points
+    assert len(row_solutions(sys_, 1, 27)) == 27
+    assert _outcome(row_solutions, sys_, 1, 26) == "3^3 points exceeds cap 26"
+    for cap in (27, 26):
+        assert _outcome(row_solutions, sys_, 1, cap) == _outcome(gauss_row_solutions, sys_, 1, cap)
 
 
 def test_compatible_same_row_is_equality():
@@ -105,8 +143,6 @@ def test_compatible_rejects_non_solutions():
 @given(st.sampled_from([2, 3]), st.integers(1, 4), st.integers(1, 4),
        st.integers(0, 10**9))
 def test_compatible_symmetry(p, m, n, seed):
-    import random
-
     rnd = random.Random(seed)
     sys_ = random_system(rnd, p, m, n)
     i = rnd.randrange(1, m + 1)

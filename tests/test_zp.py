@@ -3,11 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_solutions, random_consistent_system, random_system, zvec
+from row_oracle import enumerate_affine
 from synclcs import (
     AffineSolutionSet,
     ZpMatrix,
     ZpVector,
-    enumerate_affine,
     gauss_solve,
     is_prime,
     rank,
