@@ -38,7 +38,7 @@ from .errors import (
     UnknownExample,
 )
 from .presets import magic_square_system, preset_system
-from .system import LinearSystem, row_support, validate_document
+from .system import LinearSystem, validate_document
 from .zp import ZpVector
 
 # Each command imports the games, graphs, group and reps names it runs, so
@@ -114,15 +114,15 @@ def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tup
     from .graphs import build_game_graph
     G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
     H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
-    supports = [sorted(row_support(system, i)) for i in range(1, system.m + 1)]
-    report["rows"] = [{"row": i, "support": V, "support_size": len(V),
-                       "solutions": len(G.rows.get(i, ()))} for i, V in enumerate(supports, 1)]
+    report["rows"] = [{"row": i, "support": list(V), "support_size": len(V),
+                       "solutions": len(G.rows.get(i, ()))}
+                      for i, V in enumerate(system.supports, 1)]
     report["classically_solvable"] = system.solutions is not None
     report["graphs"] = {"inhomogeneous": _graph_counts(G), "homogeneous": _graph_counts(H)}
     warnings = [
         {"row": i, "message": "zero row with nonzero right-hand side"}
         for i in range(1, system.m + 1)
-        if system.A.row(i).is_zero() and system.b.entry(i) != 0
+        if not system.supports[i - 1] and system.b.entry(i) != 0
     ]
     if warnings:
         report["warnings"] = warnings

@@ -41,23 +41,6 @@ class NonCommutingFactors(SyncLCSError):
     """Generator images within one row fail to commute within tolerance."""
 
 
-class VariableUnused(SyncLCSError):
-    """A variable index appears in no row of the system."""
-
-
-class InvariantViolation(SyncLCSError):
-    """A constructed object failed one of its defining checks."""
-
-    def __init__(self, check_name: str, residual: float, tolerance: float):
-        self.check_name = check_name
-        self.residual = residual
-        self.tolerance = tolerance
-        super().__init__(
-            f"invariant check failed: {check_name} "
-            f"(residual {residual:.3e} > tol {tolerance:.3e})"
-        )
-
-
 class ParseError(SyncLCSError):
     """A file or string does not match the documented schema."""
 

@@ -20,7 +20,7 @@ from typing import Hashable
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
-from .system import LinearSystem, row_solutions, row_support, shared_keys
+from .system import LinearSystem, row_solutions, shared_keys
 from .zp import ZpVector
 
 
@@ -101,7 +101,7 @@ def build_synclcs_game(sys: LinearSystem, cap: int = DEFAULT_ENUM_CAP) -> Synchr
     output so strategies remain total.  The game carries its KeyTables.
     """
     inputs = tuple(range(1, sys.m + 1))
-    supports = [frozenset(row_support(sys, i)) for i in inputs]
+    supports = [frozenset(cols) for cols in sys.supports]
     index, outputs, rows = {}, [], []  # index: solution -> position in outputs
     for i in inputs:
         row = []

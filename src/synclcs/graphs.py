@@ -13,7 +13,7 @@ import numpy as np
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
 from .games import _bitset
-from .system import LinearSystem, row_solutions, row_support, shared_keys
+from .system import LinearSystem, row_solutions, shared_keys
 from .zp import ZpVector
 
 # how two vertices of one graph relate
@@ -61,7 +61,7 @@ class GameGraph:
         that share a column is in one block."""
         groups: dict[frozenset, list[int]] = {}
         for i in self.rows:
-            groups.setdefault(frozenset(row_support(self.system, i)), []).append(i)
+            groups.setdefault(frozenset(self.system.supports[i - 1]), []).append(i)
         for support, P in groups.items():
             meets: dict[frozenset, list[int]] = {}
             for other, Q in groups.items():
@@ -310,7 +310,7 @@ def translate_isomorphism(G: GameGraph, H: GameGraph, xstar: ZpVector) -> Vertex
     sys = G.system
     if sys.A.apply(xstar) != sys.b:
         raise NotASolution("xstar does not solve the system")
-    forward = {(i, x): (i, (x - xstar).restrict(row_support(sys, i)))
+    forward = {(i, x): (i, (x - xstar).restrict(sys.supports[i - 1]))
                for i, x in G.vertices}
     bij = VertexBijection.from_forward(forward)
     if not is_isomorphism(G, H, bij):

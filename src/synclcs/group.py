@@ -15,7 +15,7 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch
 from .matops import eye_like, frob, mat_power
 from .reporting import CheckRecord
-from .system import LinearSystem, row_support
+from .system import LinearSystem
 
 ORDER_G = "order-g"
 ORDER_J = "order-J"
@@ -119,7 +119,7 @@ def build_presentation(sys: LinearSystem) -> GroupPresentation:
                              f"central-J:[g{j},J]"))
     seen_pairs: set[tuple[int, int]] = set()
     for i in range(1, m + 1):
-        cols = sorted(row_support(sys, i))
+        cols = sys.supports[i - 1]
         for a_idx, j in enumerate(cols):
             for ell in cols[a_idx + 1:]:
                 if (j, ell) in seen_pairs:
@@ -128,12 +128,8 @@ def build_presentation(sys: LinearSystem) -> GroupPresentation:
                 rels.append(Relation(ROW_COMMUTATION, i, commutator(f"g{j}", f"g{ell}"),
                                      f"row-commutation:[g{j},g{ell}]"))
     for i in range(1, m + 1):
-        factors = []
-        row = sys.A.row(i)
-        for j in range(1, n + 1):
-            a = row.entry(j)
-            if a:
-                factors.append((f"g{j}", a))
+        row = sys.A.rows[i - 1]
+        factors = [(f"g{j}", row[j - 1]) for j in sys.supports[i - 1]]
         bi = sys.b.entry(i)
         if bi:
             factors.append(("J", -bi))

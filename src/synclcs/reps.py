@@ -29,19 +29,17 @@ from .config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
 from .cyclotomic import Cyclotomic
 from .errors import (
     DimensionMismatch,
-    InvariantViolation,
     JNotIdentified,
     NonCommutingFactors,
     NotASolution,
     ParseError,
     UnitarityViolation,
-    VariableUnused,
 )
 from .graphs import EQUAL, GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
 from .matops import dagger, eye_like, frob, is_exact
 from .reporting import CheckRecord
-from .system import LinearSystem, json_typed, row_support
+from .system import LinearSystem, json_typed
 from .zp import ZpVector, check_prime
 
 
@@ -68,12 +66,6 @@ class Representation:
     @property
     def n(self) -> int:
         return sum(1 for k in self.images if k != "J")
-
-    def image(self, name: str) -> np.ndarray:
-        return self.images[name]
-
-    def omega_pow(self, k: int):
-        return omega_pow(self.p, k, self.exact)
 
 
 def make_representation(
@@ -163,7 +155,7 @@ def pauli_magic_square_rep() -> Representation:
 def f_projection(rep: Representation, j: int, s) -> np.ndarray:
     """Spectral projection (1/p) sum_t (omega^{-s} g_j)^t onto the
     omega^s-eigenspace of the image of g_j."""
-    return _spectral_projection(rep.image(f"g{j}"), s, rep.p, rep.exact)
+    return _spectral_projection(rep.images[f"g{j}"], s, rep.p, rep.exact)
 
 
 def _spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarray:
@@ -177,11 +169,11 @@ def _spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarr
     return total / p
 
 
-def _check_row_commutes(rep: Representation, i: int, cols: list[int], tol: float):
+def _check_row_commutes(rep: Representation, i: int, cols: tuple[int, ...], tol: float):
     """Raise NonCommutingFactors unless the images of row i's variables commute."""
     for a, jcol in enumerate(cols):
         for ell in cols[a + 1:]:
-            gj, gl = rep.image(f"g{jcol}"), rep.image(f"g{ell}")
+            gj, gl = rep.images[f"g{jcol}"], rep.images[f"g{ell}"]
             residual = frob(gj @ gl - gl @ gj)
             if residual > tol:
                 raise NonCommutingFactors(
@@ -190,7 +182,7 @@ def _check_row_commutes(rep: Representation, i: int, cols: list[int], tol: float
                 )
 
 
-def _spectral_product(identity: np.ndarray, cols: list[int], x: ZpVector,
+def _spectral_product(identity: np.ndarray, cols: tuple[int, ...], x: ZpVector,
                       projection) -> np.ndarray:
     """identity @ projection(j, x_j) @ ... over the columns j in cols."""
     result = identity
@@ -251,20 +243,22 @@ class ProjectionFamily:
     def row_sums(self) -> dict[int, np.ndarray]:
         """row_sums[i] = sum over x in S_i of family(i, x), in vertex order,
         for every row that has a solution."""
-        zero = np.zeros_like(self.rep.image("J"))
+        zero = np.zeros_like(self.rep.images["J"])
         return {i: sum((self.entry(i, x) for x in sols), zero)
                 for i, sols in self.graph.rows.items()}
 
     @cached_property
     def phase_sums(self) -> dict[int, dict[int, np.ndarray]]:
         """phase_sums[j][i] = sum over x in S_i of omega^{x_j} family(i, x),
-        for every variable j and every row i containing it, rows ascending."""
+        for every variable j and every row i containing it, rows ascending.
+        phi(g_j), the generator map on g_j, is the phase sum of the lowest
+        row that contains j; the other rows must agree with it."""
         rep, sums = self.rep, {}
         for i, sols in self.graph.rows.items():
-            for j in sorted(row_support(self.graph.system, i)):
+            for j in self.graph.system.supports[i - 1]:
                 sums.setdefault(j, {})[i] = sum(
-                    (self.entry(i, x) * rep.omega_pow(x.entry(j)) for x in sols),
-                    np.zeros_like(rep.image("J")))
+                    (self.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
+                    np.zeros_like(rep.images["J"]))
         return sums
 
 
@@ -272,11 +266,11 @@ def _assemble_family(
     rep: Representation, sys: LinearSystem, tol: float, cap: int
 ) -> ProjectionFamily:
     graph = build_game_graph(sys, cap=cap)
-    identity = eye_like(rep.image("J"))
+    identity = eye_like(rep.images["J"])
     projection = cache(lambda j, s: f_projection(rep, j, s))
     entries = {}
     for i, sols in graph.rows.items():
-        cols = sorted(row_support(sys, i))
+        cols = sys.supports[i - 1]
         _check_row_commutes(rep, i, cols, tol)
         for x in sols:
             entries[(i, x)] = _spectral_product(identity, cols, x, projection)
@@ -311,55 +305,10 @@ def projection_family_checks(
     return records
 
 
-def build_projection_family(
-    rep: Representation,
-    sys: LinearSystem,
-    tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> ProjectionFamily:
-    """Build the family and enforce all of its defining checks.
-
-    The first failing check aborts.
-    """
-    fam = _assemble_family(rep, sys, tol, cap)
-    for rec in projection_family_checks(fam, tol):
-        if not rec.passed:
-            raise InvariantViolation(rec.name, rec.residual, rec.tolerance)
-    return fam
-
-
-@dataclass
-class PhiImage:
-    """Result of evaluating the generator map on variable j: the canonical
-    matrix (from the lowest row containing j) plus the worst disagreement
-    with the same sum taken over every other containing row."""
-
-    matrix: np.ndarray
-    row: int
-    rows: list[int]
-    cross_row_discrepancy: float
-
-
-def phi_image(fam: ProjectionFamily, j: int) -> PhiImage:
-    """phi(g_j) = sum over x in S_i of omega^{x_j} * family(i, x), where i
-    is the lowest row whose support contains j; all other containing rows
-    are evaluated too and the maximum discrepancy reported rather than
-    averaged (averaging would mask well-definedness failures)."""
-    per_row = fam.phase_sums.get(j)
-    if not per_row:
-        raise VariableUnused(f"variable {j} appears in no row")
-    rows = list(per_row)
-    canonical = rows[0]
-    discrepancy = max(
-        (frob(per_row[i] - per_row[canonical]) for i in rows[1:]), default=0.0
-    )
-    return PhiImage(per_row[canonical], canonical, rows, discrepancy)
-
-
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
     return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x.entry(j) == t % fam.rep.p),
-               np.zeros_like(fam.rep.image("J")))
+               np.zeros_like(fam.rep.images["J"]))
 
 
 def phi_welldefinedness_checks(
@@ -367,15 +316,17 @@ def phi_welldefinedness_checks(
 ) -> list[CheckRecord]:
     """Cross-row agreement of phi(g_j) and of every value block: the sums
     over solutions with a fixed value at j must not depend on which
-    containing row is used."""
+    containing row is used.  The worst disagreement with the lowest row is
+    reported rather than an average, which would mask a failure."""
     records = []
-    for j in sorted(fam.phase_sums):
-        result = phi_image(fam, j)
+    for j, per_row in sorted(fam.phase_sums.items()):
+        rows = list(per_row)
+        phi = per_row[rows[0]]
         records.append(CheckRecord(
-            f"phi-welldefined:g{j}", result.cross_row_discrepancy, tol,
-            detail={"rows": result.rows}))
+            f"phi-welldefined:g{j}", max((frob(per_row[i] - phi) for i in rows[1:]), default=0.0),
+            tol, detail={"rows": rows}))
         for t in range(fam.rep.p):
-            blocks = [p_block(fam, i, j, t) for i in result.rows]
+            blocks = [p_block(fam, i, j, t) for i in rows]
             residual = max(
                 (frob(bq - blocks[0]) for bq in blocks[1:]), default=0.0
             )
@@ -398,18 +349,17 @@ def check_mutual_inverse(
     rep, sums = fam.rep, fam.phase_sums
     records = [
         CheckRecord(f"roundtrip-generator:g{ell}:row{i}",
-                    frob(total - rep.image(f"g{ell}")), tol)
+                    frob(total - rep.images[f"g{ell}"]), tol)
         for ell in sorted(sums) for i, total in sums[ell].items()
     ]
 
     # phi(g_j) is the phase sum of the lowest row containing j
     projection = cache(lambda j, s: _spectral_projection(
         next(iter(sums[j].values())), s, rep.p, rep.exact))
-    identity = eye_like(rep.image("J"))
+    identity = eye_like(rep.images["J"])
     G = fam.graph
-    cols = {i: sorted(row_support(G.system, i)) for i in G.rows}
     for (i, y), label in zip(G.vertices, G.labels):
-        result = _spectral_product(identity, cols[i], y, projection)
+        result = _spectral_product(identity, G.system.supports[i - 1], y, projection)
         records.append(CheckRecord(
             f"roundtrip-projection:{label}", frob(result - fam.entry(i, y)), tol))
     return records
@@ -427,10 +377,6 @@ class IsoGeneratorFamily:
     hom_graph: GameGraph  # G(A,0)
     zero: np.ndarray
 
-    @property
-    def g_vertices(self) -> tuple:
-        return self.family.graph.vertices
-
     def entry(self, vg, vh) -> np.ndarray:
         (i, x), (j, y) = vg, vh
         return self.family.entry(i, x + y) if i == j else self.zero
@@ -441,7 +387,7 @@ def iso_generator_images(
 ) -> IsoGeneratorFamily:
     """The isomorphism-game family of fam, over G(A,b) and G(A,0)."""
     H = build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
-    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.rep.image("J")))
+    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.rep.images["J"]))
 
 
 def iso_partition_checks(
@@ -545,7 +491,7 @@ def psi_iso_consistency_checks(
     fam = iso.family
     sys = fam.graph.system
     zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
-    for (i, x), label in zip(iso.g_vertices, fam.graph.labels):
+    for (i, x), label in zip(fam.graph.vertices, fam.graph.labels):
         total = iso.zero
         for k in range(1, sys.m + 1):
             total = total + iso.entry((i, x), (k, zero_vec))
@@ -574,22 +520,6 @@ def run_check_suite(
     records += check_iso_relations(iso, tol)
     records += psi_iso_consistency_checks(iso, tol)
     return records
-
-
-def representation_to_json(rep: Representation) -> dict:
-    """Serialize to the matrix JSON schema (floats; exact entries embed)."""
-
-    def encode(M: np.ndarray) -> list:
-        Z = M.astype(complex)
-        return np.stack([Z.real, Z.imag], -1).tolist()
-
-    names = [f"g{j}" for j in range(1, rep.n + 1)] + ["J"]
-    return {
-        "p": rep.p,
-        "dim": rep.dim,
-        "omega_convention": OMEGA_CONVENTION,
-        "generators": {name: encode(rep.images[name]) for name in names},
-    }
 
 
 def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:

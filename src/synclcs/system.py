@@ -17,7 +17,7 @@ from .errors import (
     ParseError,
     RowOutOfRange,
 )
-from .zp import AffineSolutionSet, ZpMatrix, ZpVector, gauss_solve, is_prime, support
+from .zp import AffineSolutionSet, ZpMatrix, ZpVector, gauss_solve, is_prime
 
 
 def json_typed(value, kind: type, name: str):
@@ -60,6 +60,11 @@ class LinearSystem:
         """The solution set of Ax = b, None when inconsistent; solved once."""
         return gauss_solve(self.A, self.b)
 
+    @cached_property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, its nonzero columns, 1-based and ascending; found once."""
+        return tuple(tuple(c for c, a in enumerate(row, 1) if a) for row in self.A.rows)
+
     def homogeneous(self) -> "LinearSystem":
         return LinearSystem(self.p, self.A, ZpVector.zero(self.p, self.m))
 
@@ -100,7 +105,7 @@ class LinearSystem:
 def row_support(sys: LinearSystem, i: int) -> set[int]:
     """Support of row i of A (1-based column indices)."""
     sys._check_row(i)
-    return support(sys.A.row(i))
+    return set(sys.supports[i - 1])
 
 
 def row_solutions(
@@ -116,7 +121,7 @@ def row_solutions(
     sys._check_row(i)
     p, n = sys.p, sys.n
     row, bi = sys.A.rows[i - 1], sys.b.entry(i)
-    cols = [c for c in range(n) if row[c]]
+    cols = [c - 1 for c in sys.supports[i - 1]]  # 0-based
     if not cols:
         return [ZpVector.zero(p, n)] if bi == 0 else []
     pivot, free = cols[0], cols[1:]
@@ -182,7 +187,7 @@ def validate_system(sys: LinearSystem) -> ValidationReport:
     report.add("shapes", "pass", f"A is {sys.m}x{sys.n}, b has length {sys.m}")
 
     for i in range(1, sys.m + 1):
-        if sys.A.row(i).is_zero() and sys.b.entry(i) != 0:
+        if not sys.supports[i - 1] and sys.b.entry(i) != 0:
             report.add(
                 "zero-row-contradiction",
                 "warning",

@@ -81,10 +81,6 @@ class ZpVector:
         self._check(other)
         return ZpVector(self.p, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def dot(self, other: "ZpVector") -> int:
-        self._check(other)
-        return sum(a * b for a, b in zip(self.entries, other.entries)) % self.p
-
     def restrict(self, indices) -> "ZpVector":
         """Zero every coordinate outside the given 1-based index set."""
         keep = set(indices)
@@ -92,9 +88,6 @@ class ZpVector:
             self.p,
             tuple(e if (j + 1) in keep else 0 for j, e in enumerate(self.entries)),
         )
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
     def label(self) -> str:
         return "(" + ",".join(str(e) for e in self.entries) + ")"

@@ -1,9 +1,10 @@
 """Oracles for `GameGraph` adjacency.  The compatibility predicate on a
-pair of row solutions, by its definition.  And the dense build as it was
-before the graph was compiled from row keys: it compares every vertex pair
-on every column ("both rows use column c and disagree there"), one
-|V| x |V| mask per column, so it takes O(n |V|^2) time; its pair counts are
-R^T adj R, with R the vertex-by-row incidence matrix."""
+pair of row solutions, by its definition, with the row-membership test it
+rests on.  And the dense build as it was before the graph was compiled
+from row keys: it compares every vertex pair on every column ("both rows
+use column c and disagree there"), one |V| x |V| mask per column, so it
+takes O(n |V|^2) time; its pair counts are R^T adj R, with R the
+vertex-by-row incidence matrix."""
 
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ from synclcs.system import LinearSystem, row_support
 from synclcs.zp import ZpVector, support
 
 
+def dot(u: ZpVector, v: ZpVector) -> int:
+    """The scalar product of two vectors of one length and modulus."""
+    return sum(a * b for a, b in zip(u.entries, v.entries)) % u.p
+
+
 def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:
     """Membership test for the restricted solution set of row i."""
     sys._check_row(i)
@@ -22,7 +28,7 @@ def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:
         return False
     if not support(x) <= row_support(sys, i):
         return False
-    return sys.A.row(i).dot(x) == sys.b.entry(i)
+    return dot(sys.A.row(i), x) == sys.b.entry(i)
 
 
 def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> bool:

@@ -1,6 +1,7 @@
 """Test-side helpers for the reps module: the image of one game-algebra
-generator by its direct formula (an oracle for the family entries), the
-unitary conjugate of a representation, and writing a representation file."""
+generator by its direct formula (an oracle for the family entries), a
+family whose defining checks all pass, the unitary conjugate of a
+representation, and writing a representation file."""
 
 from __future__ import annotations
 
@@ -10,14 +11,16 @@ import numpy as np
 
 from adjacency_oracle import is_row_solution
 from synclcs import LinearSystem, Representation, ZpVector, make_representation
-from synclcs.config import DEFAULT_TOL
+from synclcs.config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
 from synclcs.errors import NotASolution
 from synclcs.matops import dagger, eye_like
 from synclcs.reps import (
+    ProjectionFamily,
+    _assemble_family,
     _check_row_commutes,
     _spectral_product,
     f_projection,
-    representation_to_json,
+    projection_family_checks,
 )
 from synclcs.system import row_support
 
@@ -47,8 +50,38 @@ def psi_image(
         raise NotASolution(f"x is not a restricted solution of row {i}")
     cols = sorted(row_support(sys, i))
     _check_row_commutes(rep, i, cols, tol)
-    return _spectral_product(eye_like(rep.image("J")), cols, x,
+    return _spectral_product(eye_like(rep.images["J"]), cols, x,
                              lambda j, s: f_projection(rep, j, s))
+
+
+def checked_family(
+    rep: Representation,
+    sys: LinearSystem,
+    tol: float = DEFAULT_TOL,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> ProjectionFamily:
+    """The projection family of rep over sys, after asserting that every
+    record of its defining checks passes."""
+    fam = _assemble_family(rep, sys, tol, cap)
+    failing = [rec.name for rec in projection_family_checks(fam, tol) if not rec.passed]
+    assert not failing, failing
+    return fam
+
+
+def representation_to_json(rep: Representation) -> dict:
+    """Serialize to the matrix JSON schema (floats; exact entries embed)."""
+
+    def encode(M: np.ndarray) -> list:
+        Z = M.astype(complex)
+        return np.stack([Z.real, Z.imag], -1).tolist()
+
+    names = [f"g{j}" for j in range(1, rep.n + 1)] + ["J"]
+    return {
+        "p": rep.p,
+        "dim": rep.dim,
+        "omega_convention": OMEGA_CONVENTION,
+        "generators": {name: encode(rep.images[name]) for name in names},
+    }
 
 
 def save_representation(rep: Representation, path: str):

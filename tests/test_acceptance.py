@@ -19,13 +19,12 @@ from conftest import (
     random_system,
     seeded_unitary,
 )
-from rep_oracle import conjugate_representation
+from rep_oracle import checked_family, conjugate_representation
 from synclcs import (
     LinearSystem,
     best_deterministic_strategy,
     build_game_graph,
     build_presentation,
-    build_projection_family,
     build_synclcs_game,
     check_iso_relations,
     check_mutual_inverse,
@@ -158,7 +157,7 @@ def test_scalar_representation_residuals_exactly_zero():
         count += 1
         rep = scalar_rep_from_solution(sys_, sol.particular)
         records = relation_residuals(rep, build_presentation(sys_), TOL)
-        fam = build_projection_family(rep, sys_, TOL)
+        fam = checked_family(rep, sys_, TOL)
         records += projection_family_checks(fam, TOL)
         records += phi_welldefinedness_checks(fam, TOL)
         records += check_mutual_inverse(fam, TOL)
@@ -176,7 +175,7 @@ def test_pauli_representation_residuals():
     rep = pauli_magic_square_rep()
     relations = relation_residuals(rep, build_presentation(ms), TOL)
     ok = len(relations) == 43
-    fam = build_projection_family(rep, ms, TOL)
+    fam = checked_family(rep, ms, TOL)
     records = (
         relations
         + projection_family_checks(fam, TOL)
@@ -216,7 +215,7 @@ def test_isomorphism_game_identities():
     ok = True
     # operator source: the magic square
     ms = magic_square_system()
-    fam = build_projection_family(pauli_magic_square_rep(), ms, TOL)
+    fam = checked_family(pauli_magic_square_rep(), ms, TOL)
     iso = iso_generator_images(fam)
     partition = iso_partition_checks(iso, TOL)
     rules = check_iso_relations(iso, TOL)
@@ -236,7 +235,7 @@ def test_isomorphism_game_identities():
     for sys_ in scalar_targets:
         sol = gauss_solve(sys_.A, sys_.b)
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        fam = build_projection_family(rep, sys_, TOL)
+        fam = checked_family(rep, sys_, TOL)
         iso = iso_generator_images(fam)
         records = iso_partition_checks(iso, TOL) + check_iso_relations(iso, TOL)
         ok = ok and all(rec.residual <= TOL for rec in records)
@@ -248,7 +247,7 @@ def test_isomorphism_game_identities():
     phases = {"g1": 1, "g2": 0, "g3": 0, "J": 1}  # x = (1, 0, 0) solves row 1
     rep = make_representation(3, {
         name: np.array([[cmath.exp(2j * cmath.pi * k / 3)]]) for name, k in phases.items()})
-    rules = check_iso_relations(iso_generator_images(build_projection_family(rep, zero_row, TOL)))
+    rules = check_iso_relations(iso_generator_images(checked_family(rep, zero_row, TOL)))
     ok = ok and _quadruple_counts(rules) == _iso_zero_quadruples_oracle(zero_row)
     _verdict("isomorphism-game identities on both sources", ok)
 

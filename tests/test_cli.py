@@ -316,7 +316,8 @@ def test_repcheck_pauli_requires_magic_square(capsys, tmp_path):
 
 
 def test_repcheck_corrupted_rep_file(capsys, tmp_path):
-    from synclcs import pauli_magic_square_rep, representation_to_json
+    from rep_oracle import representation_to_json
+    from synclcs import pauli_magic_square_rep
 
     path = write_preset(capsys, tmp_path, "magic-square")
     doc = representation_to_json(pauli_magic_square_rep())
@@ -391,7 +392,8 @@ def _reject_constant(token):
 
 @pytest.mark.parametrize("bad", [float("nan"), None], ids=["nan", "null"])
 def test_repcheck_rep_file_with_bad_entry_is_parse_error(capsys, tmp_path, bad):
-    from synclcs import pauli_magic_square_rep, representation_to_json
+    from rep_oracle import representation_to_json
+    from synclcs import pauli_magic_square_rep
 
     path = write_preset(capsys, tmp_path, "magic-square")
     doc = representation_to_json(pauli_magic_square_rep())
@@ -550,14 +552,13 @@ DeterministicStrategy SynchronousGame best_deterministic_strategy build_synclcs_
 find_perfect_deterministic GameGraph VertexBijection build_game_graph export_dot
 graph_to_json is_isomorphism isomorphism_search translate_isomorphism GroupPresentation
 Relation Word build_presentation relation_residuals PRESETS magic_square_system
-one_eq_system p3_demo_system preset_system IsoGeneratorFamily PhiImage ProjectionFamily
-Representation build_projection_family check_iso_relations check_mutual_inverse
-f_projection iso_generator_images iso_partition_checks load_representation
-make_representation pauli_magic_square_rep phi_image phi_welldefinedness_checks
-projection_family_checks representation_from_json representation_to_json run_check_suite
-scalar_rep_from_solution LinearSystem ValidationReport row_solutions row_support
-validate_document validate_system AffineSolutionSet ZpMatrix ZpVector gauss_solve
-is_prime rank support
+one_eq_system p3_demo_system preset_system IsoGeneratorFamily ProjectionFamily
+Representation check_iso_relations check_mutual_inverse f_projection
+iso_generator_images iso_partition_checks load_representation make_representation
+pauli_magic_square_rep phi_welldefinedness_checks projection_family_checks
+representation_from_json run_check_suite scalar_rep_from_solution LinearSystem
+ValidationReport row_solutions row_support validate_document validate_system
+AffineSolutionSet ZpMatrix ZpVector gauss_solve is_prime rank support
 """
 
 

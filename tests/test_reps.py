@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import json_like, random_consistent_system, seeded_unitary, zvec
-from rep_oracle import conjugate_representation, psi_image, save_representation
+from rep_oracle import (
+    checked_family,
+    conjugate_representation,
+    psi_image,
+    representation_to_json,
+    save_representation,
+)
 from synclcs import (
     LinearSystem,
     build_game_graph,
-    build_projection_family,
     check_iso_relations,
     check_mutual_inverse,
     f_projection,
@@ -22,29 +27,25 @@ from synclcs import (
     load_representation,
     make_representation,
     pauli_magic_square_rep,
-    phi_image,
     phi_welldefinedness_checks,
     projection_family_checks,
     representation_from_json,
-    representation_to_json,
     row_solutions,
     run_check_suite,
     scalar_rep_from_solution,
 )
 from synclcs.errors import (
-    InvariantViolation,
     JNotIdentified,
     NonCommutingFactors,
     NotASolution,
     ParseError,
     SyncLCSError,
     UnitarityViolation,
-    VariableUnused,
 )
 from synclcs.cyclotomic import Cyclotomic
 from synclcs.matops import dagger, frob
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
-from synclcs.reps import _assemble_family, psi_iso_consistency_checks
+from synclcs.reps import _assemble_family, omega_pow, psi_iso_consistency_checks
 
 TOL = 1e-9
 
@@ -58,17 +59,17 @@ def scalar_value(M):
 
 def test_scalar_rep_p2_values():
     rep = scalar_rep_from_solution(one_eq_system(), zvec(2, 1, 1))
-    assert scalar_value(rep.image("g1")) == -1
-    assert scalar_value(rep.image("g2")) == -1
-    assert scalar_value(rep.image("J")) == -1
+    assert scalar_value(rep.images["g1"]) == -1
+    assert scalar_value(rep.images["g2"]) == -1
+    assert scalar_value(rep.images["J"]) == -1
     assert rep.exact and rep.dim == 1
 
 
 def test_scalar_rep_p3_row_product():
     rep = scalar_rep_from_solution(p3_demo_system(), zvec(3, 1, 0, 0))
     # g1 * g2^2 = omega * 1 = image(J)
-    product = rep.image("g1")[0, 0] * rep.image("g2")[0, 0] ** 2
-    assert product == rep.image("J")[0, 0]
+    product = rep.images["g1"][0, 0] * rep.images["g2"][0, 0] ** 2
+    assert product == rep.images["J"][0, 0]
 
 
 def test_scalar_rep_rejects_non_solution():
@@ -83,18 +84,18 @@ def test_pauli_generators_square_to_identity():
     rep = pauli_magic_square_rep()
     eye = np.eye(4)
     for j in range(1, 10):
-        g = rep.image(f"g{j}")
+        g = rep.images[f"g{j}"]
         assert np.array_equal(g @ g, eye + 0j)
 
 
 def test_pauli_last_column_product_is_minus_identity():
     rep = pauli_magic_square_rep()
-    product = rep.image("g3") @ rep.image("g6") @ rep.image("g9")
+    product = rep.images["g3"] @ rep.images["g6"] @ rep.images["g9"]
     assert frob(product + np.eye(4)) <= 1e-12
     for triple in [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8)]:
         prod = np.eye(4, dtype=complex)
         for j in triple:
-            prod = prod @ rep.image(f"g{j}")
+            prod = prod @ rep.images[f"g{j}"]
         assert frob(prod - np.eye(4)) <= 1e-12
 
 
@@ -113,7 +114,7 @@ def test_f_projection_scalar_indicator():
 def test_f_projection_pauli_eigenprojections():
     rep = pauli_magic_square_rep()
     for j in (1, 5, 9):
-        g = rep.image(f"g{j}")
+        g = rep.images[f"g{j}"]
         f0 = f_projection(rep, j, 0)
         f1 = f_projection(rep, j, 1)
         assert frob(f0 - (np.eye(4) + g) / 2) <= 1e-12
@@ -128,8 +129,8 @@ def test_f_family_reconstructs_generator():
     for j in range(1, 10):
         total = np.zeros((4, 4), dtype=complex)
         for s in range(2):
-            total = total + rep.omega_pow(s) * f_projection(rep, j, s)
-        assert frob(total - rep.image(f"g{j}")) <= 1e-12
+            total = total + omega_pow(rep.p, s, rep.exact) * f_projection(rep, j, s)
+        assert frob(total - rep.images[f"g{j}"]) <= 1e-12
 
 
 def test_f_commutation_shift():
@@ -137,10 +138,10 @@ def test_f_commutation_shift():
     # same as applying the generator on its eigenspace
     rep = pauli_magic_square_rep()
     for j in (2, 7):
-        g = rep.image(f"g{j}")
+        g = rep.images[f"g{j}"]
         for s in range(2):
             f = f_projection(rep, j, s)
-            assert frob(rep.omega_pow(s) * f - g @ f) <= 1e-12
+            assert frob(omega_pow(rep.p, s, rep.exact) * f - g @ f) <= 1e-12
 
 
 def test_f_identity_generator():
@@ -200,7 +201,7 @@ def test_build_family_scalar_one_per_row():
     sys_ = p3_demo_system()
     sol = gauss_solve(sys_.A, sys_.b)
     rep = scalar_rep_from_solution(sys_, sol.particular)
-    fam = build_projection_family(rep, sys_)
+    fam = checked_family(rep, sys_)
     ones = [x for (i, x), E in fam.entries.items() if scalar_value(E) == 1]
     assert len(ones) == 1  # one surviving projection per row, one row here
     for rec in projection_family_checks(fam):
@@ -209,52 +210,57 @@ def test_build_family_scalar_one_per_row():
 
 def test_build_family_pauli_invariants():
     ms = magic_square_system()
-    fam = build_projection_family(pauli_magic_square_rep(), ms)
+    fam = checked_family(pauli_magic_square_rep(), ms)
     recs = projection_family_checks(fam)
     assert max(r.residual for r in recs) <= 1e-9
     names = {r.name.split(":")[0] for r in recs}
     assert names == {"psi-idempotent", "psi-selfadjoint", "psi-orthogonal", "psi-rowsum"}
 
 
-def test_build_family_raises_named_violation():
+def test_family_checks_name_the_violation():
     # a unitary that is not an involution breaks idempotency of f-products
     sys_ = one_eq_system()
     theta = np.diag([1, 1j]).astype(complex)
     rep = make_representation(
         2, {"g1": theta, "g2": theta, "J": -np.eye(2, dtype=complex)},
     )
-    with pytest.raises(InvariantViolation) as err:
-        build_projection_family(rep, sys_)
-    assert err.value.check_name.startswith("psi-")
+    failing = [rec for rec in projection_family_checks(_assemble_family(rep, sys_, TOL, 2**20))
+               if not rec.passed]
+    assert failing
+    assert all(rec.name.startswith("psi-") for rec in failing)
 
 
 def test_phi_scalar_recovers_solution_phases():
     sys_ = p3_demo_system()
     rep = scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
-    fam = build_projection_family(rep, sys_)
-    assert scalar_value(phi_image(fam, 1).matrix) == complex(rep.omega_pow(1))
-    assert scalar_value(phi_image(fam, 2).matrix) == 1
+    fam = checked_family(rep, sys_)
+    # phi(g_j) is the phase sum of the lowest row containing j
+    assert scalar_value(fam.phase_sums[1][1]) == complex(omega_pow(rep.p, 1, rep.exact))
+    assert scalar_value(fam.phase_sums[2][1]) == 1
 
 
 def test_phi_pauli_recovers_generators():
     ms = magic_square_system()
     rep = pauli_magic_square_rep()
-    fam = build_projection_family(rep, ms)
+    fam = checked_family(rep, ms)
+    recs = {r.name: r for r in phi_welldefinedness_checks(fam)}
     for j in range(1, 10):
-        result = phi_image(fam, j)
-        assert frob(result.matrix - rep.image(f"g{j}")) <= 1e-9
-        assert result.cross_row_discrepancy <= 1e-9
-        assert result.row == min(result.rows)
-    recs = phi_welldefinedness_checks(fam)
-    assert max(r.residual for r in recs) <= 1e-9
+        per_row = fam.phase_sums[j]
+        rows = list(per_row)
+        assert rows == sorted(rows) and len(rows) == 2
+        assert recs[f"phi-welldefined:g{j}"].detail == {"rows": rows}
+        for i in rows:
+            assert frob(per_row[i] - rep.images[f"g{j}"]) <= 1e-9
+    assert max(r.residual for r in recs.values()) <= 1e-9
 
 
 def test_phi_unused_variable():
     sys_ = LinearSystem.from_ints(2, [[1, 0]], [0])
     rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
-    fam = build_projection_family(rep, sys_)
-    with pytest.raises(VariableUnused):
-        phi_image(fam, 2)
+    fam = checked_family(rep, sys_)
+    assert 2 not in fam.phase_sums
+    names = [r.name for r in phi_welldefinedness_checks(fam)]
+    assert names == ["phi-welldefined:g1", "phi-valueblock:g1:t=0", "phi-valueblock:g1:t=1"]
 
 
 def test_mutual_inverse_exact_on_scalar(rng):
@@ -263,14 +269,14 @@ def test_mutual_inverse_exact_on_scalar(rng):
                                         rng.randint(1, 3), rng.randint(1, 3))
         sol = gauss_solve(sys_.A, sys_.b)
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        for rec in check_mutual_inverse(build_projection_family(rep, sys_)):
+        for rec in check_mutual_inverse(checked_family(rep, sys_)):
             assert rec.residual == 0.0
 
 
 def test_mutual_inverse_pauli():
     ms = magic_square_system()
     rep = pauli_magic_square_rep()
-    recs = check_mutual_inverse(build_projection_family(rep, ms))
+    recs = check_mutual_inverse(checked_family(rep, ms))
     assert max(r.residual for r in recs) <= 1e-9
     kinds = {r.name.split(":")[0] for r in recs}
     assert kinds == {"roundtrip-generator", "roundtrip-projection"}
@@ -293,11 +299,11 @@ def test_corrupted_family_yields_named_failure():
 
 def test_iso_generator_images_structure():
     ms = magic_square_system()
-    fam = build_projection_family(pauli_magic_square_rep(), ms)
+    fam = checked_family(pauli_magic_square_rep(), ms)
     iso = iso_generator_images(fam)
-    assert len(iso.g_vertices) == 24 and len(iso.hom_graph.vertices) == 24
+    assert len(fam.graph.vertices) == 24 and len(iso.hom_graph.vertices) == 24
     # cross-row entries are structurally zero
-    vg = iso.g_vertices[0]
+    vg = fam.graph.vertices[0]
     vh = next(v for v in iso.hom_graph.vertices if v[0] != vg[0])
     assert frob(iso.entry(vg, vh)) == 0.0
     recs = iso_partition_checks(iso)
@@ -307,7 +313,7 @@ def test_iso_generator_images_structure():
 
 def test_iso_relations_pauli():
     ms = magic_square_system()
-    fam = build_projection_family(pauli_magic_square_rep(), ms)
+    fam = checked_family(pauli_magic_square_rep(), ms)
     iso = iso_generator_images(fam)
     G = build_game_graph(ms)
     recs = check_iso_relations(iso)
@@ -326,7 +332,7 @@ def test_iso_relations_pauli():
 def test_iso_relations_scalar_exact():
     sys_ = one_eq_system()
     rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
-    fam = build_projection_family(rep, sys_)
+    fam = checked_family(rep, sys_)
     iso = iso_generator_images(fam)
     for rec in check_iso_relations(iso) + iso_partition_checks(iso):
         assert rec.residual == 0.0
@@ -348,10 +354,10 @@ def _iso_table_oracle(fam):
 
 def _iso_oracle_sources():
     ms = magic_square_system()
-    yield build_projection_family(pauli_magic_square_rep(), ms)
+    yield checked_family(pauli_magic_square_rep(), ms)
     sys_ = random_consistent_system(random.Random(20261018), 3, 3, 4)
     rep = scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
-    yield build_projection_family(rep, sys_)
+    yield checked_family(rep, sys_)
 
 
 def test_iso_family_matches_per_pair_table():
@@ -359,7 +365,7 @@ def test_iso_family_matches_per_pair_table():
         iso = iso_generator_images(fam)
         table = _iso_table_oracle(fam)
         assert table
-        for vg in iso.g_vertices:
+        for vg in fam.graph.vertices:
             for vh in iso.hom_graph.vertices:
                 if (vg, vh) in table:
                     assert np.array_equal(iso.entry(vg, vh), table[(vg, vh)])
@@ -426,7 +432,7 @@ def test_exact_suite_certifies_by_value(monkeypatch):
 
 def test_iso_zero_column_consistency():
     ms = magic_square_system()
-    fam = build_projection_family(pauli_magic_square_rep(), ms)
+    fam = checked_family(pauli_magic_square_rep(), ms)
     iso = iso_generator_images(fam)
     for rec in psi_iso_consistency_checks(iso):
         assert rec.residual <= 1e-9
@@ -532,15 +538,16 @@ def test_f_family_exact_identities_p3():
             assert (fs[s].conjugate() - fs[s]).is_zero()
             for r in range(s + 1, 3):
                 assert (fs[s] * fs[r]).is_zero()
-        recon = rep.omega_pow(0) * fs[0] + rep.omega_pow(1) * fs[1] + rep.omega_pow(2) * fs[2]
-        assert (recon - rep.image(f"g{j}")[0, 0]).is_zero()
+        w = [omega_pow(rep.p, s, rep.exact) for s in range(3)]
+        recon = w[0] * fs[0] + w[1] * fs[1] + w[2] * fs[2]
+        assert (recon - rep.images[f"g{j}"][0, 0]).is_zero()
 
 
 # ------------------------------------------------------------ residual oracle
 
 
 def _oracle_projection(g, s, rep):
-    M = g * rep.omega_pow(-s)
+    M = g * omega_pow(rep.p, -s, rep.exact)
     total = term = np.eye(M.shape[0], dtype=M.dtype)
     for _ in range(1, rep.p):
         term = term @ M
@@ -551,8 +558,8 @@ def _oracle_projection(g, s, rep):
 def _oracle_residuals(rep, sys_):
     """The residual of every psi-, phi-, roundtrip- and iso-generator record,
     each evaluated on its own by direct loops over row_solutions."""
-    p, identity = rep.p, np.eye(rep.dim, dtype=rep.image("J").dtype)
-    zero = np.zeros_like(rep.image("J"))
+    p, identity = rep.p, np.eye(rep.dim, dtype=rep.images["J"].dtype)
+    zero = np.zeros_like(rep.images["J"])
     rows = {i: row_solutions(sys_, i) for i in range(1, sys_.m + 1)}
     rows = {i: sols for i, sols in rows.items() if sols}
     cols = {i: sorted(j for j in range(1, sys_.n + 1) if sys_.A.rows[i - 1][j - 1])
@@ -564,7 +571,7 @@ def _oracle_residuals(rep, sys_):
             result = result @ factor(j, x.entry(j))
         return result
 
-    E = {(i, x): product(i, x, lambda j, s: _oracle_projection(rep.image(f"g{j}"), s, rep))
+    E = {(i, x): product(i, x, lambda j, s: _oracle_projection(rep.images[f"g{j}"], s, rep))
          for i, sols in rows.items() for x in sols}
     out = {}
     for (i, x), M in E.items():
@@ -588,7 +595,7 @@ def _oracle_residuals(rep, sys_):
         total = zero
         for x in rows[i]:
             if t is None:
-                total = total + E[(i, x)] * rep.omega_pow(x.entry(j))
+                total = total + E[(i, x)] * omega_pow(rep.p, x.entry(j), rep.exact)
             elif x.entry(j) == t:
                 total = total + E[(i, x)]
         return total
@@ -606,7 +613,7 @@ def _oracle_residuals(rep, sys_):
             out[f"phi-valueblock:g{j}:t={t}"] = max(
                 (frob(B - blocks[0]) for B in blocks[1:]), default=0.0)
         for i, S in zip(containing, sums):
-            out[f"roundtrip-generator:g{j}:row{i}"] = frob(S - rep.image(f"g{j}"))
+            out[f"roundtrip-generator:g{j}:row{i}"] = frob(S - rep.images[f"g{j}"])
     for (i, y), M in E.items():
         back = product(i, y, lambda j, s: _oracle_projection(phi[j], s, rep))
         out[f"roundtrip-projection:{i}:{y.label()}"] = frob(back - M)

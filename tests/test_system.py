@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -37,6 +38,59 @@ def test_row_support_examples():
     assert row_support(magic_square_system(), 6) == {3, 6, 9}
     zero_row = LinearSystem.from_ints(3, [[0, 0]], [0])
     assert row_support(zero_row, 1) == set()
+
+
+def _system_with_zero_and_duplicate_rows(rng, p, width):
+    """Seeded rows with at most `width` nonzero entries, two zero rows (b = 0
+    and b != 0), a copy of one row and a copy with another b, shuffled."""
+    n = rng.randint(width, 5)
+    rows = [[0] * n for _ in range(rng.randint(1, 3))]
+    for row in rows:
+        for c in rng.sample(range(n), rng.randint(1, width)):
+            row[c] = rng.randrange(1, p)
+    b = [rng.randrange(p) for _ in rows]
+    k = rng.randrange(len(rows))
+    pairs = list(zip(rows, b)) + [([0] * n, 0), ([0] * n, rng.randrange(1, p)),
+                                  (rows[k], b[k]), (rows[k], rng.randrange(p))]
+    rng.shuffle(pairs)
+    return LinearSystem.from_ints(p, [row for row, _ in pairs], [bi for _, bi in pairs])
+
+
+def _zero_rows_with_nonzero_b(sys_):
+    """The rows of A that are zero while b is not, read off the entries."""
+    return [i for i, (row, bi) in enumerate(zip(sys_.A.rows, sys_.b.entries), 1)
+            if not any(row) and bi]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**64 - 59])
+def test_supports_are_the_sorted_row_supports(p, capsys, tmp_path):
+    from synclcs.cli import main
+    from synclcs.zp import support
+
+    rng = random.Random(p)
+    for trial in range(30):
+        # analyze enumerates each row's solutions, so its rows stay within the cap
+        analyze = trial % 3 == 0
+        sys_ = _system_with_zero_and_duplicate_rows(rng, p, (2 if p <= 7 else 1) if analyze else 5)
+        assert sys_.supports == tuple(tuple(sorted(support(sys_.A.row(i))))
+                                      for i in range(1, sys_.m + 1))
+        assert [row_support(sys_, i) for i in range(1, sys_.m + 1)] == [
+            set(cols) for cols in sys_.supports]
+        zero_rows = _zero_rows_with_nonzero_b(sys_)
+        assert zero_rows
+        report = validate_system(sys_)
+        assert [r.message for r in report.warnings if r.name == "zero-row-contradiction"] == [
+            f"row {i} is zero with b_{i} != 0: its solution set is empty, "
+            "so the game algebra is the zero algebra" for i in zero_rows]
+        assert any(r.name == "duplicate-rows" for r in report.warnings)
+        if analyze:
+            path = tmp_path / f"system{trial}.json"
+            path.write_text(json.dumps(sys_.to_json()))
+            assert main(["analyze", str(path)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert [row["support"] for row in out["rows"]] == [list(c) for c in sys_.supports]
+            assert out["warnings"] == [
+                {"row": i, "message": "zero row with nonzero right-hand side"} for i in zero_rows]
 
 
 def test_row_index_bounds():
