@@ -139,7 +139,7 @@ def cmd_solve(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
         report["linear_system"] = {
             "consistent": True,
             "particular": list(solution_set.particular.entries),
-            "kernel_dimension": len(solution_set.basis),
+            "kernel_dimension": solution_set.kernel_dimension,
         }
     strategy = find_perfect_deterministic(game, budget=limits.search_budget)
     if strategy is not None:
@@ -223,8 +223,9 @@ def _resolve_representation(spec: str, system: LinearSystem, tol: float):
             )
         return pauli_magic_square_rep()
     if spec.startswith("scalar:"):
+        entries = spec[len("scalar:"):]  # empty: the solution of a system with no variables
         try:
-            values = [int(v) for v in spec[len("scalar:"):].split(",")]
+            values = [int(v) for v in entries.split(",")] if entries else []
         except ValueError as exc:
             raise ParseError(f"bad scalar solution syntax: {exc}") from exc
         return scalar_rep_from_solution(system, ZpVector(system.p, tuple(values)))

@@ -169,10 +169,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(r.level != "failure" for r in self.records)
 
-    @property
-    def warnings(self) -> list[ValidationRecord]:
-        return [r for r in self.records if r.level == "warning"]
-
     def to_json(self) -> dict:
         return {
             "records": [r.to_json() for r in self.records],

@@ -1,6 +1,6 @@
 """Exact linear algebra over the prime field Z_p.
 
-Solving, affine solution spaces, supports.  All indices in
+Primality, vectors and matrices, and solving Ax = b.  All indices in
 user-facing structures are 1-based; internal storage is 0-based tuples.
 """
 
@@ -122,10 +122,6 @@ class ZpMatrix:
     def n(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def row(self, i: int) -> ZpVector:
-        """1-based row access."""
-        return ZpVector(self.p, self.rows[i - 1])
-
     def apply(self, v: ZpVector) -> ZpVector:
         if v.p != self.p or len(v) != self.n:
             raise DimensionMismatch("matrix/vector shapes or moduli disagree")
@@ -135,97 +131,51 @@ class ZpMatrix:
         )
 
 
-def support(v: ZpVector) -> set[int]:
-    """Indices of nonzero coordinates, 1-based."""
-    return {j + 1 for j, e in enumerate(v.entries) if e != 0}
-
-
 @dataclass(frozen=True)
 class AffineSolutionSet:
-    """particular + span(basis), the solution set of a consistent system."""
+    """The solutions of a consistent system: particular + a kernel of
+    dimension n - rank(A)."""
 
     particular: ZpVector
-    basis: tuple[ZpVector, ...]
-    ambient_dim: int
-
-    def __post_init__(self):
-        p = self.particular.p
-        for b in self.basis:
-            if b.p != p or len(b) != self.ambient_dim:
-                raise DimensionMismatch("basis vector shape or modulus disagrees")
-        if len(self.particular) != self.ambient_dim:
-            raise DimensionMismatch("particular solution has wrong length")
-        if self.basis:
-            mat = ZpMatrix(p, tuple(b.entries for b in self.basis))
-            if rank(mat) != len(self.basis):
-                raise ValueError("kernel basis vectors are linearly dependent")
-
-
-def _rref(A: ZpMatrix, rhs: ZpVector | None):
-    """Reduced row echelon form with first-nonzero pivoting.
-
-    Returns (rows, rhs_values, pivot_cols); deterministic, pivots chosen
-    left-to-right.
-    """
-    p = A.p
-    rows = [list(r) for r in A.rows]
-    b = list(rhs.entries) if rhs is not None else [0] * A.m
-    m, n = A.m, A.n
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((k for k in range(r, m) if rows[k][c] % p != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        b[r] = (b[r] * inv) % p
-        for k in range(m):
-            if k != r and rows[k][c] % p != 0:
-                f = rows[k][c]
-                rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[r])]
-                b[k] = (b[k] - f * b[r]) % p
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, b, pivot_cols
-
-
-def rank(A: ZpMatrix) -> int:
-    _, _, pivots = _rref(A, None)
-    return len(pivots)
+    kernel_dimension: int
 
 
 def gauss_solve(A: ZpMatrix, b: ZpVector) -> AffineSolutionSet | None:
-    """Solve Ax = b over Z_p.
+    """Solve Ax = b over Z_p, or return None when it is inconsistent.
 
-    Returns the full affine solution set (particular solution with free
-    variables set to zero, plus a kernel basis ordered by ascending free
-    column), or None when the system is inconsistent.
+    Elimination on sparse rows, one {column: value} dict each: a row is
+    reduced by the stored rows at its leading column until it is zero or
+    leads at a new column, where it is stored scaled to a leading 1.  The
+    leading columns are the pivot columns of the reduced row echelon
+    form, so the particular solution (free variables zero, found by back
+    substitution) is the one that form yields.
     """
     if b.p != A.p:
         raise DimensionMismatch(f"moduli disagree: {A.p} vs {b.p}")
     if len(b) != A.m:
         raise DimensionMismatch(f"b has length {len(b)}, expected {A.m}")
-    p, n = A.p, A.n
-    rows, rhs, pivot_cols = _rref(A, b)
-    for k in range(A.m):
-        if all(x == 0 for x in rows[k]) and rhs[k] % p != 0:
+    p = A.p
+    pivots: dict[int, tuple[dict[int, int], int]] = {}  # leading column -> (row, rhs)
+    for entries, rhs in zip(A.rows, b.entries):
+        row = {c: a for c, a in enumerate(entries) if a}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = ({c: a * inv % p for c, a in row.items()}, rhs * inv % p)
+                break
+            f, (prow, prhs) = row[lead], pivots[lead]
+            for c, a in prow.items():
+                v = (row.get(c, 0) - f * a) % p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            rhs = (rhs - f * prhs) % p
+        if not row and rhs:
             return None
-    particular = [0] * n
-    for r, c in enumerate(pivot_cols):
-        particular[c] = rhs[r]
-    basis = []
-    pivot_set = set(pivot_cols)
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = [0] * n
-        vec[f] = 1
-        for r, c in enumerate(pivot_cols):
-            vec[c] = (-rows[r][f]) % p
-        basis.append(ZpVector(p, tuple(vec)))
-    return AffineSolutionSet(ZpVector(p, tuple(particular)), tuple(basis), n)
+    x = [0] * A.n
+    for lead in sorted(pivots, reverse=True):
+        prow, prhs = pivots[lead]
+        x[lead] = (prhs - sum(a * x[c] for c, a in prow.items() if c != lead)) % p
+    return AffineSolutionSet(ZpVector(p, tuple(x)), A.n - len(pivots))

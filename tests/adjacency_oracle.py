@@ -1,10 +1,10 @@
 """Oracles for `GameGraph` adjacency.  The compatibility predicate on a
-pair of row solutions, by its definition, with the row-membership test it
-rests on.  And the dense build as it was before the graph was compiled
-from row keys: it compares every vertex pair on every column ("both rows
-use column c and disagree there"), one |V| x |V| mask per column, so it
-takes O(n |V|^2) time; its pair counts are R^T adj R, with R the
-vertex-by-row incidence matrix."""
+pair of row solutions, by its definition, with the row-membership test and
+the vector helpers it rests on.  And the dense build as it was before the
+graph was compiled from row keys: it compares every vertex pair on every
+column ("both rows use column c and disagree there"), one |V| x |V| mask
+per column, so it takes O(n |V|^2) time; its pair counts are R^T adj R,
+with R the vertex-by-row incidence matrix."""
 
 from __future__ import annotations
 
@@ -13,7 +13,17 @@ import numpy as np
 from synclcs.errors import NotASolution
 from synclcs.graphs import GameGraph
 from synclcs.system import LinearSystem, row_support
-from synclcs.zp import ZpVector, support
+from synclcs.zp import ZpMatrix, ZpVector
+
+
+def support(v: ZpVector) -> set[int]:
+    """Indices of nonzero coordinates, 1-based."""
+    return {j + 1 for j, e in enumerate(v.entries) if e != 0}
+
+
+def row(A: ZpMatrix, i: int) -> ZpVector:
+    """Row i of A, 1-based, as a vector."""
+    return ZpVector(A.p, A.rows[i - 1])
 
 
 def dot(u: ZpVector, v: ZpVector) -> int:
@@ -28,7 +38,7 @@ def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:
         return False
     if not support(x) <= row_support(sys, i):
         return False
-    return dot(sys.A.row(i), x) == sys.b.entry(i)
+    return dot(row(sys.A, i), x) == sys.b.entry(i)
 
 
 def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> bool:
