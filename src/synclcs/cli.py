@@ -61,12 +61,26 @@ EXIT_CODES = (
 
 
 def _emit(report: dict, out_path: str | None = None) -> None:
+    """Write the report as json.dumps(report, indent=2, allow_nan=False)
+    does, to `out_path` in full first, then to stdout.  Every piece is
+    encoded before anything is written, so a value JSON cannot hold leaves
+    no partial output."""
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    pieces = ["{"]
+    for key, value in report.items():
+        pieces.append(f"\n  {json.dumps(key)}: ")
+        if key == "checks":
+            # repcheck has loaded it with reps; elsewhere only validation records need it
+            from .reporting import records_text
+            pieces += records_text(value, 1)
+        else:
+            pieces.append(json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
+        pieces.append(",")
+    pieces[-1] = "\n}\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
-    _sys.stdout.write(text)
+            fh.writelines(pieces)
+    _sys.stdout.writelines(pieces)
 
 
 def _base_report(command: str, inputs: dict) -> dict:

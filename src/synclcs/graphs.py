@@ -47,9 +47,6 @@ class GameGraph:
         ends = np.cumsum([len(xs) for xs in self.rows.values()])
         return {i: np.arange(end - len(xs), end) for (i, xs), end in zip(self.rows.items(), ends)}
 
-    def __contains__(self, v) -> bool:
-        return v in self._index
-
     def order(self) -> int:
         return len(self.vertices)
 
@@ -104,9 +101,6 @@ class GameGraph:
             u, v = (np.concatenate([self._positions[i] for i in rows]) for rows in (P, Q))
             adj[np.ix_(u, v)] = a[:, None] != b[None, :]
         return adj
-
-    def adjacent(self, u, v) -> bool:
-        return bool(self.adj[self._index[u], self._index[v]])
 
     def edges(self) -> np.ndarray:
         """Index pairs a < b of the edges, in row-major order."""

@@ -54,6 +54,16 @@ def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> b
     return all(x.entry(k) == y.entry(k) for k in shared)
 
 
+def has_vertex(G: GameGraph, v) -> bool:
+    """Whether v is a (row, solution) vertex of G."""
+    return v in G._index
+
+
+def adjacent(G: GameGraph, u, v) -> bool:
+    """Whether vertices u and v of G are joined, read from its dense adjacency."""
+    return bool(G.adj[G._index[u], G._index[v]])
+
+
 def per_column_adjacency(G: GameGraph) -> np.ndarray:
     """The adjacency of G's vertices, one numpy comparison per column."""
     d, n, p = G.order(), G.system.n, G.system.p

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable
 
+from adjacency_oracle import adjacent, has_vertex
 from synclcs import (
     DeterministicStrategy,
     GameGraph,
@@ -68,7 +69,7 @@ def relationship(G: GameGraph, u, v) -> int:
     """EQUAL, ADJACENT or DISTINCT (distinct and not adjacent)."""
     if u == v:
         return EQUAL
-    return ADJACENT if G.adjacent(u, v) else DISTINCT
+    return ADJACENT if adjacent(G, u, v) else DISTINCT
 
 
 def build_iso_game(G: GameGraph, H: GameGraph) -> RuleGame:
@@ -88,7 +89,8 @@ def build_iso_game(G: GameGraph, H: GameGraph) -> RuleGame:
             return False
         alice_g, alice_h = (v[1], x[1]) if v[0] == "G" else (x[1], v[1])
         bob_g, bob_h = (w[1], y[1]) if w[0] == "G" else (y[1], w[1])
-        if alice_g not in G or bob_g not in G or alice_h not in H or bob_h not in H:
+        if not (has_vertex(G, alice_g) and has_vertex(G, bob_g)
+                and has_vertex(H, alice_h) and has_vertex(H, bob_h)):
             return False
         return relationship(G, alice_g, bob_g) == relationship(H, alice_h, bob_h)
 
