@@ -68,19 +68,6 @@ def test_emitter_writes_the_stdlib_text(report):
     assert emitted(report) == oracle(report)
 
 
-def _capture_reports(monkeypatch) -> list:
-    """The report dicts main emits, in order."""
-    reports = []
-    emit = cli._emit
-
-    def spy(report, out_path=None):
-        reports.append(report)
-        emit(report, out_path)
-
-    monkeypatch.setattr(cli, "_emit", spy)
-    return reports
-
-
 @pytest.mark.parametrize("command", ["repcheck-pauli-ms", "validate-invalid"])
 def test_real_reports_equal_the_stdlib_text(capsys, tmp_path, monkeypatch, command):
     if command == "repcheck-pauli-ms":
@@ -91,7 +78,10 @@ def test_real_reports_equal_the_stdlib_text(capsys, tmp_path, monkeypatch, comma
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"p": 4, "A": [[1, 2]], "b": [3]}))
         argv, code = ["validate", str(path)], 2
-    reports = _capture_reports(monkeypatch)
+    reports = []  # the report dicts main emits
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, out_path=None: (
+        reports.append(report), emit(report, out_path)))
     out_path = tmp_path / "report.json"
     assert main(["--out", str(out_path), *argv]) == code
     out = capsys.readouterr().out
