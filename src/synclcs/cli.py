@@ -66,21 +66,55 @@ def _emit(report: dict, out_path: str | None = None) -> None:
     encoded before anything is written, so a value JSON cannot hold leaves
     no partial output."""
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    pieces = ["{"]
-    for key, value in report.items():
-        pieces.append(f"\n  {json.dumps(key)}: ")
-        if key == "checks":
-            # repcheck has loaded it with reps; elsewhere only validation records need it
-            from .reporting import records_text
-            pieces += records_text(value, 1)
-        else:
-            pieces.append(json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
-        pieces.append(",")
-    pieces[-1] = "\n}\n"
+    pieces = _object_text(report, 0)
+    pieces.append("\n")
     if out_path:
         with open(out_path, "w") as fh:
             fh.writelines(pieces)
     _sys.stdout.writelines(pieces)
+
+
+def _object_text(obj: dict, level: int) -> list[str]:
+    """json.dumps(obj, indent=2, allow_nan=False) of a dict with str keys
+    nested `level` deep in a document, as pieces to write in order."""
+    if not obj:
+        return ["{}"]
+    pad = "\n" + "  " * (level + 1)  # starts the line of a key
+    pieces = ["{"]
+    for key, value in obj.items():
+        pieces.append(f"{pad}{json.dumps(key)}: ")
+        pieces += _value_text(key, value, level + 1)
+        pieces.append(",")
+    pieces[-1] = "\n" + "  " * level + "}"
+    return pieces
+
+
+def _value_text(key: str, value, level: int) -> list[str]:
+    """The text of the value at `key`, nested `level` deep, as pieces.
+
+    With an indent the stdlib runs its pure-Python encoder, so the long
+    lists of reports are written from templates, byte for byte: the check
+    records of `checks`, and the [a, b] index pairs of a graph's `edges`.
+    Every other value is encoded by json.dumps and indented."""
+    if key == "checks" and type(value) is list:
+        # repcheck has loaded it with reps; elsewhere only validation records need it
+        from .reporting import list_text, record_template
+        return list_text(value, level, record_template)
+    if key == "graph" and type(value) is dict and all(type(k) is str for k in value):
+        return _object_text(value, level)
+    if key == "edges" and type(value) is list:
+        from .reporting import list_text
+        return list_text(value, level, _pair_template)
+    return [json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)]
+
+
+def _pair_template(pair, inner: str) -> str | None:
+    """A list of two ints as the stdlib encoder writes it, each on its own
+    line; None for anything else."""
+    if type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
+        item = inner + "  "  # starts the line of an int
+        return f"[{item}{pair[0]},{item}{pair[1]}{inner}]"
+    return None
 
 
 def _base_report(command: str, inputs: dict) -> dict:

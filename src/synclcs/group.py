@@ -8,6 +8,8 @@ sharing a row, and one product relation per row tying the row to J^{b_i}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 
@@ -137,21 +139,19 @@ def build_presentation(sys: LinearSystem) -> GroupPresentation:
     return GroupPresentation(n, p, tuple(rels))
 
 
-def evaluate_word(word: Word, images: dict[str, np.ndarray]) -> np.ndarray:
-    """Left-to-right product of generator image powers.
-
-    Negative exponents use conjugate transposes, which is only valid for
-    unitary images (validated when a representation is constructed).
-    """
-    if not images:
-        raise DimensionMismatch("no generator images supplied")
-    sample = next(iter(images.values()))
-    result = eye_like(sample)
-    for gen, e in word.factors:
-        if gen not in images:
-            raise DimensionMismatch(f"no image for generator {gen}")
-        result = result @ mat_power(images[gen], e)
-    return result
+def _relation_powers(
+    pres: GroupPresentation, images: dict[str, np.ndarray]
+) -> dict[tuple[str, int], np.ndarray]:
+    """Each (generator, exponent) power the relation words use, computed
+    once and C-contiguous; an exponent-1 power is the image itself when the
+    image is C-contiguous."""
+    powers = {}
+    for rel in pres.relations:
+        for gen, e in rel.word.factors:
+            if (gen, e) not in powers:
+                M = images[gen]
+                powers[(gen, e)] = np.ascontiguousarray(M) if e == 1 else mat_power(M, e)
+    return powers
 
 
 def relation_residuals(
@@ -160,7 +160,11 @@ def relation_residuals(
     """Frobenius distance of every relation word from the identity.
 
     `rep` is any object with an `images` mapping of generator names to
-    same-dimension square matrices (see the representation module).
+    same-dimension square matrices (see the representation module).  A word
+    is the left-to-right product of its generator powers, starting at its
+    first factor; the empty word is the identity.  Negative exponents use
+    conjugate transposes, which is only valid for unitary images (validated
+    when a representation is constructed).
     """
     images = rep.images
     dims = {M.shape for M in images.values()}
@@ -171,8 +175,10 @@ def relation_residuals(
             raise DimensionMismatch(f"representation missing generator {gen}")
     records = []
     identity = eye_like(next(iter(images.values())))
+    powers = _relation_powers(pres, images)
     for rel in pres.relations:
-        value = evaluate_word(rel.word, images)
+        factors = [powers[factor] for factor in rel.word.factors]
+        value = reduce(matmul, factors) if factors else identity
         residual = frob(value - identity)
         records.append(
             CheckRecord(

@@ -31,11 +31,18 @@ def eye_like(M: np.ndarray) -> np.ndarray:
 
 
 def mat_power(M: np.ndarray, n: int) -> np.ndarray:
-    """M**n by repeated multiplication; negative n uses the conjugate
-    transpose, valid because all matrices fed through here are unitary."""
+    """M**n by repeated multiplication, C-contiguous; negative n uses the
+    conjugate transpose, valid because all matrices fed through here are
+    unitary.
+
+    The chain starts at M, not at an identity product: multiplying by the
+    identity is exact up to the sign of a zero, so the values are those of
+    eye_like(M) @ M @ ... @ M, and so is the layout of every operand."""
     if n < 0:
         return mat_power(dagger(M), -n)
-    result = eye_like(M)
-    for _ in range(n):
+    if n == 0:
+        return eye_like(M)
+    result = np.ascontiguousarray(M)
+    for _ in range(n - 1):
         result = result @ M
     return result

@@ -36,35 +36,43 @@ class CheckRecord:
         return out
 
 
-def records_text(records: list, level: int) -> list[str]:
-    """json.dumps(records, indent=2, allow_nan=False) of a list of records
-    nested `level` deep in a document, as pieces to write in order: one per
-    record, then the closing bracket.
+def list_text(items: list, level: int, template) -> list[str]:
+    """json.dumps(items, indent=2, allow_nan=False) of a list nested `level`
+    deep in a document, as pieces to write in order: one per item, then the
+    closing bracket.
 
-    A record that `to_json` writes without a detail (str name and verdict,
-    finite float residual and tolerance) fills one template, as the stdlib
-    encoder would: strings by `encode_basestring_ascii`, floats by
-    `float.__repr__`.  Any other record, including one with NaN or infinity,
-    goes through json.dumps itself, so its text and its refusals are the
-    stdlib's.  JSON strings escape their newlines, so each newline of a
-    record's text starts one of its lines."""
-    if not records:
+    `template(item, inner)` gives the text of an item it can write, each
+    line after its first started by `inner`, or None (no text is empty):
+    that item goes through json.dumps itself, so its text and its refusals
+    are the stdlib's.  JSON strings escape their newlines, so each newline
+    of an item's text starts one of its lines."""
+    if not items:
         return ["[]"]
-    inner = "\n" + "  " * (level + 1)  # starts a line of the record
-    key = inner + "  "  # starts a line of one of its keys
-    pieces = []
-    for rec in records:
-        if type(rec) is dict and tuple(rec) == _PLAIN_KEYS:
-            name, residual, tolerance, verdict = rec.values()
-            if (type(name) is str and type(verdict) is str
-                    and type(residual) is float and type(tolerance) is float
-                    and math.isfinite(residual) and math.isfinite(tolerance)):
-                pieces.append(f',{inner}{{{key}"name": {encode_basestring_ascii(name)},'
-                              f'{key}"residual": {float.__repr__(residual)},'
-                              f'{key}"tolerance": {float.__repr__(tolerance)},'
-                              f'{key}"verdict": {encode_basestring_ascii(verdict)}{inner}}}')
-                continue
-        pieces.append((",\n" + json.dumps(rec, indent=2, allow_nan=False)).replace("\n", inner))
-    pieces[0] = "[" + pieces[0][1:]  # the first record follows no separator
+    inner = "\n" + "  " * (level + 1)  # starts a line of an item
+    lead = "," + inner
+    pieces = [lead + (template(item, inner)
+                      or json.dumps(item, indent=2, allow_nan=False).replace("\n", inner))
+              for item in items]
+    pieces[0] = "[" + pieces[0][1:]  # the first item follows no separator
     pieces.append("\n" + "  " * level + "]")
     return pieces
+
+
+def record_template(rec, inner: str) -> str | None:
+    """The `list_text` template of a check record: a record that `to_json`
+    writes without a detail (str name and verdict, finite float residual
+    and tolerance), as the stdlib encoder would, with strings by
+    `encode_basestring_ascii` and floats by `float.__repr__`.  None for any
+    other record, including one with NaN or infinity."""
+    if type(rec) is not dict or tuple(rec) != _PLAIN_KEYS:
+        return None
+    name, residual, tolerance, verdict = rec.values()
+    if not (type(name) is str and type(verdict) is str
+            and type(residual) is float and type(tolerance) is float
+            and math.isfinite(residual) and math.isfinite(tolerance)):
+        return None
+    key = inner + "  "  # starts a line of one of its keys
+    return (f'{{{key}"name": {encode_basestring_ascii(name)},'
+            f'{key}"residual": {float.__repr__(residual)},'
+            f'{key}"tolerance": {float.__repr__(tolerance)},'
+            f'{key}"verdict": {encode_basestring_ascii(verdict)}{inner}}}')

@@ -19,9 +19,11 @@ and operands of the direct formulas, which decide their bits.
 from __future__ import annotations
 
 import cmath
+import gc
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import matmul
 
 import numpy as np
 
@@ -159,11 +161,13 @@ def f_projection(rep: Representation, j: int, s) -> np.ndarray:
 
 
 def _spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarray:
-    """(1/p) sum_{t<p} (omega^{-s} g)^t for a unitary g of order p."""
+    """(1/p) sum_{t<p} (omega^{-s} g)^t for a unitary g of order p, in
+    p - 2 products: the t = 1 term is M itself, made C-contiguous as an
+    identity product would make it."""
     M = g * omega_pow(p, -s, exact)
-    total = eye_like(M)
-    term = eye_like(M)
-    for _ in range(1, p):
+    term = np.ascontiguousarray(M)
+    total = eye_like(M) + term
+    for _ in range(2, p):
         term = term @ M
         total = total + term
     return total / p
@@ -184,11 +188,10 @@ def _check_row_commutes(rep: Representation, i: int, cols: tuple[int, ...], tol:
 
 def _spectral_product(identity: np.ndarray, cols: tuple[int, ...], x: ZpVector,
                       projection) -> np.ndarray:
-    """identity @ projection(j, x_j) @ ... over the columns j in cols."""
-    result = identity
-    for j in cols:
-        result = result @ projection(j, x.entry(j))
-    return result
+    """projection(j, x_j) @ ... over the columns j in cols, left to right
+    from the first factor; the identity when cols is empty."""
+    factors = [projection(j, x.entry(j)) for j in cols]
+    return reduce(matmul, factors) if factors else identity
 
 
 @dataclass(eq=False)
@@ -560,9 +563,20 @@ def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representat
 
 
 def load_representation(path: str, tol: float = DEFAULT_TOL) -> Representation:
+    """Read a representation file.  It is decoded with the cyclic garbage
+    collector paused: a d = 256 file builds some 660k small lists, the
+    collector would pass over them again and again while they are built,
+    and decoded JSON holds no reference cycles.  The file is decoded from
+    its handle, so its text is freed before the images are built."""
+    collecting = gc.isenabled()
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            gc.disable()
+            try:
+                doc = json.load(fh)
+            finally:
+                if collecting:
+                    gc.enable()
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     return representation_from_json(doc, tol)

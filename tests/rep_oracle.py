@@ -1,7 +1,9 @@
 """Test-side helpers for the reps module: the image of one game-algebra
-generator by its direct formula (an oracle for the family entries), a
-family whose defining checks all pass, the unitary conjugate of a
-representation, and writing a representation file."""
+generator by its direct formula (an oracle for the family entries), the
+product chains started at an identity product (an oracle for the
+library's chains, which start at their first factor), a family whose
+defining checks all pass, the unitary conjugate of a representation,
+Mermin's pentagram operator solution, and writing a representation file."""
 
 from __future__ import annotations
 
@@ -13,16 +15,71 @@ from adjacency_oracle import is_row_solution
 from synclcs import LinearSystem, Representation, ZpVector, make_representation
 from synclcs.config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
 from synclcs.errors import NotASolution
-from synclcs.matops import dagger, eye_like
+from synclcs.group import GroupPresentation, Word
+from synclcs.matops import dagger, eye_like, frob
+from synclcs.reporting import CheckRecord
 from synclcs.reps import (
+    _PAULI,
     ProjectionFamily,
     _assemble_family,
     _check_row_commutes,
-    _spectral_product,
     f_projection,
+    omega_pow,
     projection_family_checks,
 )
 from synclcs.system import row_support
+
+# The product chains as the library computed them while each began with an
+# identity product.  Multiplying by the identity is exact up to the sign of
+# a zero, so the library's chains must give equal values, and equal Frobenius
+# residuals, for every representation.
+
+
+def eye_mat_power(M: np.ndarray, n: int) -> np.ndarray:
+    """eye_like(M) @ M @ ... @ M, n factors; negative n uses dagger(M)."""
+    if n < 0:
+        return eye_mat_power(dagger(M), -n)
+    result = eye_like(M)
+    for _ in range(n):
+        result = result @ M
+    return result
+
+
+def eye_evaluate_word(word: Word, images: dict[str, np.ndarray]) -> np.ndarray:
+    """The identity times each generator power of the word, left to right."""
+    result = eye_like(images["J"])
+    for gen, e in word.factors:
+        result = result @ eye_mat_power(images[gen], e)
+    return result
+
+
+def eye_relation_residuals(rep, pres: GroupPresentation,
+                           tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+    """The relation records of `relation_residuals`, from `eye_evaluate_word`."""
+    identity = eye_like(rep.images["J"])
+    return [CheckRecord(f"relation:{rel.label}",
+                        frob(eye_evaluate_word(rel.word, rep.images) - identity), tol,
+                        detail={"family": rel.family, "display": rel.display()})
+            for rel in pres.relations]
+
+
+def eye_spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarray:
+    """(1/p) sum_{t<p} (omega^{-s} g)^t, every power from the identity."""
+    M = g * omega_pow(p, -s, exact)
+    total = eye_like(M)
+    term = eye_like(M)
+    for _ in range(1, p):
+        term = term @ M
+        total = total + term
+    return total / p
+
+
+def eye_spectral_product(identity: np.ndarray, cols, x: ZpVector, projection) -> np.ndarray:
+    """identity @ projection(j, x_j) @ ... over the columns j in cols."""
+    result = identity
+    for j in cols:
+        result = result @ projection(j, x.entry(j))
+    return result
 
 
 def conjugate_representation(
@@ -50,8 +107,8 @@ def psi_image(
         raise NotASolution(f"x is not a restricted solution of row {i}")
     cols = sorted(row_support(sys, i))
     _check_row_commutes(rep, i, cols, tol)
-    return _spectral_product(eye_like(rep.images["J"]), cols, x,
-                             lambda j, s: f_projection(rep, j, s))
+    return eye_spectral_product(eye_like(rep.images["J"]), cols, x,
+                                lambda j, s: f_projection(rep, j, s))
 
 
 def checked_family(
@@ -66,6 +123,22 @@ def checked_family(
     failing = [rec.name for rec in projection_family_checks(fam, tol) if not rec.passed]
     assert not failing, failing
     return fam
+
+
+# Mermin's pentagram: ten 3-qubit Pauli products, one per variable of
+# conftest.pentagram_system.  The operators of each line commute; the first
+# line multiplies to -I and the other four to +I.
+PENTAGRAM_OPS = ("XXX", "XYY", "YXY", "YYX", "XII", "IXI", "IIX", "IYI", "IIY", "YII")
+
+
+def pentagram_rep() -> Representation:
+    """The 8-dimensional operator solution of Mermin's pentagram, J -> -I."""
+    def pauli(word: str) -> np.ndarray:
+        return np.kron(np.kron(_PAULI[word[0]], _PAULI[word[1]]), _PAULI[word[2]])
+
+    images = {f"g{j}": pauli(op) for j, op in enumerate(PENTAGRAM_OPS, 1)}
+    images["J"] = -np.eye(8, dtype=complex)
+    return make_representation(2, images)
 
 
 def representation_to_json(rep: Representation) -> dict:

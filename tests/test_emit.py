@@ -1,6 +1,6 @@
 """The report emitter against its oracle, json.dumps(report, indent=2,
-allow_nan=False): random reports, real reports, and refusals of values
-JSON cannot hold."""
+allow_nan=False): random reports, real repcheck, validate and graph
+reports, and refusals of values JSON cannot hold."""
 
 import contextlib
 import io
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import synclcs.cli as cli
 import synclcs.reps as reps
+from conftest import pentagram_system
+from synclcs import LinearSystem
 from synclcs.cli import main
 from synclcs.presets import magic_square_system, one_eq_system
 from synclcs.reporting import CheckRecord
@@ -55,10 +57,20 @@ RECORDS = st.one_of(
     # any other object, such as a validation record
     st.dictionaries(TEXT, VALUES, max_size=4),
 )
+# a graph value: edges of int pairs, among them pairs holding a bool, and
+# other values
+EDGES = st.lists(st.lists(st.integers() | st.booleans(), min_size=2, max_size=2) | VALUES,
+                 max_size=5)
+GRAPHS = st.builds(lambda head, edges, tail: {**head, "edges": edges, **tail},
+                   st.dictionaries(TEXT, VALUES, max_size=2), EDGES | VALUES,
+                   st.dictionaries(TEXT, VALUES, max_size=2))
 REPORTS = st.builds(
-    lambda items, checks, at: dict(items[:at] + [("checks", checks)] + items[at:]),
-    st.lists(st.tuples(TEXT.filter(lambda key: key != "checks"), VALUES), max_size=5),
+    lambda items, checks, graph, at: dict(
+        items[:at] + [("checks", checks), ("graph", graph)] + items[at:]),
+    st.lists(st.tuples(TEXT.filter(lambda key: key not in ("checks", "graph")), VALUES),
+             max_size=5),
     st.lists(RECORDS, max_size=6),
+    GRAPHS | VALUES,
     st.integers(0, 5))
 
 
@@ -68,16 +80,28 @@ def test_emitter_writes_the_stdlib_text(report):
     assert emitted(report) == oracle(report)
 
 
-@pytest.mark.parametrize("command", ["repcheck-pauli-ms", "validate-invalid"])
+# the system of each command that passes, and its argv after the path
+REAL_REPORTS = {
+    "repcheck-pauli-ms": (magic_square_system(), ["--rep", "pauli-ms"]),
+    "graph-magic-square": (magic_square_system(), []),
+    "graph-magic-square-homogeneous": (magic_square_system(), ["--homogeneous"]),
+    "graph-pentagram": (pentagram_system(), []),
+    "graph-pentagram-homogeneous": (pentagram_system(), ["--homogeneous"]),
+    # one solution per row on disjoint supports: no edges
+    "graph-no-edges": (LinearSystem.from_ints(2, [[1, 0], [0, 1]], [1, 0]), []),
+}
+
+
+@pytest.mark.parametrize("command", [*REAL_REPORTS, "validate-invalid"])
 def test_real_reports_equal_the_stdlib_text(capsys, tmp_path, monkeypatch, command):
-    if command == "repcheck-pauli-ms":
-        path = tmp_path / "ms.json"
-        path.write_text(json.dumps(magic_square_system().to_json()))
-        argv, code = ["repcheck", str(path), "--rep", "pauli-ms"], 0
-    else:  # a composite modulus fails validation
-        path = tmp_path / "bad.json"
+    path = tmp_path / "system.json"
+    if command == "validate-invalid":  # a composite modulus fails validation
         path.write_text(json.dumps({"p": 4, "A": [[1, 2]], "b": [3]}))
         argv, code = ["validate", str(path)], 2
+    else:
+        system, flags = REAL_REPORTS[command]
+        path.write_text(json.dumps(system.to_json()))
+        argv, code = [command.split("-")[0], str(path), *flags], 0
     reports = []  # the report dicts main emits
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda report, out_path=None: (
@@ -85,7 +109,11 @@ def test_real_reports_equal_the_stdlib_text(capsys, tmp_path, monkeypatch, comma
     out_path = tmp_path / "report.json"
     assert main(["--out", str(out_path), *argv]) == code
     out = capsys.readouterr().out
-    assert len(reports) == 1 and reports[0]["checks"]
+    assert len(reports) == 1
+    if command.startswith("graph"):
+        assert (reports[0]["graph"]["edges"] == []) == (command == "graph-no-edges")
+    else:
+        assert reports[0]["checks"]
     assert out == oracle(reports[0])
     assert out_path.read_text() == out
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from collections import Counter
@@ -449,6 +450,30 @@ def test_representation_roundtrip_bit_identical(tmp_path):
     assert again.p == rep.p and again.dim == rep.dim
     for name, M in rep.images.items():
         assert np.array_equal(M, again.images[name])
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_load_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, collecting):
+    good, malformed, not_utf8 = (tmp_path / name for name in ("pauli.json", "bad.json", "bin.json"))
+    save_representation(pauli_magic_square_rep(), str(good))
+    malformed.write_text('{"p": 2,')
+    not_utf8.write_bytes(b'{"p": "\xff"}')
+    during = []  # the collector's state while the file is decoded
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: (during.append(gc.isenabled()), load(fh))[1])
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert load_representation(str(good)).dim == 4
+        assert gc.isenabled() == collecting
+        with pytest.raises(ParseError):
+            load_representation(str(malformed))
+        assert gc.isenabled() == collecting
+        with pytest.raises(UnicodeDecodeError):
+            load_representation(str(not_utf8))
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
+    assert during == [False] * 3
 
 
 def test_load_rejects_non_square():
