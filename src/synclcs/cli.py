@@ -317,7 +317,7 @@ def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tu
         if isinstance(exc, (NotASolution, DimensionMismatch)):
             return EXIT_VALIDATION, {"verdict": "fail"}
         return EXIT_CHECK_FAILURE, {"verdict": "fail", "first_failure": type(exc).__name__}
-    report["checks"] = [rec.to_json() for rec in records]
+    report["checks"] = records  # the emitter writes each record as its to_json()
     failures = [rec for rec in records if not rec.passed]
     summary = {
         "verdict": "pass" if not failures else "fail",

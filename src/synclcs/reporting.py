@@ -3,22 +3,19 @@
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-
-# the keys of a record that `to_json` writes without a detail, in its order
-_PLAIN_KEYS = ("name", "residual", "tolerance", "verdict")
+from math import inf as _INF
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     """One named numerical check: a residual compared against a tolerance."""
 
     name: str
     residual: float
     tolerance: float
-    detail: dict = field(default_factory=dict)
+    detail: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -58,21 +55,29 @@ def list_text(items: list, level: int, template) -> list[str]:
     return pieces
 
 
-def record_template(rec, inner: str) -> str | None:
-    """The `list_text` template of a check record: a record that `to_json`
-    writes without a detail (str name and verdict, finite float residual
-    and tolerance), as the stdlib encoder would, with strings by
-    `encode_basestring_ascii` and floats by `float.__repr__`.  None for any
-    other record, including one with NaN or infinity."""
-    if type(rec) is not dict or tuple(rec) != _PLAIN_KEYS:
-        return None
-    name, residual, tolerance, verdict = rec.values()
-    if not (type(name) is str and type(verdict) is str
-            and type(residual) is float and type(tolerance) is float
-            and math.isfinite(residual) and math.isfinite(tolerance)):
-        return None
-    key = inner + "  "  # starts a line of one of its keys
-    return (f'{{{key}"name": {encode_basestring_ascii(name)},'
-            f'{key}"residual": {float.__repr__(residual)},'
-            f'{key}"tolerance": {float.__repr__(tolerance)},'
-            f'{key}"verdict": {encode_basestring_ascii(verdict)}{inner}}}')
+def record_template(rec, inner: str) -> str:
+    """The `list_text` template of a check record: the text of
+    json.dumps(rec, indent=2, allow_nan=False, default=CheckRecord.to_json).
+
+    A CheckRecord that `to_json` writes without a detail, with a str name
+    and a finite float residual and tolerance, is written from one
+    f-string, as the stdlib encoder would: the name by
+    `encode_basestring_ascii`, the floats by `float.__repr__` (what `!r`
+    calls on an exact float), the verdict from residual <= tolerance.  Any
+    other record, one with NaN or infinity or a validation record among
+    them, goes through json.dumps itself, so its text and its refusals are
+    the stdlib's."""
+    if type(rec) is CheckRecord and not rec.detail:
+        name, residual, tolerance = rec.name, rec.residual, rec.tolerance
+        # finite floats: neither NaN nor an infinity lies strictly between
+        # the infinities
+        if (type(name) is str and type(residual) is float and type(tolerance) is float
+                and -_INF < residual < _INF and -_INF < tolerance < _INF):
+            key = inner + "  "  # starts a line of one of its keys
+            verdict = '"pass"' if residual <= tolerance else '"fail"'
+            return (f'{{{key}"name": {encode_basestring_ascii(name)},'
+                    f'{key}"residual": {residual!r},'
+                    f'{key}"tolerance": {tolerance!r},'
+                    f'{key}"verdict": {verdict}{inner}}}')
+    return json.dumps(rec, indent=2, allow_nan=False,
+                      default=CheckRecord.to_json).replace("\n", inner)

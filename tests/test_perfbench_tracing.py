@@ -10,7 +10,7 @@ import pytest
 
 import synclcs.cli as cli
 import synclcs.reps  # noqa: F401  (loads the modules the tracer patches, as preflight does)
-from synclcs.presets import magic_square_system
+from synclcs.presets import magic_square_system, one_eq_system
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -59,3 +59,21 @@ def test_commands_import_the_wrapped_functions(tracing, tmp_path, capsys):
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {"graphs.isomorphism_search", "graphs.build_game_graph"} <= recorded
     assert tracer.counts["graphs.build_game_graph.calls"] == 2
+
+
+def test_traced_scalar_repcheck_counts_cyclotomic_work(tracing, tmp_path, capsys):
+    """The exact path builds and multiplies cyclotomics through the methods
+    the tracer counts, so a constructor that skips __init__ fails here
+    rather than reading 0 in the benchmark's counts."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(one_eq_system().to_json()))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["repcheck", str(path), "--rep", "scalar:0,0"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.counts["cyclotomic.new"] > 0
+    assert tracer.counts["cyclotomic.mul"] > 0
+    assert tracer.counts["reps.records"] > 0
