@@ -4,7 +4,6 @@ search, and the translation isomorphism."""
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,22 +150,20 @@ def is_isomorphism(G: GameGraph, H: GameGraph, bij: VertexBijection) -> bool:
     return bool(np.array_equal(G.adj, H.adj[np.ix_(perm, perm)]))
 
 
-def _wl_signatures(adj: np.ndarray):
-    """The refinement signature of every vertex under a coloring: its own
-    color and the multiset of (neighbor color, common-neighbor count)."""
+def _wl_edges(adj: np.ndarray, dtype) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Every directed edge of adj, row after row: (offsets, neighbors,
+    common-neighbor counts), with vertex a's edges at offsets[a] to
+    offsets[a + 1]."""
     # float32 runs the product through BLAS; it is exact for counts below
     # 2**24, far more vertices than a dense adjacency matrix can hold
     counts = adj.astype(np.float32)
     common = counts @ counts
-    neighbors = [(nb, common[a, nb].astype(int))
-                 for a, nb in enumerate(np.nonzero(row)[0] for row in adj)]
-
-    def signatures(colors: list[int]) -> list:
-        color = np.array(colors)
-        return [(colors[a], tuple(sorted(Counter(zip(color[nb].tolist(), cn.tolist())).items())))
-                for a, (nb, cn) in enumerate(neighbors)]
-
-    return signatures
+    del counts
+    rows, nb = np.nonzero(adj)
+    cn = common[rows, nb].astype(dtype)
+    del common
+    offsets = np.searchsorted(rows, np.arange(len(adj) + 1)).tolist()
+    return offsets, nb.astype(dtype), cn
 
 
 def _wl_refine(G: GameGraph, H: GameGraph):
@@ -176,25 +173,39 @@ def _wl_refine(G: GameGraph, H: GameGraph):
     Common-neighbor counts are preserved by any isomorphism, so the
     enriched refinement is still sound; it splits the row-clique graphs
     built here far more finely than plain neighbor-color multisets.
-    Returns (colors_G, colors_H, rounds) with comparable color ids, or
-    None as soon as the color multisets diverge (a sound non-isomorphism
-    certificate).
+    Each round codes every edge of a vertex as color[neighbor] * K +
+    common, with K above every count so the code is injective, sorts the
+    codes of each vertex, and numbers the signatures (own color, sorted
+    codes) of G and H through one palette.  Returns (colors_G, colors_H,
+    rounds) with comparable color ids, or None as soon as the color
+    multisets diverge (a sound non-isomorphism certificate).
     """
-    sig_g, sig_h = _wl_signatures(G.adj), _wl_signatures(H.adj)
-    cg, ch = [0] * G.order(), [0] * H.order()
-    rounds = 0
+    K = max(G.order(), H.order()) + 1
+    # a round codes the colors of one whose multisets agreed, at most |V|
+    # of them, so every code is below K * K
+    dtype = np.int32 if K * K <= 2**31 else np.int64
+    edges = [_wl_edges(X.adj, dtype) for X in (G, H)]
+    colors = [[0] * X.order() for X in (G, H)]
+    classes, rounds = 1, 0
     while True:
-        sg, sh = sig_g(cg), sig_h(ch)
-        palette = {sig: k for k, sig in enumerate(sorted(set(sg) | set(sh)))}
-        new_g = [palette[s] for s in sg]
-        new_h = [palette[s] for s in sh]
+        palette = {}
+        for k, (offsets, nb, cn) in enumerate(edges):
+            codes = np.array(colors[k], dtype)[nb]
+            codes *= K
+            codes += cn
+            new = []
+            for a, color in enumerate(colors[k]):
+                row = codes[offsets[a]:offsets[a + 1]]
+                row.sort()
+                new.append(palette.setdefault((color, row.tobytes()), len(palette)))
+            colors[k] = new
         rounds += 1
-        if Counter(new_g) != Counter(new_h):
+        if not np.array_equal(*(np.bincount(c, minlength=len(palette)) for c in colors)):
             return None
-        stable = len(set(new_g)) == len(set(cg)) and len(set(new_h)) == len(set(ch))
-        cg, ch = new_g, new_h
+        stable = len(palette) == classes
+        classes = len(palette)
         if stable and rounds > 1:
-            return cg, ch, rounds
+            return colors[0], colors[1], rounds
 
 
 @dataclass
@@ -222,12 +233,15 @@ def isomorphism_search(
     vertices: same refinement color, adjacency pattern consistent with
     everything mapped so far.  Each step maps the first unmapped vertex
     with the fewest candidates to each of them in ascending order, and
-    narrows every other set by the H row of the image (when adjacent in G)
-    or by its complement, backtracking as soon as one of them empties.
-    The sets a step changes keep their old values on one undo trail, which
-    a frame pops back to its mark before its next candidate, so memory is
-    O(|V|^2/8) for the sets plus the changed rows on the trail.  None is
-    returned only with the tree exhausted; budget exhaustion raises instead.
+    narrows every other set by the H row of the image (when adjacent in G,
+    as the vertex's G row, one byte per vertex, says) or by its complement,
+    backtracking as soon as one of them empties.  The sets a step changes
+    keep their old values on one undo trail, which a frame pops back to
+    its mark before its next candidate, so memory is |V|^2 bytes for the G
+    rows, as for `adj`, and O(|V|^2/8) for the sets plus the changed rows
+    on the trail.  A found bijection is verified edge-preserving before
+    return.  None is returned only with the tree exhausted; budget
+    exhaustion raises instead.
     """
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)
@@ -244,6 +258,7 @@ def isomorphism_search(
     for q, c in enumerate(colors_h):
         by_color[c] = by_color.get(c, 0) | 1 << q
     cand = [by_color[c] for c in colors_g]  # G index -> bitset of H indices
+    g_rows = [row.tobytes() for row in G.adj]  # G's adjacency, a byte per flag
     h_rows = [_bitset(row) for row in H.adj]
     full = (1 << n) - 1
     unmapped = list(range(n))  # ascending
@@ -280,9 +295,10 @@ def isomorphism_search(
         on = h_rows[q]
         off = full & ~(on | 1 << q)
         extended = True
-        for u, adjacent in zip(unmapped, G.adj[a, unmapped].tolist()):
+        row = g_rows[a]
+        for u in unmapped:
             old = cand[u]
-            new = old & (on if adjacent else off)
+            new = old & (on if row[u] else off)
             if new != old:
                 trail.append((u, old))
                 cand[u] = new
@@ -291,7 +307,8 @@ def isomorphism_search(
                     break
     forward = {G.vertices[a]: H.vertices[mapping[a]] for a in range(n)}
     bij = VertexBijection.from_forward(forward)
-    assert is_isomorphism(G, H, bij)
+    if not is_isomorphism(G, H, bij):
+        raise AssertionError("search result failed edge preservation")
     return IsoSearchResult(bij, "found", nodes, rounds)
 
 
