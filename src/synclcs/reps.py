@@ -23,6 +23,7 @@ import gc
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from json.decoder import JSONObject
 from operator import matmul
 
 import numpy as np
@@ -403,7 +404,9 @@ def iso_partition_checks(
     solution permutes S_i(A,b), so both sums at a vertex of row i add up
     the family entries of row i.  Exact sums do not depend on their order,
     so every residual of row i is that of its row sum (zero when row i has
-    no solution).  Float sums run in the vertex order of the summed graph.
+    no solution).  Float sums run in the vertex order of the summed graph,
+    one row at a time, so the sums alive are those over G(A,b) of one
+    row's vertices of G(A,0) and one sum over G(A,0).
     """
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
     identity = eye_like(iso.zero)
@@ -412,15 +415,17 @@ def iso_partition_checks(
         over_g = [by_row[i] for i, _ in H.vertices]
         over_h = [by_row[i] for i, _ in G.vertices]
     else:
-        sums_g = {vh: iso.zero for vh in H.vertices}
-        sums_h = {vg: iso.zero for vg in G.vertices}
-        for i, x in G.vertices:
-            for y in H.rows[i]:
-                E = iso.entry((i, x), (i, y))
-                sums_g[(i, y)] = sums_g[(i, y)] + E
-                sums_h[(i, x)] = sums_h[(i, x)] + E
-        over_g = [frob(total - identity) for total in sums_g.values()]
-        over_h = [frob(total - identity) for total in sums_h.values()]
+        over_g, over_h = [], []
+        for i, ys in H.rows.items():
+            sums_g = [iso.zero] * len(ys)
+            for x in G.rows.get(i, ()):
+                total = iso.zero
+                for k, y in enumerate(ys):
+                    E = iso.entry((i, x), (i, y))
+                    sums_g[k] = sums_g[k] + E
+                    total = total + E
+                over_h.append(frob(total - identity))
+            over_g += [frob(total - identity) for total in sums_g]
     return [
         CheckRecord(f"{family}:{label}", residual, tol)
         for family, labels, residuals in (("iso-sum-over-inhomogeneous", H.labels, over_g),
@@ -525,6 +530,10 @@ def run_check_suite(
     return records
 
 
+# what np.asarray(rows, dtype=float) raises on a matrix that is not numeric
+_NOT_NUMERIC = (TypeError, ValueError, OverflowError)
+
+
 def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:
     try:
         p = json_typed(doc["p"], int, "p")
@@ -549,8 +558,8 @@ def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representat
     images = {}
     for name, rows in generators.items():
         try:
-            parts = np.array(rows, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+            parts = np.asarray(rows, dtype=float)
+        except _NOT_NUMERIC as exc:
             raise ParseError(f"matrix for {name} is not numeric: {exc}") from exc
         if parts.shape != (dim, dim, 2):
             raise ParseError(f"matrix for {name} is not {dim}x{dim} of [re, im] pairs")
@@ -562,18 +571,66 @@ def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representat
     return make_representation(p, images, tol)
 
 
+class _KeyMemo(dict):
+    """The key memo of json.decoder.JSONObject, which looks each key up
+    just before it scans that key's value; this one keeps the last key."""
+
+    key = None
+
+    def setdefault(self, key, default=None):
+        self.key = key
+        return key
+
+
+def _decode_representation(fh) -> object:
+    """json.load(fh), except that each member of the top-level "generators"
+    object goes through np.asarray(value, dtype=float) as soon as it is
+    scanned, so the lists of one generator at a time are alive.  A member
+    that does not convert stays as decoded, and representation_from_json
+    raises its error in turn.  Values are scanned by json's scanner and the
+    two objects walked by json's JSONObject, so a malformed file raises
+    json's error at json's position."""
+    text = fh.read()
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    decoder = json.JSONDecoder()
+    scan, keys = decoder.scan_once, _KeyMemo()
+
+    def generator(s: str, end: int):
+        value, end = scan(s, end)
+        try:
+            value = np.asarray(value, dtype=float)
+        except _NOT_NUMERIC:
+            pass
+        return value, end
+
+    def member(s: str, end: int):
+        if keys.key == "generators" and s.startswith("{", end):
+            return JSONObject((s, end + 1), decoder.strict, generator, None, None)
+        return scan(s, end)
+
+    def document(s: str, end: int):
+        if s.startswith("{", end):
+            return JSONObject((s, end + 1), decoder.strict, member, None, None, keys)
+        return scan(s, end)
+
+    decoder.scan_once = document
+    return decoder.decode(text)
+
+
 def load_representation(path: str, tol: float = DEFAULT_TOL) -> Representation:
     """Read a representation file.  It is decoded with the cyclic garbage
     collector paused: a d = 256 file builds some 660k small lists, the
     collector would pass over them again and again while they are built,
-    and decoded JSON holds no reference cycles.  The file is decoded from
-    its handle, so its text is freed before the images are built."""
+    and decoded JSON holds no reference cycles.  Each generator's matrix
+    becomes an array as soon as it is decoded, so the decoded lists of one
+    generator at a time are alive next to the file's text."""
     collecting = gc.isenabled()
     try:
         with open(path) as fh:
             gc.disable()
             try:
-                doc = json.load(fh)
+                doc = _decode_representation(fh)
             finally:
                 if collecting:
                     gc.enable()

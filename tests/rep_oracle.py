@@ -1,9 +1,12 @@
 """Test-side helpers for the reps module: the image of one game-algebra
 generator by its direct formula (an oracle for the family entries), the
 product chains started at an identity product (an oracle for the
-library's chains, which start at their first factor), a family whose
-defining checks all pass, the unitary conjugate of a representation,
-Mermin's pentagram operator solution, and writing a representation file."""
+library's chains, which start at their first factor), the float partition
+sums held all at once (an oracle for the library's row-by-row sums), a
+family whose defining checks all pass, the unitary conjugate and the
+padding of a representation, Mermin's pentagram operator solution, and
+writing a representation file and reading it back with json.load (an
+oracle for the library's loader, which converts one generator at a time)."""
 
 from __future__ import annotations
 
@@ -14,18 +17,20 @@ import numpy as np
 from adjacency_oracle import is_row_solution
 from synclcs import LinearSystem, Representation, ZpVector, make_representation
 from synclcs.config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
-from synclcs.errors import NotASolution
+from synclcs.errors import NotASolution, ParseError
 from synclcs.group import GroupPresentation, Word
 from synclcs.matops import dagger, eye_like, frob
 from synclcs.reporting import CheckRecord
 from synclcs.reps import (
     _PAULI,
+    IsoGeneratorFamily,
     ProjectionFamily,
     _assemble_family,
     _check_row_commutes,
     f_projection,
     omega_pow,
     projection_family_checks,
+    representation_from_json,
 )
 from synclcs.system import row_support
 
@@ -82,12 +87,42 @@ def eye_spectral_product(identity: np.ndarray, cols, x: ZpVector, projection) ->
     return result
 
 
+def all_at_once_partition_checks(
+    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
+) -> list[CheckRecord]:
+    """The float records of `iso_partition_checks` as the library computed
+    them while it held the sum at every vertex of both graphs at once."""
+    G, H = iso.family.graph, iso.hom_graph
+    identity = eye_like(iso.zero)
+    sums_g = {vh: iso.zero for vh in H.vertices}
+    sums_h = {vg: iso.zero for vg in G.vertices}
+    for i, x in G.vertices:
+        for y in H.rows[i]:
+            E = iso.entry((i, x), (i, y))
+            sums_g[(i, y)] = sums_g[(i, y)] + E
+            sums_h[(i, x)] = sums_h[(i, x)] + E
+    over_g = [frob(total - identity) for total in sums_g.values()]
+    over_h = [frob(total - identity) for total in sums_h.values()]
+    return [
+        CheckRecord(f"{family}:{label}", residual, tol)
+        for family, labels, residuals in (("iso-sum-over-inhomogeneous", H.labels, over_g),
+                                          ("iso-sum-over-homogeneous", G.labels, over_h))
+        for label, residual in zip(labels, residuals)
+    ]
+
+
 def conjugate_representation(
     rep: Representation, U: np.ndarray, tol: float = DEFAULT_TOL
 ) -> Representation:
     """Simultaneous unitary conjugation M -> U M U* of all images."""
     images = {name: U @ M @ dagger(U) for name, M in rep.images.items()}
     return make_representation(rep.p, images, tol=tol)
+
+
+def padded(rep: Representation, pad: int) -> Representation:
+    """M -> M kron I_pad for every image."""
+    eye = np.eye(pad, dtype=complex)
+    return make_representation(rep.p, {name: np.kron(M, eye) for name, M in rep.images.items()})
 
 
 def psi_image(
@@ -161,3 +196,14 @@ def save_representation(rep: Representation, path: str):
     with open(path, "w") as fh:
         json.dump(representation_to_json(rep), fh, indent=2)
         fh.write("\n")
+
+
+def json_load_representation(path: str, tol: float = DEFAULT_TOL) -> Representation:
+    """The library's loader as it was while it decoded the whole file with
+    json.load before it built any image."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    return representation_from_json(doc, tol)

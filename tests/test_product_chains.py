@@ -16,6 +16,7 @@ from rep_oracle import (
     eye_relation_residuals,
     eye_spectral_product,
     eye_spectral_projection,
+    padded,
     pentagram_rep,
 )
 from synclcs import (
@@ -30,12 +31,6 @@ from synclcs import (
 from synclcs.matops import eye_like, frob, mat_power
 from synclcs.presets import magic_square_system
 from synclcs.reps import _spectral_product, _spectral_projection
-
-
-def padded(rep, pad: int):
-    """M -> M kron I_pad for every image."""
-    eye = np.eye(pad, dtype=complex)
-    return make_representation(rep.p, {name: np.kron(M, eye) for name, M in rep.images.items()})
 
 
 def scalar_case(p: int):

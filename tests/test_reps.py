@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import json_like, random_consistent_system, seeded_unitary, zvec
+from conftest import json_like, pentagram_system, random_consistent_system, seeded_unitary, zvec
 from rep_oracle import (
+    all_at_once_partition_checks,
     checked_family,
     conjugate_representation,
+    padded,
+    pentagram_rep,
     psi_image,
     representation_to_json,
     save_representation,
@@ -431,6 +435,44 @@ def test_exact_suite_certifies_by_value(monkeypatch):
     assert calls["frob"] <= 600
 
 
+def with_zero_row(b: int) -> LinearSystem:
+    """The magic square with a seventh row, of zeros, right-hand side b."""
+    doc = magic_square_system().to_json()
+    return LinearSystem.from_ints(2, doc["A"] + [[0] * 9], doc["b"] + [b])
+
+
+@pytest.mark.parametrize("name", ["pauli-ms", "pentagram-d8", "zero-row-b1", "zero-row-b0"])
+def test_float_partition_sums_match_all_at_once(name):
+    # row by row, each sum adds the same terms in the same order; with
+    # b = 1 the zero row has no solution, and its vertex of G(A,0) keeps
+    # the residual of the zero sum
+    sys_, rep = {
+        "pauli-ms": (magic_square_system(), pauli_magic_square_rep()),
+        "pentagram-d8": (pentagram_system(), pentagram_rep()),
+        "zero-row-b1": (with_zero_row(1), pauli_magic_square_rep()),
+        "zero-row-b0": (with_zero_row(0), pauli_magic_square_rep()),
+    }[name]
+    iso = iso_generator_images(checked_family(rep, sys_))
+    got, expected = iso_partition_checks(iso, TOL), all_at_once_partition_checks(iso, TOL)
+    assert [(r.name, r.residual.hex()) for r in got] == [(r.name, r.residual.hex()) for r in expected]
+    assert (name == "zero-row-b1") == any(r.residual == 2.0 for r in got)
+
+
+def test_float_partition_sums_hold_one_row():
+    # a sum per vertex of both graphs held 82 images here
+    rep = conjugate_representation(padded(pentagram_rep(), 8), seeded_unitary(64, 3))
+    iso = iso_generator_images(checked_family(rep, pentagram_system()))
+    tracemalloc.start()
+    try:
+        records = iso_partition_checks(iso)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in records)
+    widest = max(len(ys) for ys in iso.hom_graph.rows.values())
+    assert peak <= (widest + 4) * iso.zero.nbytes
+
+
 def test_iso_zero_column_consistency():
     ms = magic_square_system()
     fam = checked_family(pauli_magic_square_rep(), ms)
@@ -454,13 +496,16 @@ def test_representation_roundtrip_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
 def test_load_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, collecting):
+    import synclcs.reps as reps_module
+
     good, malformed, not_utf8 = (tmp_path / name for name in ("pauli.json", "bad.json", "bin.json"))
     save_representation(pauli_magic_square_rep(), str(good))
     malformed.write_text('{"p": 2,')
     not_utf8.write_bytes(b'{"p": "\xff"}')
     during = []  # the collector's state while the file is decoded
-    load = json.load
-    monkeypatch.setattr(json, "load", lambda fh: (during.append(gc.isenabled()), load(fh))[1])
+    decode = reps_module._decode_representation
+    monkeypatch.setattr(reps_module, "_decode_representation",
+                        lambda fh: (during.append(gc.isenabled()), decode(fh))[1])
     (gc.enable if collecting else gc.disable)()
     try:
         assert load_representation(str(good)).dim == 4
