@@ -200,9 +200,9 @@ class ProjectionFamily:
     """The matrices standing for the game-algebra generators, one per
     (row, solution) pair, built through the spectral projections.
 
-    The residuals, edge products, row sums and phase sums that several
-    check families read are computed once, from the entries as they stand
-    at first use."""
+    The residuals, edge products, row-sum residuals and generator-map
+    residuals that several check families read are computed once, from the
+    entries as they stand at first use; they hold floats, not sums."""
 
     rep: Representation
     graph: GameGraph  # G(A,b): its system, rows and vertices index the entries
@@ -244,26 +244,54 @@ class ProjectionFamily:
         return np.array(norms, dtype=float)[inverse].reshape(2, -1).T
 
     @cached_property
-    def row_sums(self) -> dict[int, np.ndarray]:
-        """row_sums[i] = sum over x in S_i of family(i, x), in vertex order,
-        for every row that has a solution."""
-        zero = np.zeros_like(self.rep.images["J"])
-        return {i: sum((self.entry(i, x) for x in sols), zero)
-                for i, sols in self.graph.rows.items()}
+    def row_sum_residuals(self) -> dict[int, float]:
+        """frob(sum over x in S_i of family(i, x) - I), in vertex order, for
+        every row that has a solution; each row sum is dropped once read."""
+        zero, out = np.zeros_like(self.rep.images["J"]), {}
+        for i, sols in self.graph.rows.items():
+            total = sum((self.entry(i, x) for x in sols), zero)
+            out[i] = frob(total - eye_like(total))
+        return out
+
+    def phase_sums(self, j: int) -> dict[int, np.ndarray]:
+        """Sum over x in S_i of omega^{x_j} family(i, x), for every row i
+        containing variable j, rows ascending.  phi(g_j), the generator map
+        on g_j, is the phase sum of the lowest row that contains j; the
+        other rows must agree with it."""
+        rep, supports = self.rep, self.graph.system.supports
+        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
+                       np.zeros_like(rep.images["J"]))
+                for i, sols in self.graph.rows.items() if j in supports[i - 1]}
 
     @cached_property
-    def phase_sums(self) -> dict[int, dict[int, np.ndarray]]:
-        """phase_sums[j][i] = sum over x in S_i of omega^{x_j} family(i, x),
-        for every variable j and every row i containing it, rows ascending.
-        phi(g_j), the generator map on g_j, is the phase sum of the lowest
-        row that contains j; the other rows must agree with it."""
-        rep, sums = self.rep, {}
-        for i, sols in self.graph.rows.items():
-            for j in self.graph.system.supports[i - 1]:
-                sums.setdefault(j, {})[i] = sum(
-                    (self.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
-                    np.zeros_like(rep.images["J"]))
-        return sums
+    def generator_map_residuals(self) -> tuple[dict, list[float]]:
+        """Both generator maps' residuals, ({j: (rows containing j, the
+        largest frob(sum_i - phi(g_j)) over the rows after the lowest,
+        [frob(sum_i - g_j) for each row])}, [frob(round trip - entry) for
+        each vertex]).  One pass over the variables, ascending, computes each
+        variable's phase sums once, reads them, builds from phi(g_j) the
+        spectral projections its vertices use, and drops the sums; the
+        round trip of a vertex is the product of those projections, which
+        are dropped after the last vertex."""
+        rep, G = self.rep, self.graph
+        supports = G.system.supports
+        by_variable, projections = {}, {}
+        for j in sorted({j for i in G.rows for j in supports[i - 1]}):
+            sums = self.phase_sums(j)
+            rows = list(sums)
+            phi = sums[rows[0]]
+            by_variable[j] = (
+                rows, max((frob(sums[i] - phi) for i in rows[1:]), default=0.0),
+                [frob(total - rep.images[f"g{j}"]) for total in sums.values()])
+            for s in {x.entry(j) for i in rows for x in G.rows[i]}:
+                projections[j, s] = _spectral_projection(phi, s, rep.p, rep.exact)
+            del sums, phi
+        identity = eye_like(rep.images["J"])
+        roundtrip = [
+            frob(_spectral_product(identity, supports[i - 1], y,
+                                   lambda j, s: projections[j, s]) - self.entry(i, y))
+            for i, y in G.vertices]
+        return by_variable, roundtrip
 
 
 def _assemble_family(
@@ -303,9 +331,8 @@ def projection_family_checks(
     for left, right, residual in zip(lefts, rights, residuals[ranked].tolist()):
         records.append(CheckRecord(f"psi-orthogonal:{left}|{right}", residual, tol))
 
-    for i, total in fam.row_sums.items():
-        records.append(CheckRecord(
-            f"psi-rowsum:{i}", frob(total - eye_like(total)), tol))
+    for i, residual in fam.row_sum_residuals.items():
+        records.append(CheckRecord(f"psi-rowsum:{i}", residual, tol))
     return records
 
 
@@ -323,12 +350,8 @@ def phi_welldefinedness_checks(
     containing row is used.  The worst disagreement with the lowest row is
     reported rather than an average, which would mask a failure."""
     records = []
-    for j, per_row in sorted(fam.phase_sums.items()):
-        rows = list(per_row)
-        phi = per_row[rows[0]]
-        records.append(CheckRecord(
-            f"phi-welldefined:g{j}", max((frob(per_row[i] - phi) for i in rows[1:]), default=0.0),
-            tol, detail={"rows": rows}))
+    for j, (rows, residual, _) in fam.generator_map_residuals[0].items():
+        records.append(CheckRecord(f"phi-welldefined:g{j}", residual, tol, detail={"rows": rows}))
         for t in range(fam.rep.p):
             blocks = [p_block(fam, i, j, t) for i in rows]
             residual = max(
@@ -350,22 +373,14 @@ def check_mutual_inverse(
     spectral-projection product built from the reconstructed generators
     must return each family entry.
     """
-    rep, sums = fam.rep, fam.phase_sums
+    by_variable, roundtrip = fam.generator_map_residuals
     records = [
-        CheckRecord(f"roundtrip-generator:g{ell}:row{i}",
-                    frob(total - rep.images[f"g{ell}"]), tol)
-        for ell in sorted(sums) for i, total in sums[ell].items()
+        CheckRecord(f"roundtrip-generator:g{ell}:row{i}", residual, tol)
+        for ell, (rows, _, residuals) in by_variable.items()
+        for i, residual in zip(rows, residuals)
     ]
-
-    # phi(g_j) is the phase sum of the lowest row containing j
-    projection = cache(lambda j, s: _spectral_projection(
-        next(iter(sums[j].values())), s, rep.p, rep.exact))
-    identity = eye_like(rep.images["J"])
-    G = fam.graph
-    for (i, y), label in zip(G.vertices, G.labels):
-        result = _spectral_product(identity, G.system.supports[i - 1], y, projection)
-        records.append(CheckRecord(
-            f"roundtrip-projection:{label}", frob(result - fam.entry(i, y)), tol))
+    records += [CheckRecord(f"roundtrip-projection:{label}", residual, tol)
+                for label, residual in zip(fam.graph.labels, roundtrip)]
     return records
 
 
@@ -403,15 +418,18 @@ def iso_partition_checks(
     Only same-row pairs are nonzero, and translation by a homogeneous
     solution permutes S_i(A,b), so both sums at a vertex of row i add up
     the family entries of row i.  Exact sums do not depend on their order,
-    so every residual of row i is that of its row sum (zero when row i has
-    no solution).  Float sums run in the vertex order of the summed graph,
-    one row at a time, so the sums alive are those over G(A,b) of one
-    row's vertices of G(A,0) and one sum over G(A,0).
+    so every residual of row i is the family's row-sum residual, or that of
+    the zero sum when row i has no solution.  Float sums run in the vertex
+    order of the summed graph, one row at a time, so the sums alive are
+    those over G(A,b) of one row's vertices of G(A,0) and one sum over
+    G(A,0).
     """
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
     identity = eye_like(iso.zero)
     if fam.rep.exact:
-        by_row = {i: frob(fam.row_sums.get(i, iso.zero) - identity) for i in H.rows}
+        residuals = fam.row_sum_residuals
+        by_row = {i: residuals[i] if i in residuals else frob(iso.zero - identity)
+                  for i in H.rows}
         over_g = [by_row[i] for i, _ in H.vertices]
         over_h = [by_row[i] for i, _ in G.vertices]
     else:

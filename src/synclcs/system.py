@@ -102,12 +102,6 @@ class LinearSystem:
             raise RowOutOfRange(f"row {i} outside 1..{self.m}")
 
 
-def row_support(sys: LinearSystem, i: int) -> set[int]:
-    """Support of row i of A (1-based column indices)."""
-    sys._check_row(i)
-    return set(sys.supports[i - 1])
-
-
 def row_solutions(
     sys: LinearSystem, i: int, cap: int = DEFAULT_ENUM_CAP
 ) -> list[ZpVector]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from row_oracle import row_support
 from synclcs.errors import NotASolution
 from synclcs.graphs import GameGraph
-from synclcs.system import LinearSystem, row_support
+from synclcs.system import LinearSystem
 from synclcs.zp import ZpMatrix, ZpVector
 
 

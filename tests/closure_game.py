@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Callable, Hashable
 
 from adjacency_oracle import adjacent, has_vertex
+from row_oracle import row_support
 from synclcs import (
     DeterministicStrategy,
     GameGraph,
@@ -19,7 +20,6 @@ from synclcs import (
     SynchronousGame,
     ZpVector,
     row_solutions,
-    row_support,
 )
 from synclcs.errors import SearchBudgetExceeded
 from synclcs.graphs import ADJACENT, DISTINCT, EQUAL

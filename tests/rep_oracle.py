@@ -2,19 +2,23 @@
 generator by its direct formula (an oracle for the family entries), the
 product chains started at an identity product (an oracle for the
 library's chains, which start at their first factor), the float partition
-sums held all at once (an oracle for the library's row-by-row sums), a
-family whose defining checks all pass, the unitary conjugate and the
-padding of a representation, Mermin's pentagram operator solution, and
-writing a representation file and reading it back with json.load (an
-oracle for the library's loader, which converts one generator at a time)."""
+sums held all at once (an oracle for the library's row-by-row sums), the
+row sums and phase sums cached as matrices with the check families that
+read them (an oracle for the library's cached residuals), a family whose
+defining checks all pass, the unitary conjugate and the padding of a
+representation, Mermin's pentagram operator solution, and writing a
+representation file and reading it back with json.load (an oracle for the
+library's loader, which converts one generator at a time)."""
 
 from __future__ import annotations
 
 import json
+from functools import cache
 
 import numpy as np
 
 from adjacency_oracle import is_row_solution
+from row_oracle import row_support
 from synclcs import LinearSystem, Representation, ZpVector, make_representation
 from synclcs.config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
 from synclcs.errors import NotASolution, ParseError
@@ -27,12 +31,14 @@ from synclcs.reps import (
     ProjectionFamily,
     _assemble_family,
     _check_row_commutes,
+    _spectral_projection,
+    _spectral_product,
     f_projection,
     omega_pow,
+    p_block,
     projection_family_checks,
     representation_from_json,
 )
-from synclcs.system import row_support
 
 # The product chains as the library computed them while each began with an
 # identity product.  Multiplying by the identity is exact up to the sign of
@@ -108,6 +114,108 @@ def all_at_once_partition_checks(
         for family, labels, residuals in (("iso-sum-over-inhomogeneous", H.labels, over_g),
                                           ("iso-sum-over-homogeneous", G.labels, over_h))
         for label, residual in zip(labels, residuals)
+    ]
+
+
+# The generator maps as the library computed them while its projection
+# family cached the row sums and phase sums themselves, d x d images alive
+# until the family was dropped, and check_mutual_inverse cached the
+# spectral projections of phi next to them.  The library keeps residual
+# floats instead, from the same sums and products, so every record must be
+# bit-identical.
+
+
+def cached_row_sums(fam: ProjectionFamily) -> dict[int, np.ndarray]:
+    """Sum over x in S_i of family(i, x), in vertex order, per row with a solution."""
+    zero = np.zeros_like(fam.rep.images["J"])
+    return {i: sum((fam.entry(i, x) for x in sols), zero) for i, sols in fam.graph.rows.items()}
+
+
+def cached_phase_sums(fam: ProjectionFamily) -> dict[int, dict[int, np.ndarray]]:
+    """[j][i]: sum over x in S_i of omega^{x_j} family(i, x), rows ascending."""
+    rep, sums = fam.rep, {}
+    for i, sols in fam.graph.rows.items():
+        for j in fam.graph.system.supports[i - 1]:
+            sums.setdefault(j, {})[i] = sum(
+                (fam.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
+                np.zeros_like(rep.images["J"]))
+    return sums
+
+
+def cached_projection_family_checks(fam: ProjectionFamily,
+                                    tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+    """The records of `projection_family_checks`, psi-rowsum from `cached_row_sums`."""
+    G = fam.graph
+    records = []
+    for label, (idem, adj) in zip(G.labels, fam.entry_residuals.tolist()):
+        records.append(CheckRecord(f"psi-idempotent:{label}", idem, tol))
+        records.append(CheckRecord(f"psi-selfadjoint:{label}", adj, tol))
+    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
+    pairs = np.argsort(order)[G.edges()]
+    products = fam.edge_products
+    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
+    pairs.sort(axis=1)
+    ranked = np.lexsort(pairs.T[::-1])
+    lefts, rights = np.array([G.labels[k] for k in order], dtype=object)[pairs[ranked].T]
+    for left, right, residual in zip(lefts, rights, residuals[ranked].tolist()):
+        records.append(CheckRecord(f"psi-orthogonal:{left}|{right}", residual, tol))
+    for i, total in cached_row_sums(fam).items():
+        records.append(CheckRecord(f"psi-rowsum:{i}", frob(total - eye_like(total)), tol))
+    return records
+
+
+def cached_phi_welldefinedness_checks(fam: ProjectionFamily,
+                                      tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+    """The records of `phi_welldefinedness_checks`, from `cached_phase_sums`."""
+    records = []
+    for j, per_row in sorted(cached_phase_sums(fam).items()):
+        rows = list(per_row)
+        phi = per_row[rows[0]]
+        records.append(CheckRecord(
+            f"phi-welldefined:g{j}", max((frob(per_row[i] - phi) for i in rows[1:]), default=0.0),
+            tol, detail={"rows": rows}))
+        for t in range(fam.rep.p):
+            blocks = [p_block(fam, i, j, t) for i in rows]
+            records.append(CheckRecord(
+                f"phi-valueblock:g{j}:t={t}",
+                max((frob(bq - blocks[0]) for bq in blocks[1:]), default=0.0), tol))
+    return records
+
+
+def cached_check_mutual_inverse(fam: ProjectionFamily,
+                                tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+    """The records of `check_mutual_inverse`, from `cached_phase_sums` and
+    a cache of phi's spectral projections filled in vertex order."""
+    rep, sums = fam.rep, cached_phase_sums(fam)
+    records = [
+        CheckRecord(f"roundtrip-generator:g{ell}:row{i}", frob(total - rep.images[f"g{ell}"]), tol)
+        for ell in sorted(sums) for i, total in sums[ell].items()
+    ]
+    projection = cache(lambda j, s: _spectral_projection(
+        next(iter(sums[j].values())), s, rep.p, rep.exact))
+    identity = eye_like(rep.images["J"])
+    G = fam.graph
+    for (i, y), label in zip(G.vertices, G.labels):
+        result = _spectral_product(identity, G.system.supports[i - 1], y, projection)
+        records.append(CheckRecord(
+            f"roundtrip-projection:{label}", frob(result - fam.entry(i, y)), tol))
+    return records
+
+
+def cached_iso_partition_checks(iso: IsoGeneratorFamily,
+                                tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+    """The records of `iso_partition_checks`: exact ones from
+    `cached_row_sums`, float ones from `all_at_once_partition_checks`."""
+    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
+    if not fam.rep.exact:
+        return all_at_once_partition_checks(iso, tol)
+    identity, row_sums = eye_like(iso.zero), cached_row_sums(fam)
+    by_row = {i: frob(row_sums.get(i, iso.zero) - identity) for i in H.rows}
+    return [
+        CheckRecord(f"{family}:{label}", by_row[i], tol)
+        for family, vertices, labels in (("iso-sum-over-inhomogeneous", H.vertices, H.labels),
+                                         ("iso-sum-over-homogeneous", G.vertices, G.labels))
+        for (i, _), label in zip(vertices, labels)
     ]
 
 

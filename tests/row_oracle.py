@@ -1,4 +1,5 @@
-"""Oracles for `zp.gauss_solve` and `system.row_solutions`.
+"""Oracles for `zp.gauss_solve` and `system.row_solutions`, and
+`row_support`, one row's support as a set, which only tests read.
 
 `dense_gauss_solve` is the dense solver as it was before elimination ran
 on sparse rows: a full reduced row echelon form, the particular solution
@@ -13,8 +14,14 @@ import itertools
 
 from synclcs.config import DEFAULT_ENUM_CAP
 from synclcs.errors import EnumerationTooLarge
-from synclcs.system import LinearSystem, row_support
+from synclcs.system import LinearSystem
 from synclcs.zp import ZpMatrix, ZpVector
+
+
+def row_support(sys: LinearSystem, i: int) -> set[int]:
+    """Support of row i of A (1-based column indices), as a set."""
+    sys._check_row(i)
+    return set(sys.supports[i - 1])
 
 
 def scale(v: ZpVector, c: int) -> ZpVector:

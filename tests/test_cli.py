@@ -581,7 +581,7 @@ Representation check_iso_relations check_mutual_inverse f_projection
 iso_generator_images iso_partition_checks load_representation make_representation
 pauli_magic_square_rep phi_welldefinedness_checks projection_family_checks
 representation_from_json run_check_suite scalar_rep_from_solution LinearSystem
-ValidationReport row_solutions row_support validate_document validate_system
+ValidationReport row_solutions validate_document validate_system
 AffineSolutionSet ZpMatrix ZpVector gauss_solve is_prime
 """
 

@@ -18,6 +18,7 @@ from closure_game import (
     rule_table,
 )
 from conftest import pentagram_system, random_system, zvec
+from row_oracle import row_support
 from synclcs import (
     DeterministicStrategy,
     LinearSystem,
@@ -28,7 +29,6 @@ from synclcs import (
     find_perfect_deterministic,
     gauss_solve,
     row_solutions,
-    row_support,
 )
 from synclcs.errors import SearchBudgetExceeded
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import random_consistent_system, random_system, seeded_unitary
 from rep_oracle import conjugate_representation
+from row_oracle import row_support
 from synclcs import (
     LinearSystem,
     Representation,
@@ -49,8 +50,6 @@ def test_relation_count_closed_form(rng):
         p = rng.choice([2, 3, 5])
         sys_ = random_system(rng, p, rng.randint(1, 5), rng.randint(1, 5))
         pres = build_presentation(sys_)
-        from synclcs import row_support
-
         pairs = set()
         for i in range(1, sys_.m + 1):
             cols = sorted(row_support(sys_, i))

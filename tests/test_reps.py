@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from conftest import json_like, pentagram_system, random_consistent_system, seeded_unitary, zvec
 from rep_oracle import (
     all_at_once_partition_checks,
+    cached_check_mutual_inverse,
+    cached_iso_partition_checks,
+    cached_phi_welldefinedness_checks,
+    cached_projection_family_checks,
     checked_family,
     conjugate_representation,
     padded,
@@ -22,6 +26,7 @@ from rep_oracle import (
 )
 from synclcs import (
     LinearSystem,
+    ZpVector,
     build_game_graph,
     check_iso_relations,
     check_mutual_inverse,
@@ -240,8 +245,8 @@ def test_phi_scalar_recovers_solution_phases():
     rep = scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
     fam = checked_family(rep, sys_)
     # phi(g_j) is the phase sum of the lowest row containing j
-    assert scalar_value(fam.phase_sums[1][1]) == complex(omega_pow(rep.p, 1, rep.exact))
-    assert scalar_value(fam.phase_sums[2][1]) == 1
+    assert scalar_value(fam.phase_sums(1)[1]) == complex(omega_pow(rep.p, 1, rep.exact))
+    assert scalar_value(fam.phase_sums(2)[1]) == 1
 
 
 def test_phi_pauli_recovers_generators():
@@ -250,7 +255,7 @@ def test_phi_pauli_recovers_generators():
     fam = checked_family(rep, ms)
     recs = {r.name: r for r in phi_welldefinedness_checks(fam)}
     for j in range(1, 10):
-        per_row = fam.phase_sums[j]
+        per_row = fam.phase_sums(j)
         rows = list(per_row)
         assert rows == sorted(rows) and len(rows) == 2
         assert recs[f"phi-welldefined:g{j}"].detail == {"rows": rows}
@@ -263,7 +268,7 @@ def test_phi_unused_variable():
     sys_ = LinearSystem.from_ints(2, [[1, 0]], [0])
     rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
     fam = checked_family(rep, sys_)
-    assert 2 not in fam.phase_sums
+    assert fam.phase_sums(2) == {}
     names = [r.name for r in phi_welldefinedness_checks(fam)]
     assert names == ["phi-welldefined:g1", "phi-valueblock:g1:t=0", "phi-valueblock:g1:t=1"]
 
@@ -471,6 +476,83 @@ def test_float_partition_sums_hold_one_row():
     assert all(r.passed for r in records)
     widest = max(len(ys) for ys in iso.hom_graph.rows.values())
     assert peak <= (widest + 4) * iso.zero.nbytes
+
+
+def _commuting_non_solution() -> tuple[LinearSystem, object]:
+    """The magic square with seeded diagonal sign images, conjugated: every
+    row's images commute, but the rows' products are not +-I as the system
+    asks, so the phase sums of a variable differ from row to row."""
+    gen = np.random.default_rng(7)
+    images = {f"g{j}": np.diag(gen.choice([1.0, -1.0], size=8)).astype(complex)
+              for j in range(1, 10)}
+    images["J"] = -np.eye(8, dtype=complex)
+    rep = conjugate_representation(make_representation(2, images), seeded_unitary(8, 5))
+    return magic_square_system(), rep
+
+
+def _scalar_source(sys_: LinearSystem, x: ZpVector | None = None):
+    """sys_ with its scalar representation at x, or at Gauss's particular solution."""
+    return sys_, scalar_rep_from_solution(
+        sys_, gauss_solve(sys_.A, sys_.b).particular if x is None else x)
+
+
+_PARITY_SOURCES = {
+    "pauli-ms": lambda: (magic_square_system(), pauli_magic_square_rep()),
+    "pentagram-d8": lambda: (pentagram_system(), pentagram_rep()),
+    "pentagram-d64-conjugated": lambda: (pentagram_system(), conjugate_representation(
+        padded(pentagram_rep(), 8), seeded_unitary(64, 3))),
+    "zero-row-b0": lambda: (with_zero_row(0), pauli_magic_square_rep()),
+    "zero-row-b1": lambda: (with_zero_row(1), pauli_magic_square_rep()),
+    "scalar-p3-zero-row": lambda: _scalar_source(_zero_row_system(0), zvec(3, 1, 0, 1)),
+    "scalar-p5": lambda: _scalar_source(random_consistent_system(random.Random(5), 5, 3, 3)),
+    "scalar-p7": lambda: _scalar_source(random_consistent_system(random.Random(7), 7, 2, 3)),
+    "exact-non-solution": lambda: (_zero_row_system(1),
+                                   _direct_sum_scalar_rep(_zero_row_system(1), (0, 0, 0))),
+    "unused-variable": lambda: _scalar_source(LinearSystem.from_ints(2, [[1, 0]], [0])),
+    "commuting-non-solution": _commuting_non_solution,
+}
+
+
+@pytest.mark.parametrize("name", list(_PARITY_SOURCES))
+def test_cached_residuals_match_cached_sums(name):
+    # the family keeps residual floats where it kept d x d sums; each
+    # record must be the one the cached sums gave, bit for bit
+    sys_, rep = _PARITY_SOURCES[name]()
+    fam = _assemble_family(rep, sys_, TOL, 2**20)
+    iso = iso_generator_images(fam)
+    checks = [
+        (projection_family_checks, cached_projection_family_checks, fam),
+        (phi_welldefinedness_checks, cached_phi_welldefinedness_checks, fam),
+        (check_mutual_inverse, cached_check_mutual_inverse, fam),
+        (iso_partition_checks, cached_iso_partition_checks, iso),
+    ]
+    for library, oracle, arg in checks:
+        got, expected = library(arg, TOL), oracle(arg, TOL)
+        assert [(r.name, r.residual.hex(), r.detail) for r in got] == \
+            [(r.name, r.residual.hex(), r.detail) for r in expected], library.__name__
+    if name == "commuting-non-solution":
+        assert min(r.residual for r in phi_welldefinedness_checks(fam, TOL)
+                   if r.name.startswith("phi-welldefined")) > 0.1
+
+
+def test_generator_maps_hold_residuals_not_sums():
+    # the cached row sums and phase sums, next to phi's projections, peaked
+    # at 51.4 images above the start here and held 25.4 after the stage
+    rep = conjugate_representation(padded(pentagram_rep(), 8), seeded_unitary(64, 3))
+    fam = _assemble_family(rep, pentagram_system(), TOL, 2**20)
+    image = rep.images["J"].nbytes
+    tracemalloc.start()
+    try:
+        records = (projection_family_checks(fam) + phi_welldefinedness_checks(fam)
+                   + check_mutual_inverse(fam))
+        passed = all(r.passed for r in records)
+        del records  # what the family holds is left
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak <= 30 * image
+    assert held <= 1 * image
 
 
 def test_iso_zero_column_consistency():

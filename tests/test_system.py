@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from adjacency_oracle import compatible, is_row_solution, row, support
 from conftest import brute_force_row_solutions, json_like, random_system, zvec
-from row_oracle import gauss_row_solutions
+from row_oracle import gauss_row_solutions, row_support
 from synclcs import (
     LinearSystem,
     row_solutions,
-    row_support,
     validate_document,
     validate_system,
 )
@@ -99,7 +98,7 @@ def test_supports_are_the_sorted_row_supports(p, capsys, tmp_path):
 def test_row_index_bounds():
     sys_ = one_eq_system()
     with pytest.raises(RowOutOfRange):
-        row_support(sys_, 2)
+        row_solutions(sys_, 2)
     with pytest.raises(RowOutOfRange):
         row_solutions(sys_, 0)
 
