@@ -24,6 +24,7 @@ import json
 import sys as _sys
 import traceback
 from datetime import datetime, timezone
+from itertools import chain
 
 from . import __version__
 from .config import DEFAULT_TOL, MAX_REPCHECK_P, OMEGA_CONVENTION, Limits
@@ -93,28 +94,34 @@ def _value_text(key: str, value, level: int) -> list[str]:
     """The text of the value at `key`, nested `level` deep, as pieces.
 
     With an indent the stdlib runs its pure-Python encoder, so the long
-    lists of reports are written from templates, byte for byte: the check
-    records of `checks`, and the [a, b] index pairs of a graph's `edges`.
-    Every other value is encoded by json.dumps and indented."""
-    if key == "checks" and type(value) is list:
+    lists of reports are written by `reporting.list_text`, byte for byte:
+    the check records of `checks`, a list or a suite's Checks, and the
+    [a, b] index pairs of a graph's `edges`.  Every other value is encoded
+    by json.dumps and indented."""
+    if key == "checks":
         # repcheck has loaded it with reps; elsewhere only validation records need it
-        from .reporting import list_text, record_template
-        return list_text(value, level, record_template)
+        from .reporting import Checks, checks_text, list_text
+        if type(value) in (list, Checks):
+            return list_text(value, level, checks_text)
     if key == "graph" and type(value) is dict and all(type(k) is str for k in value):
         return _object_text(value, level)
     if key == "edges" and type(value) is list:
         from .reporting import list_text
-        return list_text(value, level, _pair_template)
+        return list_text(value, level, _pairs_text)
     return [json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)]
 
 
-def _pair_template(pair, inner: str) -> str | None:
-    """A list of two ints as the stdlib encoder writes it, each on its own
-    line; None for anything else."""
-    if type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
-        item = inner + "  "  # starts the line of an int
-        return f"[{item}{pair[0]},{item}{pair[1]}{inner}]"
-    return None
+def _pairs_text(pairs: list, lead: str, inner: str):
+    """The `list_text` writer of a graph's edges: a list of two ints as the
+    stdlib encoder writes it, each int on its own line; anything else by
+    json.dumps."""
+    from .reporting import item_text
+    item = inner + "  "  # starts the line of an int
+    for pair in pairs:
+        if type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
+            yield f"{lead}[{item}{pair[0]},{item}{pair[1]}{inner}]"
+        else:
+            yield item_text(pair, lead, inner)
 
 
 def _base_report(command: str, inputs: dict) -> dict:
@@ -318,16 +325,35 @@ def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tu
             return EXIT_VALIDATION, {"verdict": "fail"}
         return EXIT_CHECK_FAILURE, {"verdict": "fail", "first_failure": type(exc).__name__}
     report["checks"] = records  # the emitter writes each record as its to_json()
-    failures = [rec for rec in records if not rec.passed]
+    summary = _check_summary(records)
+    return (EXIT_PASS if summary["verdict"] == "pass" else EXIT_CHECK_FAILURE), summary
+
+
+def _check_summary(checks) -> dict:
+    """The repcheck summary of a list or Checks of records, read from the
+    columns: the failures, where residual <= tolerance is false, the
+    left-to-right max of the residuals in record order, and the name of
+    the first failure, the only name built."""
+    from .reporting import CheckBlock, Checks
+    columns = [(part, part.ordered_residuals(), part.tolerance) if type(part) is CheckBlock
+               else (part, (part.residual,), part.tolerance)
+               for part in (checks.parts if type(checks) is Checks else checks)]
+    failures, first = 0, None
+    for part, residuals, tol in columns:
+        failing = [k for k, residual in enumerate(residuals) if not residual <= tol]
+        if failing and first is None:
+            first = part.name(failing[0]) if type(part) is CheckBlock else part.name
+        failures += len(failing)
     summary = {
         "verdict": "pass" if not failures else "fail",
-        "checks": len(records),
-        "failures": len(failures),
-        "max_residual": max((rec.residual for rec in records), default=0.0),
+        "checks": len(checks),
+        "failures": failures,
+        "max_residual": max(chain.from_iterable(residuals for _, residuals, _ in columns),
+                            default=0.0),
     }
     if failures:
-        summary["first_failure"] = failures[0].name
-    return (EXIT_PASS if not failures else EXIT_CHECK_FAILURE), summary
+        summary["first_failure"] = first
+    return summary
 
 
 def cmd_examples(system: None, report: dict, args, limits: Limits) -> tuple[int, dict]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import gc
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from json.decoder import JSONObject
@@ -41,7 +42,7 @@ from .errors import (
 from .graphs import EQUAL, GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
 from .matops import dagger, eye_like, frob, is_exact
-from .reporting import CheckRecord
+from .reporting import CheckBlock, CheckRecord, Checks
 from .system import LinearSystem, json_typed
 from .zp import ZpVector, check_prime
 
@@ -311,14 +312,14 @@ def _assemble_family(
 
 def projection_family_checks(
     fam: ProjectionFamily, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
+) -> Checks:
     """Idempotency, self-adjointness, orthogonality on incompatible pairs,
-    and the per-row resolutions of identity."""
+    and the per-row resolutions of identity.  Orthogonality has a check per
+    edge, so its block holds the labels of each pair's ends, not names, and
+    its residuals as an array of doubles, which reads back Python floats."""
     G = fam.graph
-    records = []
-    for label, (idem, adj) in zip(G.labels, fam.entry_residuals.tolist()):
-        records.append(CheckRecord(f"psi-idempotent:{label}", idem, tol))
-        records.append(CheckRecord(f"psi-selfadjoint:{label}", adj, tol))
+    idem, adj = fam.entry_residuals.T.tolist()
+    checks = [CheckBlock(("psi-idempotent", "psi-selfadjoint"), (G.labels,), (idem, adj), tol)]
 
     # incompatible pairs in sorted-key order, the lower key on the left
     order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
@@ -328,12 +329,12 @@ def projection_family_checks(
     pairs.sort(axis=1)
     ranked = np.lexsort(pairs.T[::-1])
     lefts, rights = np.array([G.labels[k] for k in order], dtype=object)[pairs[ranked].T]
-    for left, right, residual in zip(lefts, rights, residuals[ranked].tolist()):
-        records.append(CheckRecord(f"psi-orthogonal:{left}|{right}", residual, tol))
+    checks.append(CheckBlock(("psi-orthogonal",), (lefts, rights),
+                             (array("d", residuals[ranked].tobytes()),), tol))
 
-    for i, residual in fam.row_sum_residuals.items():
-        records.append(CheckRecord(f"psi-rowsum:{i}", residual, tol))
-    return records
+    checks += [CheckRecord(f"psi-rowsum:{i}", residual, tol)
+               for i, residual in fam.row_sum_residuals.items()]
+    return Checks(checks)
 
 
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
@@ -364,7 +365,7 @@ def phi_welldefinedness_checks(
 
 def check_mutual_inverse(
     fam: ProjectionFamily, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
+) -> Checks:
     """Both round trips of the generator maps between the family and the
     representation it was built from.
 
@@ -374,14 +375,13 @@ def check_mutual_inverse(
     must return each family entry.
     """
     by_variable, roundtrip = fam.generator_map_residuals
-    records = [
+    checks = [
         CheckRecord(f"roundtrip-generator:g{ell}:row{i}", residual, tol)
         for ell, (rows, _, residuals) in by_variable.items()
         for i, residual in zip(rows, residuals)
     ]
-    records += [CheckRecord(f"roundtrip-projection:{label}", residual, tol)
-                for label, residual in zip(fam.graph.labels, roundtrip)]
-    return records
+    checks.append(CheckBlock(("roundtrip-projection",), (fam.graph.labels,), (roundtrip,), tol))
+    return Checks(checks)
 
 
 @dataclass(eq=False)
@@ -411,7 +411,7 @@ def iso_generator_images(
 
 def iso_partition_checks(
     iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
+) -> Checks:
     """Both partition-of-unity identities: summing E over all vertices of
     either graph, the other one held fixed, gives the identity.
 
@@ -444,12 +444,8 @@ def iso_partition_checks(
                     total = total + E
                 over_h.append(frob(total - identity))
             over_g += [frob(total - identity) for total in sums_g]
-    return [
-        CheckRecord(f"{family}:{label}", residual, tol)
-        for family, labels, residuals in (("iso-sum-over-inhomogeneous", H.labels, over_g),
-                                          ("iso-sum-over-homogeneous", G.labels, over_h))
-        for label, residual in zip(labels, residuals)
-    ]
+    return Checks([CheckBlock(("iso-sum-over-inhomogeneous",), (H.labels,), (over_g,), tol),
+                   CheckBlock(("iso-sum-over-homogeneous",), (G.labels,), (over_h,), tol)])
 
 
 def check_iso_relations(
@@ -508,22 +504,21 @@ def check_iso_relations(
 
 def psi_iso_consistency_checks(
     iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
+) -> Checks:
     """The reverse generator map into the isomorphism-game algebra: for
     each (i, x), summing E over the homogeneous zero-solution column per
     row recovers the family entry.  Structural by construction; this
     guards the implementation."""
-    records = []
     fam = iso.family
     sys = fam.graph.system
     zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
-    for (i, x), label in zip(fam.graph.vertices, fam.graph.labels):
+    residuals = []
+    for i, x in fam.graph.vertices:
         total = iso.zero
         for k in range(1, sys.m + 1):
             total = total + iso.entry((i, x), (k, zero_vec))
-        records.append(CheckRecord(
-            f"iso-zero-column:{label}", frob(total - fam.entry(i, x)), tol))
-    return records
+        residuals.append(frob(total - fam.entry(i, x)))
+    return Checks([CheckBlock(("iso-zero-column",), (fam.graph.labels,), (residuals,), tol)])
 
 
 def run_check_suite(
@@ -531,21 +526,21 @@ def run_check_suite(
     sys: LinearSystem,
     tol: float = DEFAULT_TOL,
     cap: int = DEFAULT_ENUM_CAP,
-) -> list[CheckRecord]:
+) -> Checks:
     """The full certification pipeline, in order: group relations, family
     invariants, generator-map well-definedness, both round trips, the
     partition identities of the isomorphism-game family, and its rule
     orthogonality."""
-    records = relation_residuals(rep, build_presentation(sys), tol)
+    checks = Checks(relation_residuals(rep, build_presentation(sys), tol))
     fam = _assemble_family(rep, sys, tol, cap)
-    records += projection_family_checks(fam, tol)
-    records += phi_welldefinedness_checks(fam, tol)
-    records += check_mutual_inverse(fam, tol)
+    checks += projection_family_checks(fam, tol)
+    checks += phi_welldefinedness_checks(fam, tol)
+    checks += check_mutual_inverse(fam, tol)
     iso = iso_generator_images(fam, cap)
-    records += iso_partition_checks(iso, tol)
-    records += check_iso_relations(iso, tol)
-    records += psi_iso_consistency_checks(iso, tol)
-    return records
+    checks += iso_partition_checks(iso, tol)
+    checks += check_iso_relations(iso, tol)
+    checks += psi_iso_consistency_checks(iso, tol)
+    return checks
 
 
 # what np.asarray(rows, dtype=float) raises on a matrix that is not numeric

@@ -4,7 +4,9 @@ product chains started at an identity product (an oracle for the
 library's chains, which start at their first factor), the float partition
 sums held all at once (an oracle for the library's row-by-row sums), the
 row sums and phase sums cached as matrices with the check families that
-read them (an oracle for the library's cached residuals), a family whose
+read them (an oracle for the library's cached residuals), the whole suite
+built record by record (an oracle for the library's check blocks), the
+records of a block by its naming (an oracle for its expansion), a family whose
 defining checks all pass, the unitary conjugate and the padding of a
 representation, Mermin's pentagram operator solution, and writing a
 representation file and reading it back with json.load (an oracle for the
@@ -22,9 +24,9 @@ from row_oracle import row_support
 from synclcs import LinearSystem, Representation, ZpVector, make_representation
 from synclcs.config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
 from synclcs.errors import NotASolution, ParseError
-from synclcs.group import GroupPresentation, Word
+from synclcs.group import GroupPresentation, Word, build_presentation, relation_residuals
 from synclcs.matops import dagger, eye_like, frob
-from synclcs.reporting import CheckRecord
+from synclcs.reporting import CheckBlock, CheckRecord, Checks
 from synclcs.reps import (
     _PAULI,
     IsoGeneratorFamily,
@@ -33,7 +35,9 @@ from synclcs.reps import (
     _check_row_commutes,
     _spectral_projection,
     _spectral_product,
+    check_iso_relations,
     f_projection,
+    iso_generator_images,
     omega_pow,
     p_block,
     projection_family_checks,
@@ -217,6 +221,57 @@ def cached_iso_partition_checks(iso: IsoGeneratorFamily,
                                          ("iso-sum-over-homogeneous", G.vertices, G.labels))
         for (i, _), label in zip(vertices, labels)
     ]
+
+
+# The check suite as the library built it while every check was a
+# CheckRecord of its own, the seven families of its blocks among them: the
+# per-vertex families, orthogonality with a name per edge, and the partition
+# sums, from the cached oracles above, and the zero-column sums.
+
+
+def per_record_zero_column_checks(iso: IsoGeneratorFamily,
+                                  tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+    """The records of `psi_iso_consistency_checks`, one by one."""
+    fam = iso.family
+    sys = fam.graph.system
+    zero_vec = ZpVector.zero(sys.p, sys.n)
+    records = []
+    for (i, x), label in zip(fam.graph.vertices, fam.graph.labels):
+        total = iso.zero
+        for k in range(1, sys.m + 1):
+            total = total + iso.entry((i, x), (k, zero_vec))
+        records.append(CheckRecord(f"iso-zero-column:{label}", frob(total - fam.entry(i, x)), tol))
+    return records
+
+
+def per_record_check_suite(rep: Representation, sys: LinearSystem, tol: float = DEFAULT_TOL,
+                           cap: int = DEFAULT_ENUM_CAP) -> list[CheckRecord]:
+    """The records of `run_check_suite`, each built on its own."""
+    records = relation_residuals(rep, build_presentation(sys), tol)
+    fam = _assemble_family(rep, sys, tol, cap)
+    records += cached_projection_family_checks(fam, tol)
+    records += cached_phi_welldefinedness_checks(fam, tol)
+    records += cached_check_mutual_inverse(fam, tol)
+    iso = iso_generator_images(fam, cap)
+    records += cached_iso_partition_checks(iso, tol)
+    records += check_iso_relations(iso, tol)
+    records += per_record_zero_column_checks(iso, tol)
+    return records
+
+
+def expanded(checks) -> list:
+    """The records of a list or a Checks, each block's by its naming: row k
+    holds one record per family, named family:label|label... from row k of
+    the label columns."""
+    records = []
+    for part in (checks.parts if type(checks) is Checks else checks):
+        if type(part) is not CheckBlock:
+            records.append(part)
+            continue
+        for k, row in enumerate(zip(*part.labels)):
+            for family, column in zip(part.families, part.residuals):
+                records.append(CheckRecord(family + ":" + "|".join(row), column[k], part.tolerance))
+    return records
 
 
 def conjugate_representation(

@@ -332,6 +332,59 @@ def test_repcheck_corrupted_rep_file(capsys, tmp_path):
     assert "first_failure" in report["summary"]
 
 
+def records_summary(records: list) -> dict:
+    """The repcheck summary as read from the records one by one."""
+    failures = [rec for rec in records if not rec.passed]
+    summary = {"verdict": "fail" if failures else "pass", "checks": len(records),
+               "failures": len(failures),
+               "max_residual": max((rec.residual for rec in records), default=0.0)}
+    if failures:
+        summary["first_failure"] = failures[0].name
+    return summary
+
+
+@pytest.mark.parametrize("system, flags, code", [
+    ("magic-square", ["--rep", "pauli-ms"], 0),
+    ("p3-demo", ["--rep", "scalar:1,0,0"], 0),
+    # the float residuals of the family entries are not exactly 0
+    ("magic-square", ["--rep", "pauli-ms", "--tol", "0"], 1),
+], ids=["pass-float", "pass-exact", "fail-in-a-block"])
+def test_repcheck_summary_reads_the_columns(capsys, tmp_path, monkeypatch, system, flags, code):
+    import synclcs.reps as reps
+    from rep_oracle import expanded
+    from synclcs.reporting import CheckBlock
+
+    suites = []
+    suite = reps.run_check_suite
+    monkeypatch.setattr(reps, "run_check_suite",
+                        lambda *args, **kwargs: suites.append(suite(*args, **kwargs)) or suites[-1])
+    path = write_preset(capsys, tmp_path, system)
+    got, out = run(capsys, ["repcheck", path, *flags])
+    assert got == code
+    report = json.loads(out)
+    records = expanded(suites[0])
+    assert report["summary"] == records_summary(records)
+    assert len(suites[0]) == len(records) == len(report["checks"])
+    if code:
+        block = next(part for part in suites[0].parts if type(part) is CheckBlock)
+        assert report["summary"]["first_failure"].startswith(block.families)
+
+
+def test_check_summary_names_the_first_failure_of_a_block():
+    from synclcs.cli import _check_summary
+    from synclcs.reporting import CheckBlock, CheckRecord, Checks
+
+    block = CheckBlock(("a", "b"), (["x", "y", "z"], ["1", "2", "3"]),
+                       ([0.0, 0.0, 0.5], [0.0, 2.0, -0.0]), 1.0)
+    checks = Checks([CheckRecord("first", 0.0, 1.0), block, CheckRecord("last", 3.0, 1.0)])
+    assert _check_summary(checks) == records_summary(list(checks)) == {
+        "verdict": "fail", "checks": 8, "failures": 2, "max_residual": 3.0,
+        "first_failure": "b:y|2"}
+    # the left-to-right max keeps the first of equal residuals
+    zeros = Checks([CheckBlock(("a", "b"), (["x"],), ([-0.0], [0.0]), 1.0)])
+    assert repr(_check_summary(zeros)["max_residual"]) == "-0.0"
+
+
 def test_repcheck_unparseable_rep_file(capsys, tmp_path):
     path = write_preset(capsys, tmp_path, "one-eq")
     rep_path = tmp_path / "norep.json"

@@ -18,8 +18,10 @@ from rep_oracle import (
     cached_projection_family_checks,
     checked_family,
     conjugate_representation,
+    expanded,
     padded,
     pentagram_rep,
+    per_record_check_suite,
     psi_image,
     representation_to_json,
     save_representation,
@@ -55,6 +57,7 @@ from synclcs.errors import (
 from synclcs.cyclotomic import Cyclotomic
 from synclcs.matops import dagger, frob
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
+from synclcs.reporting import CheckRecord
 from synclcs.reps import _assemble_family, omega_pow, psi_iso_consistency_checks
 
 TOL = 1e-9
@@ -533,6 +536,26 @@ def test_cached_residuals_match_cached_sums(name):
     if name == "commuting-non-solution":
         assert min(r.residual for r in phi_welldefinedness_checks(fam, TOL)
                    if r.name.startswith("phi-welldefined")) > 0.1
+
+
+@pytest.mark.parametrize("name", ["pauli-ms", "pentagram-d8", "scalar-p3-zero-row", "scalar-p5",
+                                  "scalar-p7", "commuting-non-solution"])
+def test_suite_blocks_expand_to_the_per_record_suite(name):
+    # seven families are blocks of columns; the suite they expand to must
+    # be the one built record by record, in order, bit for bit
+    sys_, rep = _PARITY_SOURCES[name]()
+    checks = run_check_suite(rep, sys_, TOL)
+    expected = [(r.name, r.residual.hex(), r.tolerance, r.passed)
+                for r in per_record_check_suite(rep, sys_, TOL)]
+    for records in (list(checks), expanded(checks)):
+        assert [(r.name, r.residual.hex(), r.tolerance, r.passed) for r in records] == expected
+    assert len(checks) == len(expected)
+    blocks = [part for part in checks.parts if not isinstance(part, CheckRecord)]
+    assert {family for block in blocks for family in block.families} == {
+        "psi-idempotent", "psi-selfadjoint", "psi-orthogonal", "roundtrip-projection",
+        "iso-sum-over-inhomogeneous", "iso-sum-over-homogeneous", "iso-zero-column"}
+    failing_in_blocks = any(not r.passed for block in blocks for r in block)
+    assert failing_in_blocks == (name == "commuting-non-solution")
 
 
 def test_generator_maps_hold_residuals_not_sums():
