@@ -42,8 +42,9 @@ from .presets import magic_square_system, preset_system
 from .system import LinearSystem, validate_document
 from .zp import ZpVector
 
-# Each command imports the games, graphs, group and reps names it runs, so
-# that validate, solve and examples start without loading numpy.
+# Each command imports the games, graphs, group, scalar and reps names it
+# runs, so that validate, analyze, solve, examples and a scalar repcheck
+# start without loading numpy.
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -270,20 +271,21 @@ def cmd_group(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
 
 
 def _resolve_representation(spec: str, system: LinearSystem, tol: float):
-    from .reps import load_representation, pauli_magic_square_rep, scalar_rep_from_solution
-    if spec == "pauli-ms":
-        if system.digest() != magic_square_system().digest():
-            raise NotASolution(
-                "pauli-ms is only valid for the built-in magic-square system"
-            )
-        return pauli_magic_square_rep()
     if spec.startswith("scalar:"):
+        from .scalar import scalar_rep_from_solution
         entries = spec[len("scalar:"):]  # empty: the solution of a system with no variables
         try:
             values = [int(v) for v in entries.split(",")] if entries else []
         except ValueError as exc:
             raise ParseError(f"bad scalar solution syntax: {exc}") from exc
         return scalar_rep_from_solution(system, ZpVector(system.p, tuple(values)))
+    from .reps import load_representation, pauli_magic_square_rep
+    if spec == "pauli-ms":
+        if system.digest() != magic_square_system().digest():
+            raise NotASolution(
+                "pauli-ms is only valid for the built-in magic-square system"
+            )
+        return pauli_magic_square_rep()
     return load_representation(spec, tol)
 
 
@@ -294,7 +296,11 @@ def _bound_modulus(p: int) -> None:
 
 
 def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
-    from .reps import run_check_suite
+    # a scalar representation is certified by value, without numpy
+    if args.rep.startswith("scalar:"):
+        from .scalar import run_check_suite
+    else:
+        from .reps import run_check_suite
     tol = args.tol
     # a residual of 1 or more cannot certify unitarity
     if not 0 <= tol < 1:

@@ -1,13 +1,17 @@
 """Incompatibility graphs of a linear system, brute-force isomorphism
-search, and the translation isomorphism."""
+search, and the translation isomorphism.
+
+Vertices, edges and pair counts come from the row keys with Python ints;
+numpy is imported by the dense adjacency, the refinement and the search,
+which use it."""
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from operator import itemgetter, mul
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
@@ -17,6 +21,14 @@ from .zp import ZpVector
 
 # how two vertices of one graph relate
 EQUAL, ADJACENT, DISTINCT = 0, 1, 2
+
+
+def _key_counts(ids: list[int], keys: int) -> list[int]:
+    """How many of ids are each of 0 .. keys - 1."""
+    counts = [0] * keys
+    for key in ids:
+        counts[key] += 1
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +53,13 @@ class GameGraph:
         return {v: k for k, v in enumerate(self.vertices)}
 
     @cached_property
-    def _positions(self) -> dict[int, np.ndarray]:
+    def _positions(self) -> dict[int, range]:
         """The vertex indices of each row's solutions, one span per row."""
-        ends = np.cumsum([len(xs) for xs in self.rows.values()])
-        return {i: np.arange(end - len(xs), end) for (i, xs), end in zip(self.rows.items(), ends)}
+        spans, end = {}, 0
+        for i, xs in self.rows.items():
+            spans[i] = range(end, end + len(xs))
+            end += len(xs)
+        return spans
 
     def order(self) -> int:
         return len(self.vertices)
@@ -52,9 +67,9 @@ class GameGraph:
     def _key_blocks(self):
         """(P, Q, a, b, keys): for the rows P of one support and each set C of
         columns it shares, Q lists the rows whose support meets it in exactly
-        C, and a and b number the keys on C of the solutions of P's and of
-        Q's rows, row after row, 0 to keys - 1.  Each ordered pair of rows
-        that share a column is in one block."""
+        C, and the int lists a and b number the keys on C of the solutions of
+        P's and of Q's rows, row after row, 0 to keys - 1.  Each ordered pair
+        of rows that share a column is in one block."""
         groups: dict[frozenset, list[int]] = {}
         for i in self.rows:
             groups.setdefault(frozenset(self.system.supports[i - 1]), []).append(i)
@@ -65,45 +80,85 @@ class GameGraph:
                     meets.setdefault(support & other, []).extend(Q)
             for cols, Q in meets.items():
                 ids: dict[int, int] = {}
-                a, b = (np.array([ids.setdefault(key, len(ids)) for key in shared_keys(
-                    self.system.p, [x for i in rows for x in self.rows[i]], cols)])
+                a, b = ([ids.setdefault(key, len(ids)) for key in shared_keys(
+                    self.system.p, [x for i in rows for x in self.rows[i]], cols)]
                         for rows in (P, Q))
                 yield P, Q, a, b, len(ids)
 
+    def _row_slices(self, rows: list[int], ids: list[int]) -> dict[int, list[int]]:
+        """Each row's part of ids, the key ids of the rows' solutions row
+        after row."""
+        out, start = {}, 0
+        for i in rows:
+            out[i] = ids[start:start + len(self.rows[i])]
+            start += len(self.rows[i])
+        return out
+
     @cached_property
-    def pair_counts(self) -> np.ndarray:
-        """Ordered vertex-pair counts, shape (3, m, m): [r, i-1, k-1] counts
-        the pairs (u in row i, v in row k) that relate as r (EQUAL,
-        ADJACENT or DISTINCT); ADJACENT is |S_i||S_k| less equal-key pairs."""
-        sizes = np.array([len(self.rows.get(i, ())) for i in range(1, self.system.m + 1)])
-        equal, total = np.diag(sizes), np.outer(sizes, sizes)
-        agree = total.copy()  # rows that share no column agree on every pair
+    def pair_counts(self) -> list[list[list[int]]]:
+        """Ordered vertex-pair counts as Python ints, [r][i-1][k-1]: the pairs
+        (u in row i, v in row k) that relate as r (EQUAL, ADJACENT or
+        DISTINCT); ADJACENT is |S_i||S_k| less equal-key pairs."""
+        m = self.system.m
+        sizes = [len(self.rows.get(i, ())) for i in range(1, m + 1)]
+        agree = [[si * sk for sk in sizes] for si in sizes]  # rows that share no column
         for P, Q, a, b, keys in self._key_blocks():
-            P, Q = np.array(P) - 1, np.array(Q) - 1
-            # counts[r, key]: the solutions of the r-th row with that key
-            cp, cq = (np.bincount(np.repeat(np.arange(len(R)), sizes[R]) * keys + ids,
-                                  minlength=len(R) * keys).reshape(len(R), keys)
-                      for R, ids in ((P, a), (Q, b)))
-            agree[np.ix_(P, Q)] = cp @ cq.T
-        return np.stack([equal, total - agree, agree - equal])
+            cq = {k: _key_counts(ids, keys) for k, ids in self._row_slices(Q, b).items()}
+            for i, ids in self._row_slices(P, a).items():
+                cp = _key_counts(ids, keys)
+                for k, count in cq.items():
+                    agree[i - 1][k - 1] = sum(map(mul, cp, count))
+        equal = [[sizes[i] if i == k else 0 for k in range(m)] for i in range(m)]
+        return [equal,
+                [[si * sk - ag for sk, ag in zip(sizes, row)] for si, row in zip(sizes, agree)],
+                [[ag - eq for ag, eq in zip(row, eqs)] for row, eqs in zip(agree, equal)]]
 
     def edge_count(self) -> int:
         """Half the ordered pairs with unequal keys, in O(|V|), not O(m^2)."""
-        return sum(len(a) * len(b) - int(np.bincount(a, minlength=keys) @ np.bincount(
-            b, minlength=keys)) for _, _, a, b, keys in self._key_blocks()) // 2
+        return sum(len(a) * len(b) - sum(map(mul, _key_counts(a, keys), _key_counts(b, keys)))
+                   for _, _, a, b, keys in self._key_blocks()) // 2
 
     @cached_property
-    def adj(self) -> np.ndarray:
-        """The dense |V| x |V| boolean adjacency, filled on first use."""
+    def adj(self):
+        """The dense |V| x |V| boolean numpy adjacency, filled on first use."""
+        import numpy as np
+
         adj = np.zeros((self.order(), self.order()), dtype=bool)
         for P, Q, a, b, _ in self._key_blocks():
-            u, v = (np.concatenate([self._positions[i] for i in rows]) for rows in (P, Q))
-            adj[np.ix_(u, v)] = a[:, None] != b[None, :]
+            u, v = (np.array([k for i in rows for k in self._positions[i]], dtype=np.intp)
+                    for rows in (P, Q))
+            adj[np.ix_(u, v)] = np.array(a)[:, None] != np.array(b)[None, :]
         return adj
 
-    def edges(self) -> np.ndarray:
-        """Index pairs a < b of the edges, in row-major order."""
-        return np.argwhere(np.triu(self.adj, 1))
+    def edges(self) -> tuple[array, array]:
+        """The index pairs a < b of the edges, in row-major order, as two int
+        columns (a, b), built from the row keys: a vertex's neighbours after
+        it are the rest of its row, then, row by row, the solutions of each
+        later row that share a column with it and differ there."""
+        code = "i" if self.order() < 2**31 else "q"
+        later: dict[int, list] = {i: [] for i in self.rows}  # (k, row i's keys, row k's keys)
+        for P, Q, a, b, _ in self._key_blocks():
+            keys_q = self._row_slices(Q, b)
+            for i, keys_i in self._row_slices(P, a).items():
+                later[i] += [(k, keys_i, keys_k) for k, keys_k in keys_q.items() if k > i]
+        us, vs = array(code), array(code)
+        for i, span in self._positions.items():
+            tail = array(code, span)
+            pieces = []
+            for k, keys_i, keys_k in sorted(later[i], key=itemgetter(0)):
+                apart: dict[int, array] = {}  # key -> the positions of row k without it
+                for key in keys_i:
+                    if key not in apart:
+                        apart[key] = array(code, (v for v, other in zip(self._positions[k], keys_k)
+                                                  if other != key))
+                pieces.append([apart[key] for key in keys_i])
+            for t, vertex in enumerate(span):
+                start = len(vs)
+                vs += tail[t + 1:]
+                for piece in pieces:
+                    vs += piece[t]
+                us += array(code, (vertex,)) * (len(vs) - start)
+        return us, vs
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -146,14 +201,18 @@ def is_isomorphism(G: GameGraph, H: GameGraph, bij: VertexBijection) -> bool:
     """Full edge-preservation verification over all vertex pairs."""
     if set(bij.forward) != set(G.vertices) or set(bij.inverse) != set(H.vertices):
         return False  # bij is a bijection, so the orders agree too
+    import numpy as np
+
     perm = np.array([H._index[bij.forward[v]] for v in G.vertices], dtype=np.intp)
     return bool(np.array_equal(G.adj, H.adj[np.ix_(perm, perm)]))
 
 
-def _wl_edges(adj: np.ndarray, dtype) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _wl_edges(adj, dtype) -> tuple:
     """Every directed edge of adj, row after row: (offsets, neighbors,
     common-neighbor counts), with vertex a's edges at offsets[a] to
     offsets[a + 1]."""
+    import numpy as np
+
     # float32 runs the product through BLAS; it is exact for counts below
     # 2**24, far more vertices than a dense adjacency matrix can hold
     counts = adj.astype(np.float32)
@@ -180,6 +239,8 @@ def _wl_refine(G: GameGraph, H: GameGraph):
     rounds) with comparable color ids, or None as soon as the color
     multisets diverge (a sound non-isomorphism certificate).
     """
+    import numpy as np
+
     K = max(G.order(), H.order()) + 1
     # a round codes the colors of one whose multisets agreed, at most |V|
     # of them, so every code is below K * K
@@ -243,6 +304,8 @@ def isomorphism_search(
     return.  None is returned only with the tree exhausted; budget
     exhaustion raises instead.
     """
+    import numpy as np
+
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)
     if not np.array_equal(np.sort(G.adj.sum(axis=1)), np.sort(H.adj.sum(axis=1))):
@@ -339,7 +402,7 @@ def export_dot(G: GameGraph) -> str:
     """Graphviz DOT text with deterministic vertex and edge order."""
     labels = [_vertex_label(v) for v in G.vertices]
     lines = ["graph game_graph {", *(f'  "{label}";' for label in labels)]
-    lines += [f'  "{labels[a]}" -- "{labels[bq]}";' for a, bq in G.edges()]
+    lines += [f'  "{labels[a]}" -- "{labels[bq]}";' for a, bq in zip(*G.edges())]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -348,7 +411,7 @@ def graph_to_json(G: GameGraph) -> dict:
     """Adjacency export: vertex labels plus an index-pair edge list."""
     return {
         "vertices": [_vertex_label(v) for v in G.vertices],
-        "edges": G.edges().tolist(),
+        "edges": [[a, b] for a, b in zip(*G.edges())],
         "provenance": {"system_digest": G.system.digest(),
                        "rhs": "0" if G.homogeneous else "b"},
     }

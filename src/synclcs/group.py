@@ -11,11 +11,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
 
-import numpy as np
-
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch
-from .matops import eye_like, frob, mat_power
 from .reporting import CheckRecord
 from .system import LinearSystem
 
@@ -139,12 +136,14 @@ def build_presentation(sys: LinearSystem) -> GroupPresentation:
     return GroupPresentation(n, p, tuple(rels))
 
 
-def _relation_powers(
-    pres: GroupPresentation, images: dict[str, np.ndarray]
-) -> dict[tuple[str, int], np.ndarray]:
+def _relation_powers(pres: GroupPresentation, images: dict) -> dict:
     """Each (generator, exponent) power the relation words use, computed
     once and C-contiguous; an exponent-1 power is the image itself when the
     image is C-contiguous."""
+    import numpy as np
+
+    from .matops import mat_power
+
     powers = {}
     for rel in pres.relations:
         for gen, e in rel.word.factors:
@@ -164,8 +163,11 @@ def relation_residuals(
     is the left-to-right product of its generator powers, starting at its
     first factor; the empty word is the identity.  Negative exponents use
     conjugate transposes, which is only valid for unitary images (validated
-    when a representation is constructed).
+    when a representation is constructed).  The scalar representations of
+    classical solutions have their own relation checks, in `scalar`.
     """
+    from .matops import eye_like, frob
+
     images = rep.images
     dims = {M.shape for M in images.values()}
     if len(dims) != 1 or any(a != b for a, b in dims):

@@ -5,15 +5,11 @@ spectral projections f_j(s), evaluates the generator map back from family
 sums, and certifies numerically every identity linking the game algebra,
 the quotient group algebra, and the isomorphism-game algebra.
 
-Representations from classical solutions use exact cyclotomic scalars, so
-their residuals are exactly zero; matrix representations use complex
-floats and are judged against a Frobenius-norm tolerance.
-
-Exact values are canonical and exact sums do not depend on their order,
-so the exact path certifies by value: a sum that permutes a row's family
-entries is the row sum, and a product of two entries is computed once per
-pair of distinct entry values.  Float sums and products keep the order
-and operands of the direct formulas, which decide their bits.
+Matrix representations use complex floats and are judged against a
+Frobenius-norm tolerance; sums and products keep the order and operands
+of the direct formulas, which decide their bits.  The scalar
+representations of classical solutions are certified by value in
+`scalar`, to which `run_check_suite` hands them.
 """
 
 from __future__ import annotations
@@ -26,46 +22,44 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from json.decoder import JSONObject
 from operator import matmul
+from typing import ClassVar
 
 import numpy as np
 
+from . import scalar
 from .config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
-from .cyclotomic import Cyclotomic
 from .errors import (
     DimensionMismatch,
     JNotIdentified,
     NonCommutingFactors,
-    NotASolution,
     ParseError,
     UnitarityViolation,
 )
-from .graphs import EQUAL, GameGraph, build_game_graph
+from .graphs import GameGraph, build_game_graph
 from .group import build_presentation, relation_residuals
-from .matops import dagger, eye_like, frob, is_exact
+from .matops import dagger, eye_like, frob
 from .reporting import CheckBlock, CheckRecord, Checks
 from .system import LinearSystem, json_typed
 from .zp import ZpVector, check_prime
 
 
-def omega_pow(p: int, k: int, exact: bool):
-    """omega^k for omega = exp(2*pi*i/p): exact cyclotomic, or complex."""
-    if exact:
-        return Cyclotomic.omega_power(p, k)
+def omega_pow(p: int, k: int) -> complex:
+    """omega^k for omega = exp(2*pi*i/p), as a complex float."""
     return cmath.exp(2j * cmath.pi * (k % p) / p)
 
 
 @dataclass(eq=False)
 class Representation:
-    """Unitary matrix images for g_1..g_n and J, all of one dimension,
-    with image(J) = omega * I for the principal p-th root of unity omega:
-    the representation factors through the quotient identifying J with
-    omega, where the game algebra lives.
+    """Unitary complex matrix images for g_1..g_n and J, all of one
+    dimension, with image(J) = omega * I for the principal p-th root of
+    unity omega: the representation factors through the quotient
+    identifying J with omega, where the game algebra lives.
     """
 
     p: int
     dim: int
     images: dict[str, np.ndarray]
-    exact: bool
+    exact: ClassVar[bool] = False
 
     @property
     def n(self) -> int:
@@ -87,7 +81,6 @@ def make_representation(
     (d1, d2), = dims
     if d1 != d2:
         raise DimensionMismatch("generator images must be square")
-    exact = any(is_exact(M) for M in images.values())
     for name, M in images.items():
         residual = frob(M @ dagger(M) - eye_like(M))
         if not residual <= tol:
@@ -95,36 +88,10 @@ def make_representation(
                 f"image of {name} is not unitary (residual {residual:.3e})"
             )
     jmat = images["J"]
-    j_residual = frob(jmat - eye_like(jmat) * omega_pow(p, 1, exact))
+    j_residual = frob(jmat - eye_like(jmat) * omega_pow(p, 1))
     if not j_residual <= tol:
         raise JNotIdentified(f"image(J) differs from omega*I by {j_residual:.3e}")
-    return Representation(p, d1, dict(images), exact)
-
-
-def scalar_rep_from_solution(sys: LinearSystem, xstar: ZpVector) -> Representation:
-    """The 1-dimensional representation g_j -> omega^{x*_j}, J -> omega.
-
-    Exists exactly when xstar solves the system; carried in exact
-    cyclotomic arithmetic so every certified identity has residual 0.
-    """
-    if xstar.p != sys.p or len(xstar) != sys.n:
-        raise DimensionMismatch(f"solution has {len(xstar)} entries mod {xstar.p}, "
-                                f"system has {sys.n} variables mod {sys.p}")
-    if sys.A.apply(xstar) != sys.b:
-        raise NotASolution("xstar does not solve the system")
-    p = sys.p
-
-    def one_by_one(value) -> np.ndarray:
-        M = np.empty((1, 1), dtype=object)
-        M[0, 0] = value
-        return M
-
-    images = {
-        f"g{j}": one_by_one(Cyclotomic.omega_power(p, xstar.entry(j)))
-        for j in range(1, sys.n + 1)
-    }
-    images["J"] = one_by_one(Cyclotomic.omega_power(p, 1))
-    return make_representation(p, images)
+    return Representation(p, d1, dict(images))
 
 
 _PAULI = {
@@ -159,14 +126,14 @@ def pauli_magic_square_rep() -> Representation:
 def f_projection(rep: Representation, j: int, s) -> np.ndarray:
     """Spectral projection (1/p) sum_t (omega^{-s} g_j)^t onto the
     omega^s-eigenspace of the image of g_j."""
-    return _spectral_projection(rep.images[f"g{j}"], s, rep.p, rep.exact)
+    return _spectral_projection(rep.images[f"g{j}"], s, rep.p)
 
 
-def _spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.ndarray:
+def _spectral_projection(g: np.ndarray, s: int, p: int) -> np.ndarray:
     """(1/p) sum_{t<p} (omega^{-s} g)^t for a unitary g of order p, in
     p - 2 products: the t = 1 term is M itself, made C-contiguous as an
     identity product would make it."""
-    M = g * omega_pow(p, -s, exact)
+    M = g * omega_pow(p, -s)
     term = np.ascontiguousarray(M)
     total = eye_like(M) + term
     for _ in range(2, p):
@@ -224,25 +191,10 @@ class ProjectionFamily:
     @cached_property
     def edge_products(self) -> np.ndarray:
         """frob(E_u E_v) and frob(E_v E_u) for each edge (u, v) of
-        graph.edges(), in that order; shape (edges, 2).
-
-        Each vertex is keyed by the first vertex with an equal entry when
-        the family is exact (equal canonical entries have equal products),
-        and by itself when it is float; one product is computed per
-        distinct ordered key pair."""
+        graph.edges(), in that order; shape (edges, 2)."""
         entries = list(self.entries.values())
-        n = len(entries)
-        if self.rep.exact:
-            first = {}
-            keys = [first.setdefault(tuple(E.flat), k) for k, E in enumerate(entries)]
-        else:
-            keys = range(n)
-        u, v = np.array(keys, dtype=np.int64)[self.graph.edges()].T
-        # one code per ordered key pair: (u, v) of every edge, then (v, u)
-        codes, inverse = np.unique(np.concatenate([u * n + v, v * n + u]), return_inverse=True)
-        lefts, rights = np.divmod(codes, n)
-        norms = [frob(entries[a] @ entries[b]) for a, b in zip(lefts.tolist(), rights.tolist())]
-        return np.array(norms, dtype=float)[inverse].reshape(2, -1).T
+        return np.array([(frob(entries[a] @ entries[b]), frob(entries[b] @ entries[a]))
+                         for a, b in zip(*self.graph.edges())], dtype=float).reshape(-1, 2)
 
     @cached_property
     def row_sum_residuals(self) -> dict[int, float]:
@@ -260,7 +212,7 @@ class ProjectionFamily:
         on g_j, is the phase sum of the lowest row that contains j; the
         other rows must agree with it."""
         rep, supports = self.rep, self.graph.system.supports
-        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
+        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x.entry(j)) for x in sols),
                        np.zeros_like(rep.images["J"]))
                 for i, sols in self.graph.rows.items() if j in supports[i - 1]}
 
@@ -285,7 +237,7 @@ class ProjectionFamily:
                 rows, max((frob(sums[i] - phi) for i in rows[1:]), default=0.0),
                 [frob(total - rep.images[f"g{j}"]) for total in sums.values()])
             for s in {x.entry(j) for i in rows for x in G.rows[i]}:
-                projections[j, s] = _spectral_projection(phi, s, rep.p, rep.exact)
+                projections[j, s] = _spectral_projection(phi, s, rep.p)
             del sums, phi
         identity = eye_like(rep.images["J"])
         roundtrip = [
@@ -323,7 +275,7 @@ def projection_family_checks(
 
     # incompatible pairs in sorted-key order, the lower key on the left
     order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
-    pairs = np.argsort(order)[G.edges()]  # sorted-key positions of each edge's ends
+    pairs = np.argsort(order)[np.column_stack(G.edges())]  # sorted-key positions of each edge's ends
     products = fam.edge_products
     residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
     pairs.sort(axis=1)
@@ -417,33 +369,24 @@ def iso_partition_checks(
 
     Only same-row pairs are nonzero, and translation by a homogeneous
     solution permutes S_i(A,b), so both sums at a vertex of row i add up
-    the family entries of row i.  Exact sums do not depend on their order,
-    so every residual of row i is the family's row-sum residual, or that of
-    the zero sum when row i has no solution.  Float sums run in the vertex
+    the family entries of row i.  The sums run in the vertex
     order of the summed graph, one row at a time, so the sums alive are
     those over G(A,b) of one row's vertices of G(A,0) and one sum over
     G(A,0).
     """
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
     identity = eye_like(iso.zero)
-    if fam.rep.exact:
-        residuals = fam.row_sum_residuals
-        by_row = {i: residuals[i] if i in residuals else frob(iso.zero - identity)
-                  for i in H.rows}
-        over_g = [by_row[i] for i, _ in H.vertices]
-        over_h = [by_row[i] for i, _ in G.vertices]
-    else:
-        over_g, over_h = [], []
-        for i, ys in H.rows.items():
-            sums_g = [iso.zero] * len(ys)
-            for x in G.rows.get(i, ()):
-                total = iso.zero
-                for k, y in enumerate(ys):
-                    E = iso.entry((i, x), (i, y))
-                    sums_g[k] = sums_g[k] + E
-                    total = total + E
-                over_h.append(frob(total - identity))
-            over_g += [frob(total - identity) for total in sums_g]
+    over_g, over_h = [], []
+    for i, ys in H.rows.items():
+        sums_g = [iso.zero] * len(ys)
+        for x in G.rows.get(i, ()):
+            total = iso.zero
+            for k, y in enumerate(ys):
+                E = iso.entry((i, x), (i, y))
+                sums_g[k] = sums_g[k] + E
+                total = total + E
+            over_h.append(frob(total - identity))
+        over_g += [frob(total - identity) for total in sums_g]
     return Checks([CheckBlock(("iso-sum-over-inhomogeneous",), (H.labels,), (over_g,), tol),
                    CheckBlock(("iso-sum-over-homogeneous",), (G.labels,), (over_h,), tol)])
 
@@ -468,38 +411,11 @@ def check_iso_relations(
     so idempotency and self-adjointness are those of the family entries.
     Every residual is read from the family; nothing is multiplied here.
     """
-    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
-
+    fam = iso.family
     idem_max, adj_max = fam.entry_residuals.max(axis=0, initial=0.0).tolist()
-    # object entries: the quadruple counts grow as |V|^4
-    counts_g, counts_h = G.pair_counts.astype(object), H.pair_counts.astype(object)
-    nonzero = int((counts_g[EQUAL] * counts_h[EQUAL]).sum())
-
-    # rule-zero quadruples (G pair and H pair related differently) over the
-    # full generator grid, and over same-row generators, whose factors are
-    # both structurally nonzero
-    total_g, total_h = counts_g.sum(axis=(1, 2)), counts_h.sum(axis=(1, 2))
-    zero_quadruples = int(total_g.sum() * total_h.sum() - (total_g * total_h).sum())
-    blocks_g, blocks_h = counts_g.sum(axis=0), counts_h.sum(axis=0)
-    nonzero_mismatches = int((blocks_g * blocks_h).sum() - (counts_g * counts_h).sum())
-
-    product_max = float(fam.edge_products.max(initial=0.0))
-    n_gen = G.order() * H.order()
-    return [
-        CheckRecord("iso-idempotent", idem_max, tol,
-                    detail={"generators": n_gen, "nonzero": nonzero}),
-        CheckRecord("iso-selfadjoint", adj_max, tol,
-                    detail={"generators": n_gen, "nonzero": nonzero}),
-        CheckRecord(
-            "iso-rule-orthogonality", product_max, tol,
-            detail={
-                "zero_quadruples": zero_quadruples,
-                "with_nonzero_factors": nonzero_mismatches,
-                "trivially_zero": zero_quadruples - nonzero_mismatches,
-                "distinct_products": len(fam.edge_products),
-            },
-        ),
-    ]
+    return scalar.iso_relation_records(fam.graph, iso.hom_graph, idem_max, adj_max,
+                                       float(fam.edge_products.max(initial=0.0)),
+                                       len(fam.edge_products), tol)
 
 
 def psi_iso_consistency_checks(
@@ -530,7 +446,10 @@ def run_check_suite(
     """The full certification pipeline, in order: group relations, family
     invariants, generator-map well-definedness, both round trips, the
     partition identities of the isomorphism-game family, and its rule
-    orthogonality."""
+    orthogonality.  A scalar representation is certified by value, by
+    `scalar.run_check_suite`."""
+    if isinstance(rep, scalar.ScalarRepresentation):
+        return scalar.run_check_suite(rep, sys, tol, cap)
     checks = Checks(relation_residuals(rep, build_presentation(sys), tol))
     fam = _assemble_family(rep, sys, tol, cap)
     checks += projection_family_checks(fam, tol)

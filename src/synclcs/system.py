@@ -121,12 +121,13 @@ def row_solutions(
     pivot, free = cols[0], cols[1:]
     if p ** len(free) > cap:
         raise EnumerationTooLarge(f"{p}^{len(free)} points exceeds cap {cap}")
-    inv, x, out = pow(row[pivot], p - 2, p), [0] * n, []
+    # every entry is reduced mod p, which the system's matrix checked prime
+    inv, x, out, vector = pow(row[pivot], p - 2, p), [0] * n, [], ZpVector.reduced
     for values in itertools.product(range(p), repeat=len(free)):
         for c, v in zip(free, values):
             x[c] = v
         x[pivot] = inv * (bi - sum(row[c] * v for c, v in zip(free, values))) % p
-        out.append(ZpVector(p, tuple(x)))
+        out.append(vector(p, tuple(x)))
     return out
 
 

@@ -62,6 +62,15 @@ class ZpVector:
         check_prime(self.p)
         object.__setattr__(self, "entries", tuple(e % self.p for e in self.entries))
 
+    @classmethod
+    def reduced(cls, p: int, entries: tuple[int, ...]) -> "ZpVector":
+        """The vector of entries already reduced mod p, a modulus checked
+        prime before: no entry is reduced and p is not checked again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "p", p)
+        object.__setattr__(v, "entries", entries)
+        return v
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -178,4 +187,4 @@ def gauss_solve(A: ZpMatrix, b: ZpVector) -> AffineSolutionSet | None:
     for lead in sorted(pivots, reverse=True):
         prow, prhs = pivots[lead]
         x[lead] = (prhs - sum(a * x[c] for c, a in prow.items() if c != lead)) % p
-    return AffineSolutionSet(ZpVector(p, tuple(x)), A.n - len(pivots))
+    return AffineSolutionSet(ZpVector.reduced(p, tuple(x)), A.n - len(pivots))

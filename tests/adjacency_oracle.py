@@ -1,10 +1,12 @@
 """Oracles for `GameGraph` adjacency.  The compatibility predicate on a
 pair of row solutions, by its definition, with the row-membership test and
-the vector helpers it rests on.  And the dense build as it was before the
+the vector helpers it rests on.  The dense build as it was before the
 graph was compiled from row keys: it compares every vertex pair on every
 column ("both rows use column c and disagree there"), one |V| x |V| mask
 per column, so it takes O(n |V|^2) time; its pair counts are R^T adj R,
-with R the vertex-by-row incidence matrix."""
+with R the vertex-by-row incidence matrix.  And the numpy counts and edge
+list of the key blocks, as the library computed them before it counted
+keys with Python ints and listed edges from the keys."""
 
 from __future__ import annotations
 
@@ -91,3 +93,35 @@ def incidence_pair_counts(G: GameGraph, adj: np.ndarray) -> np.ndarray:
     equal = np.diag(sizes)
     adjacent = R.T @ adj.astype(np.int64) @ R
     return np.stack([equal, adjacent, np.outer(sizes, sizes) - equal - adjacent])
+
+
+# The key-block counts and edge list as the library computed them with
+# numpy: per-row key counts by bincount and agreeing pairs by a matrix
+# product, and the edges from the dense adjacency.
+
+
+def numpy_pair_counts(G: GameGraph) -> np.ndarray:
+    """Ordered vertex-pair counts, shape (3, m, m), from the key blocks."""
+    sizes = np.array([len(G.rows.get(i, ())) for i in range(1, G.system.m + 1)])
+    equal, total = np.diag(sizes), np.outer(sizes, sizes)
+    agree = total.copy()  # rows that share no column agree on every pair
+    for P, Q, a, b, keys in G._key_blocks():
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        P, Q = np.array(P) - 1, np.array(Q) - 1
+        # counts[r, key]: the solutions of the r-th row with that key
+        cp, cq = (np.bincount(np.repeat(np.arange(len(R)), sizes[R]) * keys + ids,
+                              minlength=len(R) * keys).reshape(len(R), keys)
+                  for R, ids in ((P, a), (Q, b)))
+        agree[np.ix_(P, Q)] = cp @ cq.T
+    return np.stack([equal, total - agree, agree - equal])
+
+
+def numpy_edge_count(G: GameGraph) -> int:
+    """Half the ordered pairs with unequal keys, by bincount."""
+    return sum(len(a) * len(b) - int(np.bincount(a, minlength=keys) @ np.bincount(
+        b, minlength=keys)) for _, _, a, b, keys in G._key_blocks()) // 2
+
+
+def dense_edges(G: GameGraph) -> np.ndarray:
+    """Index pairs a < b of the edges, in row-major order, shape (edges, 2)."""
+    return np.argwhere(np.triu(G.adj, 1))

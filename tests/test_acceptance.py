@@ -156,12 +156,9 @@ def test_scalar_representation_residuals_exactly_zero():
             continue
         count += 1
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        records = relation_residuals(rep, build_presentation(sys_), TOL)
-        fam = checked_family(rep, sys_, TOL)
-        records += projection_family_checks(fam, TOL)
-        records += phi_welldefinedness_checks(fam, TOL)
-        records += check_mutual_inverse(fam, TOL)
-        ok = ok and all(rec.residual == 0.0 for rec in records)
+        records = [rec for rec in run_check_suite(rep, sys_, TOL)
+                   if rec.name.startswith(("relation:", "psi-", "phi-", "roundtrip-"))]
+        ok = ok and bool(records) and all(rec.residual == 0.0 for rec in records)
         if not ok:
             break
     _verdict(f"exact-zero residuals on scalar representations ({count} systems)", ok)
@@ -235,11 +232,11 @@ def test_isomorphism_game_identities():
     for sys_ in scalar_targets:
         sol = gauss_solve(sys_.A, sys_.b)
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        fam = checked_family(rep, sys_, TOL)
-        iso = iso_generator_images(fam)
-        records = iso_partition_checks(iso, TOL) + check_iso_relations(iso, TOL)
+        records = [rec for rec in run_check_suite(rep, sys_, TOL)
+                   if rec.name.startswith(("iso-sum-over-", "iso-idempotent", "iso-selfadjoint",
+                                           "iso-rule-orthogonality"))]
         ok = ok and all(rec.residual <= TOL for rec in records)
-        if fam.graph.order() <= 15:
+        if build_game_graph(sys_).order() <= 15:
             ok = ok and _quadruple_counts(records) == _iso_zero_quadruples_oracle(sys_)
 
     # a zero row with nonzero b: an empty G block beside a one-vertex H block

@@ -351,12 +351,14 @@ def records_summary(records: list) -> dict:
 ], ids=["pass-float", "pass-exact", "fail-in-a-block"])
 def test_repcheck_summary_reads_the_columns(capsys, tmp_path, monkeypatch, system, flags, code):
     import synclcs.reps as reps
+    import synclcs.scalar as scalar
     from rep_oracle import expanded
     from synclcs.reporting import CheckBlock
 
     suites = []
-    suite = reps.run_check_suite
-    monkeypatch.setattr(reps, "run_check_suite",
+    module = scalar if flags[1].startswith("scalar:") else reps  # the suite repcheck runs
+    suite = module.run_check_suite
+    monkeypatch.setattr(module, "run_check_suite",
                         lambda *args, **kwargs: suites.append(suite(*args, **kwargs)) or suites[-1])
     path = write_preset(capsys, tmp_path, system)
     got, out = run(capsys, ["repcheck", path, *flags])
@@ -594,20 +596,29 @@ import contextlib, io, json, sys
 from synclcs.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
-heavy = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
-print(json.dumps({"exit": code, "loaded": [m for m in heavy if m in sys.modules]}))
+layers = ("numpy", "synclcs.games", "synclcs.graphs", "synclcs.group", "synclcs.scalar",
+          "synclcs.reps")
+print(json.dumps({"exit": code, "loaded": [m for m in layers if m in sys.modules]}))
 """
 
+# the layers a command must leave unloaded, and those it runs
+NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
 
-@pytest.mark.parametrize("argv, numpy_free", [
-    ([], True),
-    (["validate", "{magic-square}"], True),
-    (["solve", "{magic-square}"], True),
-    (["examples", "magic-square", "--out-file", "{tmp}/written.json"], True),
-    (["iso", "{magic-square}"], False),
-    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], False),
-], ids=["import", "validate", "solve", "examples", "iso", "repcheck"])
-def test_commands_load_only_their_layers(capsys, tmp_path, argv, numpy_free):
+
+@pytest.mark.parametrize("argv, unloaded, loaded", [
+    ([], NOTHING_HEAVY + ("synclcs.scalar",), ()),
+    (["validate", "{magic-square}"], NOTHING_HEAVY, ()),
+    (["solve", "{magic-square}"], NOTHING_HEAVY, ("synclcs.games",)),
+    (["examples", "magic-square", "--out-file", "{tmp}/written.json"], NOTHING_HEAVY, ()),
+    (["iso", "{magic-square}"], ("synclcs.reps",), ("numpy", "synclcs.graphs")),
+    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], ("numpy", "synclcs.reps"),
+     ("synclcs.graphs", "synclcs.group", "synclcs.scalar")),
+    (["analyze", "{magic-square}"], ("numpy", "synclcs.reps", "synclcs.group"),
+     ("synclcs.graphs",)),
+    (["repcheck", "{magic-square}", "--rep", "pauli-ms"], (), ("numpy", "synclcs.reps")),
+], ids=["import", "validate", "solve", "examples", "iso", "repcheck", "analyze",
+        "repcheck-pauli-ms"])
+def test_commands_load_only_their_layers(capsys, tmp_path, argv, unloaded, loaded):
     names = {"tmp": str(tmp_path)}
     for name in ("magic-square", "one-eq"):
         names[name] = write_preset(capsys, tmp_path, name)
@@ -618,8 +629,8 @@ def test_commands_load_only_their_layers(capsys, tmp_path, argv, numpy_free):
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
     assert probe["exit"] == 0
-    if numpy_free:
-        assert probe["loaded"] == []
+    assert not set(unloaded) & set(probe["loaded"])
+    assert set(loaded) <= set(probe["loaded"])
 
 
 # the names `from synclcs import ...` offers

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import synclcs.cli as cli
 import synclcs.reporting as reporting
-import synclcs.reps as reps
+import synclcs.scalar as scalar
 from conftest import pentagram_system
 from rep_oracle import expanded
 from synclcs import LinearSystem
@@ -194,7 +194,8 @@ def test_non_finite_residual_ends_in_one_error_report(capsys, tmp_path, monkeypa
     else:  # the refusal comes after 50,000 records
         records = [CheckRecord(f"check:{k}", 0.0, 1e-9) for k in range(50_000)]
         records.append(CheckRecord("last", residual, 1e-9))
-    monkeypatch.setattr(reps, "run_check_suite", lambda *args, **kwargs: records)
+    # scalar: representations are certified by synclcs.scalar
+    monkeypatch.setattr(scalar, "run_check_suite", lambda *args, **kwargs: records)
     path = tmp_path / "one.json"
     path.write_text(json.dumps(one_eq_system().to_json()))
     out_path = tmp_path / "report.json"

@@ -13,8 +13,11 @@ import pytest
 from adjacency_oracle import (
     adjacent,
     compatible,
+    dense_edges,
     has_vertex,
     incidence_pair_counts,
+    numpy_edge_count,
+    numpy_pair_counts,
     per_column_adjacency,
 )
 from closure_game import build_iso_game, check_synchronous
@@ -124,8 +127,51 @@ def test_row_keys_match_per_column_build(rng):
             assert G.edge_count() == np.count_nonzero(adj) // 2
             assert np.array_equal(G.pair_counts, incidence_pair_counts(G, adj))
             assert "adj" not in G.__dict__
+            assert np.array_equal(np.column_stack(G.edges()).reshape(-1, 2),
+                                  np.argwhere(np.triu(adj, 1)))
+            assert "adj" not in G.__dict__
             assert np.array_equal(G.adj, adj)
-            assert np.array_equal(G.edges(), np.argwhere(np.triu(adj, 1)))
+
+
+def _parity_systems(rng):
+    """Seeded systems over p in {2, 3, 5, 7, 31, 2^64 - 59} with up to 4 rows
+    of up to 5 columns, rows of at most 400 solutions, each with b and with
+    b = 0; every system has a zero row, a duplicated row or a proportional
+    row, or an unused column, in turn."""
+    for p in (2, 3, 5, 7, 31, 2**64 - 59):
+        max_support = max(k for k in range(1, 6) if p ** (k - 1) <= 400)
+        for case in range(6):
+            m, n = rng.randint(2, 4), rng.randint(2, 5)
+            A = []
+            for _ in range(m):
+                cols = rng.sample(range(n - (case == 3)), rng.randint(1, min(n - 1, max_support)))
+                A.append([rng.randrange(1, p) if c in cols else 0 for c in range(n)])
+            b = [rng.randrange(p) for _ in range(m)]
+            if case == 0:
+                A[0] = [0] * n
+            if case == 1:
+                A[1], b[1] = A[0], b[0]
+            if case == 2:
+                k = rng.randrange(2, p) if p > 2 else 1
+                A[1] = [a * k % p for a in A[0]]
+                b[1] = b[0] * k % p if rng.random() < 0.5 else b[1]
+            yield LinearSystem.from_ints(p, A, b)
+            yield LinearSystem.from_ints(p, A, [0] * m)
+
+
+def test_key_counts_and_edges_match_the_numpy_ones(rng):
+    # pair counts and edge counts from Python ints, and the edges listed
+    # from the keys, against the numpy counts and the dense adjacency
+    for sys_ in [*_parity_systems(rng), wide_modulus_system(), _star_system(300)]:
+        for homogeneous in (False, True):
+            G = build_game_graph(sys_, homogeneous=homogeneous)
+            counts = G.pair_counts
+            assert all(type(c) is int for layer in counts for row in layer for c in row)
+            assert np.array_equal(np.array(counts, dtype=object), numpy_pair_counts(G))
+            assert G.edge_count() == numpy_edge_count(G)
+            lefts, rights = G.edges()
+            assert len(lefts) == len(rights) == G.edge_count()
+            assert np.array_equal(np.column_stack((lefts, rights)).reshape(-1, 2), dense_edges(G))
 
 
 def test_distinct_rows_same_vector_stay_distinct_vertices():
@@ -281,6 +327,7 @@ import json, sys
 from synclcs import LinearSystem, build_game_graph, isomorphism_search
 sys_ = LinearSystem.from_ints(3, {_DEEP_ROWS}, [0, 0, 0])
 G, H = build_game_graph(sys_), build_game_graph(sys_, homogeneous=True)
+import numpy  # the search's arrays; numpy's own import runs deeper than 100 frames
 sys.setrecursionlimit(100)
 result = isomorphism_search(G, H)
 print(json.dumps([G.order(), result.outcome, result.nodes]))
@@ -420,7 +467,7 @@ def test_search_verdict_matches_vf2_and_gauss(rng):
     def nx_graph(G):
         g = nx.Graph()
         g.add_nodes_from(range(G.order()))
-        g.add_edges_from(G.edges().tolist())
+        g.add_edges_from(zip(*G.edges()))
         return g
 
     verdicts = set()

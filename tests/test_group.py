@@ -14,6 +14,7 @@ from synclcs import (
 )
 from synclcs.errors import DimensionMismatch
 from synclcs.group import CENTRAL_J, ORDER_G, ORDER_J, ROW_COMMUTATION, ROW_PRODUCT
+from synclcs.scalar import relation_residuals as scalar_relation_residuals
 from synclcs.presets import magic_square_system
 
 
@@ -74,7 +75,7 @@ def test_scalar_representation_residuals_exactly_zero(rng):
                                         rng.randint(1, 4), rng.randint(1, 4))
         sol = gauss_solve(sys_.A, sys_.b)
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        for rec in relation_residuals(rep, build_presentation(sys_)):
+        for rec in scalar_relation_residuals(rep, build_presentation(sys_)):
             assert rec.residual == 0.0
 
 
@@ -91,7 +92,7 @@ def test_perturbed_representation_fails_order_relation():
     rep = pauli_magic_square_rep()
     images = dict(rep.images)
     images["g1"] = images["g1"] * 1.01  # no longer order two
-    fake = Representation(2, 4, images, False)
+    fake = Representation(2, 4, images)
     recs = relation_residuals(fake, build_presentation(magic_square_system()))
     failing = [r for r in recs if not r.passed]
     assert failing
@@ -115,7 +116,7 @@ def test_relation_residuals_requires_all_generators():
     pres = build_presentation(sys_)
     rep = pauli_magic_square_rep()  # has g1..g9 but is checked against n=2
     images = {"g1": rep.images["g1"], "J": rep.images["J"]}
-    incomplete = Representation(2, 4, images, False)
+    incomplete = Representation(2, 4, images)
     with pytest.raises(DimensionMismatch):
         relation_residuals(incomplete, pres)
 

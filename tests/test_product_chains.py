@@ -1,6 +1,9 @@
 """The product chains of the group and reps modules start at their first
 factor and compute each relation power once.  Against the identity-started
-chains of `rep_oracle` they must give equal values and equal residuals."""
+chains of `rep_oracle` they must give equal values and equal residuals.
+Exact representations, object arrays of cyclotomic scalars, run on the
+object-array engine of `rep_oracle`, whose chains the library's float
+chains share."""
 
 import random
 from collections import Counter
@@ -8,14 +11,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rep_oracle
 import synclcs.group as group
+import synclcs.matops as matops
+import synclcs.reps as reps
 from conftest import pentagram_system, planted_system, seeded_unitary
 from rep_oracle import (
     conjugate_representation,
+    eye_like,
     eye_mat_power,
     eye_relation_residuals,
     eye_spectral_product,
     eye_spectral_projection,
+    frob,
     padded,
     pentagram_rep,
 )
@@ -25,19 +33,28 @@ from synclcs import (
     gauss_solve,
     make_representation,
     pauli_magic_square_rep,
-    relation_residuals,
-    scalar_rep_from_solution,
 )
-from synclcs.matops import eye_like, frob, mat_power
 from synclcs.presets import magic_square_system
-from synclcs.reps import _spectral_product, _spectral_projection
 
 
 def scalar_case(p: int):
     # a zero row with b = 0 gives an empty row-product word and a vertex
     # with no columns
     sys_ = planted_system(random.Random(p), p, 4, [[0, 1, 2], [1, 3], [], [0, 3]])
-    return sys_, scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
+    return sys_, rep_oracle.scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
+
+
+def chains(rep):
+    """(mat_power, spectral projection of (g, s, p), spectral product,
+    relation_residuals, the module group's powers are taken from) of the
+    library for a float representation, of rep_oracle's engine for an
+    object-array one."""
+    if rep.exact:
+        return (rep_oracle.mat_power,
+                lambda g, s, p: rep_oracle._spectral_projection(g, s, p, True),
+                rep_oracle._spectral_product, rep_oracle.relation_residuals, rep_oracle)
+    return (matops.mat_power, reps._spectral_projection, reps._spectral_product,
+            group.relation_residuals, matops)
 
 
 def case(name: str):
@@ -67,6 +84,7 @@ def assert_same(got: np.ndarray, expected: np.ndarray):
 @pytest.mark.parametrize("name", CASES)
 def test_chains_equal_the_identity_started_chains(name):
     sys_, rep = case(name)
+    mat_power, _spectral_projection, _spectral_product, relation_residuals, _ = chains(rep)
     p = rep.p
     for M in rep.images.values():
         for e in range(-p, p + 1):
@@ -75,7 +93,7 @@ def test_chains_equal_the_identity_started_chains(name):
             assert_same(power, eye_mat_power(M, e))
     for j in range(1, rep.n + 1):
         for s in range(p):
-            assert_same(_spectral_projection(rep.images[f"g{j}"], s, p, rep.exact),
+            assert_same(_spectral_projection(rep.images[f"g{j}"], s, p),
                         eye_spectral_projection(rep.images[f"g{j}"], s, p, rep.exact))
     identity = eye_like(rep.images["J"])
     G = build_game_graph(sys_)
@@ -83,7 +101,7 @@ def test_chains_equal_the_identity_started_chains(name):
         cols = sys_.supports[i - 1]
         assert_same(
             _spectral_product(identity, cols, x, lambda j, s: _spectral_projection(
-                rep.images[f"g{j}"], s, p, rep.exact)),
+                rep.images[f"g{j}"], s, p)),
             eye_spectral_product(identity, cols, x, lambda j, s: eye_spectral_projection(
                 rep.images[f"g{j}"], s, p, rep.exact)))
     pres = build_presentation(sys_)
@@ -96,19 +114,28 @@ def test_relation_powers_are_computed_once_and_c_contiguous(monkeypatch, name):
     # evaluating each word on its own took one mat_power call per factor:
     # 137 on the magic square, whose words use 30 distinct powers
     sys_, rep = case(name)
+    mat_power, _, _, relation_residuals, powers_of = chains(rep)
     pres = build_presentation(sys_)
-    calls = Counter()
+    calls, depth = Counter(), []
 
     def counted(M, e):
-        calls[(id(M), e)] += 1
-        return mat_power(M, e)
+        # mat_power of a negative exponent calls itself through the patched
+        # name; only the calls of the relation checks count
+        if not depth:
+            calls[(id(M), e)] += 1
+        depth.append(e)
+        try:
+            return mat_power(M, e)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(group, "mat_power", counted)
+    # the library's group module imports mat_power from matops when it runs
+    monkeypatch.setattr(powers_of, "mat_power", counted)
     relation_residuals(rep, pres)
     factors = {factor for rel in pres.relations for factor in rel.word.factors}
     assert dict(calls) == {(id(rep.images[gen]), e): 1 for gen, e in factors if e != 1}
 
-    powers = group._relation_powers(pres, rep.images)
+    powers = (rep_oracle if rep.exact else group)._relation_powers(pres, rep.images)
     assert set(powers) == factors
     for (gen, e), power in powers.items():
         assert power.flags.c_contiguous

@@ -9,16 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rep_oracle
+import synclcs.scalar as scalar_module
 from conftest import json_like, pentagram_system, random_consistent_system, seeded_unitary, zvec
 from rep_oracle import (
     all_at_once_partition_checks,
+    as_matrices,
     cached_check_mutual_inverse,
     cached_iso_partition_checks,
     cached_phi_welldefinedness_checks,
     cached_projection_family_checks,
     checked_family,
     conjugate_representation,
+    dagger,
+    engine_of,
     expanded,
+    frob,
     padded,
     pentagram_rep,
     per_record_check_suite,
@@ -55,7 +61,6 @@ from synclcs.errors import (
     UnitarityViolation,
 )
 from synclcs.cyclotomic import Cyclotomic
-from synclcs.matops import dagger, frob
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 from synclcs.reporting import CheckRecord
 from synclcs.reps import _assemble_family, omega_pow, psi_iso_consistency_checks
@@ -64,7 +69,8 @@ TOL = 1e-9
 
 
 def scalar_value(M):
-    return complex(M[0, 0])
+    """The complex value of a 1x1 image, or of a scalar representation's image."""
+    return complex(M[0, 0] if isinstance(M, np.ndarray) else M)
 
 
 # ---------------------------------------------------------------- scalar reps
@@ -81,8 +87,8 @@ def test_scalar_rep_p2_values():
 def test_scalar_rep_p3_row_product():
     rep = scalar_rep_from_solution(p3_demo_system(), zvec(3, 1, 0, 0))
     # g1 * g2^2 = omega * 1 = image(J)
-    product = rep.images["g1"][0, 0] * rep.images["g2"][0, 0] ** 2
-    assert product == rep.images["J"][0, 0]
+    product = rep.images["g1"] * rep.images["g2"] ** 2
+    assert product == rep.images["J"]
 
 
 def test_scalar_rep_rejects_non_solution():
@@ -115,13 +121,25 @@ def test_pauli_last_column_product_is_minus_identity():
 # ------------------------------------------------------------- f projections
 
 
+def scalar_projections_agree(sys_, x):
+    """The by-value projections of the scalar representation at x are the
+    object-array engine's spectral projections; returns the engine's rep."""
+    rep = rep_oracle.scalar_rep_from_solution(sys_, x)
+    images = scalar_rep_from_solution(sys_, x).images
+    for j in range(1, sys_.n + 1):
+        for s in range(sys_.p):
+            assert scalar_module._eigenprojection(sys_.p, images[f"g{j}"], s) == \
+                rep_oracle.f_projection(rep, j, s)[0, 0]
+    return rep
+
+
 def test_f_projection_scalar_indicator():
-    rep = scalar_rep_from_solution(p3_demo_system(), zvec(3, 1, 0, 0))
-    assert scalar_value(f_projection(rep, 1, 1)) == 1
-    assert scalar_value(f_projection(rep, 1, 0)) == 0
-    assert scalar_value(f_projection(rep, 1, 2)) == 0
+    rep = scalar_projections_agree(p3_demo_system(), zvec(3, 1, 0, 0))
+    assert scalar_value(rep_oracle.f_projection(rep, 1, 1)) == 1
+    assert scalar_value(rep_oracle.f_projection(rep, 1, 0)) == 0
+    assert scalar_value(rep_oracle.f_projection(rep, 1, 2)) == 0
     # g1 = omega^1, so s=0 and s=2 miss the eigenvalue
-    assert scalar_value(f_projection(rep, 2, 0)) == 1  # g2 = omega^0
+    assert scalar_value(rep_oracle.f_projection(rep, 2, 0)) == 1  # g2 = omega^0
 
 
 def test_f_projection_pauli_eigenprojections():
@@ -142,7 +160,7 @@ def test_f_family_reconstructs_generator():
     for j in range(1, 10):
         total = np.zeros((4, 4), dtype=complex)
         for s in range(2):
-            total = total + omega_pow(rep.p, s, rep.exact) * f_projection(rep, j, s)
+            total = total + omega_pow(rep.p, s) * f_projection(rep, j, s)
         assert frob(total - rep.images[f"g{j}"]) <= 1e-12
 
 
@@ -154,14 +172,28 @@ def test_f_commutation_shift():
         g = rep.images[f"g{j}"]
         for s in range(2):
             f = f_projection(rep, j, s)
-            assert frob(omega_pow(rep.p, s, rep.exact) * f - g @ f) <= 1e-12
+            assert frob(omega_pow(rep.p, s) * f - g @ f) <= 1e-12
 
 
 def test_f_identity_generator():
     sys_ = LinearSystem.from_ints(2, [[1, 0]], [0])
-    rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
-    assert scalar_value(f_projection(rep, 1, 0)) == 1
-    assert scalar_value(f_projection(rep, 1, 1)) == 0
+    rep = scalar_projections_agree(sys_, zvec(2, 0, 0))
+    assert scalar_value(rep_oracle.f_projection(rep, 1, 0)) == 1
+    assert scalar_value(rep_oracle.f_projection(rep, 1, 1)) == 0
+
+
+def test_eigenprojection_of_a_phase_that_is_no_root():
+    # a phase sum that is not a p-th root of unity, as a family whose rows
+    # disagree would give, projects by the spectral formula, as the
+    # object-array engine does
+    for p in (2, 3, 5, 7):
+        for phase in (0, Cyclotomic(p, [1] * (p - 1) + [0]) / 2,
+                      Cyclotomic.omega_power(p, 1) + Cyclotomic.omega_power(p, 2)):
+            image = np.empty((1, 1), dtype=object)
+            image[0, 0] = phase
+            for s in range(p):
+                assert scalar_module._eigenprojection(p, phase, s) == \
+                    rep_oracle._spectral_projection(image, s, p, True)[0, 0]
 
 
 # ----------------------------------------------------------------- psi / phi
@@ -169,7 +201,7 @@ def test_f_identity_generator():
 
 def test_psi_scalar_indicators():
     sys_ = p3_demo_system()
-    rep = scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
+    rep = rep_oracle.scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
     values = [scalar_value(psi_image(rep, sys_, 1, x)) for x in row_solutions(sys_, 1)]
     assert sorted(values, key=lambda z: z.real) == [0, 0, 1]
 
@@ -189,10 +221,10 @@ def test_psi_pauli_rank_one_projections():
 
 def test_psi_single_variable_row_equals_f():
     sys_ = LinearSystem.from_ints(2, [[1, 0]], [0])
-    rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
+    rep = rep_oracle.scalar_rep_from_solution(sys_, zvec(2, 0, 0))
     x = row_solutions(sys_, 1)[0]
     assert scalar_value(psi_image(rep, sys_, 1, x)) == scalar_value(
-        f_projection(rep, 1, x.entry(1))
+        rep_oracle.f_projection(rep, 1, x.entry(1))
     )
 
 
@@ -213,12 +245,15 @@ def test_psi_rejects_non_solution_and_noncommuting():
 def test_build_family_scalar_one_per_row():
     sys_ = p3_demo_system()
     sol = gauss_solve(sys_.A, sys_.b)
-    rep = scalar_rep_from_solution(sys_, sol.particular)
+    rep = rep_oracle.scalar_rep_from_solution(sys_, sol.particular)
     fam = checked_family(rep, sys_)
     ones = [x for (i, x), E in fam.entries.items() if scalar_value(E) == 1]
     assert len(ones) == 1  # one surviving projection per row, one row here
-    for rec in projection_family_checks(fam):
+    for rec in rep_oracle.projection_family_checks(fam):
         assert rec.residual == 0.0
+    library = run_check_suite(scalar_rep_from_solution(sys_, sol.particular), sys_)
+    assert [r.residual for r in library if r.name.startswith("psi-")] == \
+        [0.0] * sum(1 for r in library if r.name.startswith("psi-"))
 
 
 def test_build_family_pauli_invariants():
@@ -245,10 +280,10 @@ def test_family_checks_name_the_violation():
 
 def test_phi_scalar_recovers_solution_phases():
     sys_ = p3_demo_system()
-    rep = scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
+    rep = rep_oracle.scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
     fam = checked_family(rep, sys_)
     # phi(g_j) is the phase sum of the lowest row containing j
-    assert scalar_value(fam.phase_sums(1)[1]) == complex(omega_pow(rep.p, 1, rep.exact))
+    assert scalar_value(fam.phase_sums(1)[1]) == complex(rep_oracle.omega_pow(rep.p, 1, rep.exact))
     assert scalar_value(fam.phase_sums(2)[1]) == 1
 
 
@@ -269,11 +304,13 @@ def test_phi_pauli_recovers_generators():
 
 def test_phi_unused_variable():
     sys_ = LinearSystem.from_ints(2, [[1, 0]], [0])
-    rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
+    rep = rep_oracle.scalar_rep_from_solution(sys_, zvec(2, 0, 0))
     fam = checked_family(rep, sys_)
     assert fam.phase_sums(2) == {}
-    names = [r.name for r in phi_welldefinedness_checks(fam)]
+    names = [r.name for r in rep_oracle.phi_welldefinedness_checks(fam)]
     assert names == ["phi-welldefined:g1", "phi-valueblock:g1:t=0", "phi-valueblock:g1:t=1"]
+    library = run_check_suite(scalar_rep_from_solution(sys_, zvec(2, 0, 0)), sys_)
+    assert [r.name for r in library if r.name.startswith("phi-")] == names
 
 
 def test_mutual_inverse_exact_on_scalar(rng):
@@ -282,8 +319,9 @@ def test_mutual_inverse_exact_on_scalar(rng):
                                         rng.randint(1, 3), rng.randint(1, 3))
         sol = gauss_solve(sys_.A, sys_.b)
         rep = scalar_rep_from_solution(sys_, sol.particular)
-        for rec in check_mutual_inverse(checked_family(rep, sys_)):
-            assert rec.residual == 0.0
+        roundtrips = [rec for rec in run_check_suite(rep, sys_)
+                      if rec.name.startswith("roundtrip-")]
+        assert roundtrips and all(rec.residual == 0.0 for rec in roundtrips)
 
 
 def test_mutual_inverse_pauli():
@@ -345,9 +383,11 @@ def test_iso_relations_pauli():
 def test_iso_relations_scalar_exact():
     sys_ = one_eq_system()
     rep = scalar_rep_from_solution(sys_, zvec(2, 0, 0))
-    fam = checked_family(rep, sys_)
-    iso = iso_generator_images(fam)
-    for rec in check_iso_relations(iso) + iso_partition_checks(iso):
+    iso_records = [rec for rec in run_check_suite(rep, sys_)
+                   if rec.name.startswith(("iso-idempotent", "iso-selfadjoint",
+                                           "iso-rule-orthogonality", "iso-sum-over-"))]
+    assert len(iso_records) == 3 + 2 * 2
+    for rec in iso_records:
         assert rec.residual == 0.0
 
 
@@ -369,13 +409,14 @@ def _iso_oracle_sources():
     ms = magic_square_system()
     yield checked_family(pauli_magic_square_rep(), ms)
     sys_ = random_consistent_system(random.Random(20261018), 3, 3, 4)
-    rep = scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
+    rep = rep_oracle.scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
     yield checked_family(rep, sys_)
 
 
 def test_iso_family_matches_per_pair_table():
     for fam in _iso_oracle_sources():
-        iso = iso_generator_images(fam)
+        engine = engine_of(fam.rep)
+        iso = engine.iso_generator_images(fam)
         table = _iso_table_oracle(fam)
         assert table
         for vg in fam.graph.vertices:
@@ -385,7 +426,7 @@ def test_iso_family_matches_per_pair_table():
                 else:
                     assert vg[0] != vh[0]
                     assert frob(iso.entry(vg, vh)) == 0.0
-        by_name = {r.name: r for r in check_iso_relations(iso)}
+        by_name = {r.name: r for r in engine.check_iso_relations(iso)}
         idem = max(frob(E @ E - E) for E in table.values())
         adj = max(frob(dagger(E) - E) for E in table.values())
         assert by_name["iso-idempotent"].residual == idem
@@ -421,9 +462,8 @@ def test_check_suite_computes_shared_products_once(monkeypatch):
 def test_exact_suite_certifies_by_value(monkeypatch):
     # equal exact entries share their products and every iso sum of a row
     # is its row sum; a product per edge and a sum per iso pair took 13,233
-    # cyclotomic products and 12,073 norms here
-    import synclcs.reps as reps_module
-
+    # cyclotomic products and 12,073 norms here, and the 1x1 object arrays
+    # of the matrix suite up to 2,000 products and 600 norms
     sys_ = random_consistent_system(random.Random(11), 3, 4, 5)
     rep = scalar_rep_from_solution(sys_, gauss_solve(sys_.A, sys_.b).particular)
     calls = Counter()
@@ -436,11 +476,11 @@ def test_exact_suite_certifies_by_value(monkeypatch):
 
     for method in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Cyclotomic, method, counting("mul", vars(Cyclotomic)[method]))
-    monkeypatch.setattr(reps_module, "frob", counting("frob", reps_module.frob))
+    monkeypatch.setattr(scalar_module, "_norm", counting("norm", scalar_module._norm))
     records = run_check_suite(rep, sys_)
     assert len(records) == 6390 and all(r.residual == 0.0 for r in records)
-    assert calls["mul"] <= 2000
-    assert calls["frob"] <= 600
+    assert calls["mul"] <= 100
+    assert calls["norm"] <= 600
 
 
 def with_zero_row(b: int) -> LinearSystem:
@@ -509,6 +549,8 @@ _PARITY_SOURCES = {
     "scalar-p3-zero-row": lambda: _scalar_source(_zero_row_system(0), zvec(3, 1, 0, 1)),
     "scalar-p5": lambda: _scalar_source(random_consistent_system(random.Random(5), 5, 3, 3)),
     "scalar-p7": lambda: _scalar_source(random_consistent_system(random.Random(7), 7, 2, 3)),
+    # a 1x1 object-array representation of a vector that solves no row:
+    # the library builds no scalar representation of it
     "exact-non-solution": lambda: (_zero_row_system(1),
                                    _direct_sum_scalar_rep(_zero_row_system(1), (0, 0, 0))),
     "unused-variable": lambda: _scalar_source(LinearSystem.from_ints(2, [[1, 0]], [0])),
@@ -520,21 +562,25 @@ _PARITY_SOURCES = {
 def test_cached_residuals_match_cached_sums(name):
     # the family keeps residual floats where it kept d x d sums; each
     # record must be the one the cached sums gave, bit for bit
+    # (exact representations run on the object-array engine, the oracle
+    # of the scalar suite)
     sys_, rep = _PARITY_SOURCES[name]()
-    fam = _assemble_family(rep, sys_, TOL, 2**20)
-    iso = iso_generator_images(fam)
+    rep = as_matrices(sys_, rep)
+    engine = engine_of(rep)
+    fam = engine._assemble_family(rep, sys_, TOL, 2**20)
+    iso = engine.iso_generator_images(fam)
     checks = [
-        (projection_family_checks, cached_projection_family_checks, fam),
-        (phi_welldefinedness_checks, cached_phi_welldefinedness_checks, fam),
-        (check_mutual_inverse, cached_check_mutual_inverse, fam),
-        (iso_partition_checks, cached_iso_partition_checks, iso),
+        (engine.projection_family_checks, cached_projection_family_checks, fam),
+        (engine.phi_welldefinedness_checks, cached_phi_welldefinedness_checks, fam),
+        (engine.check_mutual_inverse, cached_check_mutual_inverse, fam),
+        (engine.iso_partition_checks, cached_iso_partition_checks, iso),
     ]
     for library, oracle, arg in checks:
         got, expected = library(arg, TOL), oracle(arg, TOL)
         assert [(r.name, r.residual.hex(), r.detail) for r in got] == \
             [(r.name, r.residual.hex(), r.detail) for r in expected], library.__name__
     if name == "commuting-non-solution":
-        assert min(r.residual for r in phi_welldefinedness_checks(fam, TOL)
+        assert min(r.residual for r in engine.phi_welldefinedness_checks(fam, TOL)
                    if r.name.startswith("phi-welldefined")) > 0.1
 
 
@@ -542,11 +588,12 @@ def test_cached_residuals_match_cached_sums(name):
                                   "scalar-p7", "commuting-non-solution"])
 def test_suite_blocks_expand_to_the_per_record_suite(name):
     # seven families are blocks of columns; the suite they expand to must
-    # be the one built record by record, in order, bit for bit
+    # be the one built record by record, in order, bit for bit (on the
+    # object-array engine for a scalar representation)
     sys_, rep = _PARITY_SOURCES[name]()
     checks = run_check_suite(rep, sys_, TOL)
     expected = [(r.name, r.residual.hex(), r.tolerance, r.passed)
-                for r in per_record_check_suite(rep, sys_, TOL)]
+                for r in per_record_check_suite(as_matrices(sys_, rep), sys_, TOL)]
     for records in (list(checks), expanded(checks)):
         assert [(r.name, r.residual.hex(), r.tolerance, r.passed) for r in records] == expected
     assert len(checks) == len(expected)
@@ -667,7 +714,8 @@ def test_representation_from_json_fails_closed(junk, fields, generators):
     # documents malformed as a whole, in up to two fields or in up to two
     # generators end in a toolkit error, never in another exception; an
     # accepted p and dim were written as integers, not coerced to them
-    valid = representation_to_json(scalar_rep_from_solution(one_eq_system(), zvec(2, 1, 1)))
+    valid = representation_to_json(rep_oracle.scalar_rep_from_solution(one_eq_system(),
+                                                                      zvec(2, 1, 1)))
     doc = dict(valid, generators=dict(valid["generators"], **generators))
     doc.update(fields)
     for candidate in (junk, doc):
@@ -704,16 +752,16 @@ def test_f_family_exact_identities_p3():
     # orthogonality, partition of unity, and generator reconstruction of
     # the spectral family, all exactly zero in cyclotomic arithmetic
     sys_ = p3_demo_system()
-    rep = scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
+    rep = rep_oracle.scalar_rep_from_solution(sys_, zvec(3, 1, 0, 0))
     for j in (1, 2):
-        fs = [f_projection(rep, j, s)[0, 0] for s in range(3)]
+        fs = [rep_oracle.f_projection(rep, j, s)[0, 0] for s in range(3)]
         assert (fs[0] + fs[1] + fs[2] - 1).is_zero()
         for s in range(3):
             assert (fs[s] * fs[s] - fs[s]).is_zero()
             assert (fs[s].conjugate() - fs[s]).is_zero()
             for r in range(s + 1, 3):
                 assert (fs[s] * fs[r]).is_zero()
-        w = [omega_pow(rep.p, s, rep.exact) for s in range(3)]
+        w = [rep_oracle.omega_pow(rep.p, s, rep.exact) for s in range(3)]
         recon = w[0] * fs[0] + w[1] * fs[1] + w[2] * fs[2]
         assert (recon - rep.images[f"g{j}"][0, 0]).is_zero()
 
@@ -722,7 +770,7 @@ def test_f_family_exact_identities_p3():
 
 
 def _oracle_projection(g, s, rep):
-    M = g * omega_pow(rep.p, -s, rep.exact)
+    M = g * rep_oracle.omega_pow(rep.p, -s, rep.exact)
     total = term = np.eye(M.shape[0], dtype=M.dtype)
     for _ in range(1, rep.p):
         term = term @ M
@@ -770,7 +818,7 @@ def _oracle_residuals(rep, sys_):
         total = zero
         for x in rows[i]:
             if t is None:
-                total = total + E[(i, x)] * omega_pow(rep.p, x.entry(j), rep.exact)
+                total = total + E[(i, x)] * rep_oracle.omega_pow(rep.p, x.entry(j), rep.exact)
             elif x.entry(j) == t:
                 total = total + E[(i, x)]
         return total
@@ -832,7 +880,7 @@ def _direct_sum_scalar_rep(sys_, *solutions):
 
     images = {f"g{j}": diagonal([x[j - 1] for x in solutions]) for j in range(1, sys_.n + 1)}
     images["J"] = diagonal([1] * d)
-    return make_representation(p, images)
+    return rep_oracle.make_representation(p, images)
 
 
 # p = 3 with a zero row and a duplicated row; (1,0,1) and (0,1,2) solve it
@@ -846,25 +894,28 @@ def _zero_row_system(b2):
 @pytest.mark.parametrize("source", ["pauli-ms", "pauli-ms-conjugated", "scalar-p3",
                                     "exact-direct-sum", "exact-non-solution"])
 def test_suite_residuals_match_direct_formulas(source):
+    # the library's suites; d x d object arrays on the object-array engine
+    suite = run_check_suite
     if source == "scalar-p3":
         sys_ = random_consistent_system(random.Random(3), 3, 3, 4)
         rep = scalar_rep_from_solution(sys_, zvec(3, 1, 1, 2, 0))
     elif source == "exact-direct-sum":
         sys_ = _zero_row_system(0)
-        rep = _direct_sum_scalar_rep(sys_, (1, 0, 1), (0, 1, 2))
-        values = {tuple(E.flat) for E in _assemble_family(rep, sys_, TOL, 2**20).entries.values()}
+        rep, suite = _direct_sum_scalar_rep(sys_, (1, 0, 1), (0, 1, 2)), rep_oracle.run_check_suite
+        values = {tuple(E.flat) for E in
+                  rep_oracle._assemble_family(rep, sys_, TOL, 2**20).entries.values()}
         assert len(values) == 4
     elif source == "exact-non-solution":
         sys_ = _zero_row_system(1)
-        rep = _direct_sum_scalar_rep(sys_, (0, 0, 0))
+        rep, suite = _direct_sum_scalar_rep(sys_, (0, 0, 0)), rep_oracle.run_check_suite
     else:
         sys_, rep = magic_square_system(), pauli_magic_square_rep()
         if source == "pauli-ms-conjugated":
             rep = conjugate_representation(rep, seeded_unitary(4, 11))
-    expected = _oracle_residuals(rep, sys_)
+    expected = _oracle_residuals(as_matrices(sys_, rep), sys_)
     prefixes = ("psi-", "phi-", "roundtrip-", "iso-idempotent", "iso-selfadjoint",
                 "iso-rule-orthogonality", "iso-sum-over-", "iso-zero-column")
-    got = {r.name: r.residual for r in run_check_suite(rep, sys_)
+    got = {r.name: r.residual for r in suite(rep, sys_)
            if r.name.startswith(prefixes)}
     assert got == expected
     if source == "exact-non-solution":
