@@ -615,8 +615,10 @@ NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
      ("synclcs.graphs", "synclcs.group", "synclcs.scalar")),
     (["analyze", "{magic-square}"], ("numpy", "synclcs.reps", "synclcs.group"),
      ("synclcs.graphs",)),
+    (["graph", "{magic-square}", "--dot", "{tmp}/ms.dot"], ("numpy", "synclcs.reps"),
+     ("synclcs.graphs",)),
     (["repcheck", "{magic-square}", "--rep", "pauli-ms"], (), ("numpy", "synclcs.reps")),
-], ids=["import", "validate", "solve", "examples", "iso", "repcheck", "analyze",
+], ids=["import", "validate", "solve", "examples", "iso", "repcheck", "analyze", "graph",
         "repcheck-pauli-ms"])
 def test_commands_load_only_their_layers(capsys, tmp_path, argv, unloaded, loaded):
     names = {"tmp": str(tmp_path)}
