@@ -8,10 +8,11 @@ inputs and flags produce byte-identical reports apart from the volatile
 Exit codes: 0 pass, 1 check failure, 2 validation failure (a repcheck
 representation whose modulus or generator count differs from the
 system's included), 3 parse error (a usage error such as an unknown
-command or option, an unreadable or non-UTF-8 input or output file, a
-non-integer environment override and a --tol outside [0, 1) included), 4
-enumeration cap or search budget exceeded, 5 internal error (an
-unexpected exception; the report names it and stderr has the traceback).
+command or option, an unreadable or non-UTF-8 input or output file, an
+environment override that is not an integer or is below 1, and a --tol
+outside [0, 1) included), 4 enumeration cap or search budget exceeded, 5
+internal error (an unexpected exception; the report names it and stderr
+has the traceback).
 Every failure still prints exactly one report; --help exits 0.
 
 Environment overrides: SYNCLCS_ENUM_CAP, SYNCLCS_SEARCH_BUDGET.
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .presets import magic_square_system, preset_system
 from .system import LinearSystem, validate_document
-from .zp import ZpVector
+from .zp import ZpVector, label
 
 # Each command imports the games, graphs, group, scalar and reps names it
 # runs, so that validate, analyze, solve, examples and a scalar repcheck
@@ -200,14 +201,14 @@ def cmd_solve(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
     strategy = find_perfect_deterministic(game, budget=limits.search_budget)
     if strategy is not None:
         report["perfect_strategy"] = {
-            str(i): strategy.assignment[i].label() for i in game.inputs
+            str(i): label(strategy.assignment[i]) for i in game.inputs
         }
         report["best_value"] = "1"
     else:
         best, value = best_deterministic_strategy(game, budget=limits.search_budget)
         report["perfect_strategy"] = None
         report["best_strategy"] = {
-            str(i): best.assignment[i].label() for i in game.inputs
+            str(i): label(best.assignment[i]) for i in game.inputs
         }
         report["best_value"] = str(value)
     return EXIT_PASS, {"verdict": "pass"}
@@ -239,10 +240,8 @@ def cmd_iso(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[i
     }
     if result.bijection is not None:
         report["isomorphism"] = {
-            f"{i}:{x.label()}": f"{j}:{y.label()}"
-            for (i, x), (j, y) in sorted(
-                result.bijection.forward.items(), key=lambda kv: (kv[0][0], kv[0][1].entries)
-            )
+            f"{i}:{label(x)}": f"{j}:{label(y)}"
+            for (i, x), (j, y) in sorted(result.bijection.forward.items())
         }
     solution_set = system.solutions
     if solution_set is not None:

@@ -47,6 +47,9 @@ def _env_int(name: str, default: int) -> int:
     if value is None:
         return default
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ParseError(f"{name}={value!r} is not an integer") from None
+    if number < 1:
+        raise ParseError(f"{name}={value!r} is below 1")
+    return number

@@ -21,7 +21,6 @@ from typing import Hashable
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .system import LinearSystem, row_solutions, shared_keys
-from .zp import ZpVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +105,13 @@ def build_synclcs_game(sys: LinearSystem, cap: int = DEFAULT_ENUM_CAP) -> Synchr
     for i in inputs:
         row = []
         for x in row_solutions(sys, i, cap):
-            t = index.setdefault(x.entries, len(outputs))
+            t = index.setdefault(x, len(outputs))
             if t == len(outputs):
                 outputs.append(x)
             row.append(t)
         rows.append(sorted(row))
     if not outputs:
-        outputs = [ZpVector.zero(sys.p, sys.n)]
+        outputs = [(0,) * sys.n]
     return SynchronousGame(inputs, tuple(outputs), KeyTables(sys.p, supports, rows, outputs),
                            "synclcs")
 

@@ -17,7 +17,7 @@ from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
 from .games import _bitset
 from .system import LinearSystem, row_solutions, shared_keys
-from .zp import ZpVector
+from .zp import ZpVector, label
 
 # how two vertices of one graph relate
 EQUAL, ADJACENT, DISTINCT = 0, 1, 2
@@ -35,17 +35,17 @@ def _key_counts(ids: list[int], keys: int) -> list[int]:
 class GameGraph:
     """Vertices are (row, solution) pairs; edges join incompatible pairs.
 
-    Vertices with equal solution vectors under different rows stay
-    distinct.  No self-loops; adjacency is symmetric.  The graph is
-    G(system) or, when homogeneous, G(system with b = 0).  `rows` maps each
-    row with a solution to its solutions, ascending; vertices follow it."""
+    Vertices with equal solutions under different rows stay distinct.  No
+    self-loops; adjacency is symmetric.  The graph is G(system) or, when
+    homogeneous, G(system with b = 0).  `rows` maps each row with a solution
+    to its solutions, tuples of ints, ascending; vertices follow it."""
 
     system: LinearSystem
     homogeneous: bool
-    rows: dict[int, list[ZpVector]]
+    rows: dict[int, list[tuple[int, ...]]]
 
     @cached_property
-    def vertices(self) -> tuple[tuple[int, ZpVector], ...]:
+    def vertices(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         return tuple((i, x) for i, xs in self.rows.items() for x in xs)
 
     @cached_property
@@ -135,6 +135,18 @@ class GameGraph:
         columns (a, b), built from the row keys: a vertex's neighbours after
         it are the rest of its row, then, row by row, the solutions of each
         later row that share a column with it and differ there."""
+        return self._edges(self._positions)
+
+    def sorted_edges(self) -> tuple[array, array]:
+        """The edges (a, b), a's (row, solution) below b's, ordered by a's pair,
+        then b's: the edges with each row's solutions sorted, numbered as here."""
+        by_key = GameGraph(self.system, self.homogeneous,
+                           {i: sorted(xs) for i, xs in self.rows.items()})
+        return by_key._edges({i: sorted(span, key=lambda k: self.vertices[k])
+                              for i, span in self._positions.items()})
+
+    def _edges(self, positions: dict) -> tuple[array, array]:
+        """`edges()` with each row's vertices numbered by positions[row]."""
         code = "i" if self.order() < 2**31 else "q"
         later: dict[int, list] = {i: [] for i in self.rows}  # (k, row i's keys, row k's keys)
         for P, Q, a, b, _ in self._key_blocks():
@@ -142,14 +154,14 @@ class GameGraph:
             for i, keys_i in self._row_slices(P, a).items():
                 later[i] += [(k, keys_i, keys_k) for k, keys_k in keys_q.items() if k > i]
         us, vs = array(code), array(code)
-        for i, span in self._positions.items():
+        for i, span in positions.items():
             tail = array(code, span)
             pieces = []
             for k, keys_i, keys_k in sorted(later[i], key=itemgetter(0)):
                 apart: dict[int, array] = {}  # key -> the positions of row k without it
                 for key in keys_i:
                     if key not in apart:
-                        apart[key] = array(code, (v for v, other in zip(self._positions[k], keys_k)
+                        apart[key] = array(code, (v for v, other in zip(positions[k], keys_k)
                                                   if other != key))
                 pieces.append([apart[key] for key in keys_i])
             for t, vertex in enumerate(span):
@@ -164,7 +176,7 @@ class GameGraph:
     def labels(self) -> tuple[str, ...]:
         """"i:(x_1,...,x_n)" of each vertex, in vertex order, as check
         record names spell it."""
-        return tuple(f"{i}:{x.label()}" for i, x in self.vertices)
+        return tuple(f"{i}:{label(x)}" for i, x in self.vertices)
 
 
 def build_game_graph(
@@ -381,10 +393,11 @@ def translate_isomorphism(G: GameGraph, H: GameGraph, xstar: ZpVector) -> Vertex
     for any global solution xstar.  The output is verified edge-preserving
     before return.
     """
-    sys = G.system
+    sys, xs = G.system, xstar.entries
     if sys.A.apply(xstar) != sys.b:
         raise NotASolution("xstar does not solve the system")
-    forward = {(i, x): (i, (x - xstar).restrict(sys.supports[i - 1]))
+    forward = {(i, x): (i, tuple((e - s) % sys.p if a else 0
+                                 for a, e, s in zip(sys.A.rows[i - 1], x, xs)))
                for i, x in G.vertices}
     bij = VertexBijection.from_forward(forward)
     if not is_isomorphism(G, H, bij):
@@ -392,15 +405,15 @@ def translate_isomorphism(G: GameGraph, H: GameGraph, xstar: ZpVector) -> Vertex
     return bij
 
 
-def _vertex_label(v: tuple[int, ZpVector]) -> str:
-    i, x = v
-    sep = "" if x.p <= 7 else ","
-    return f"{i}:{sep.join(str(e) for e in x.entries)}"
+def _vertex_labels(G: GameGraph) -> list[str]:
+    """"i:x_1...x_n" of each vertex, the entries comma-separated when p > 7."""
+    sep = "" if G.system.p <= 7 else ","
+    return [f"{i}:{sep.join(map(str, x))}" for i, x in G.vertices]
 
 
 def export_dot(G: GameGraph) -> str:
     """Graphviz DOT text with deterministic vertex and edge order."""
-    labels = [_vertex_label(v) for v in G.vertices]
+    labels = _vertex_labels(G)
     lines = ["graph game_graph {", *(f'  "{label}";' for label in labels)]
     lines += [f'  "{labels[a]}" -- "{labels[bq]}";' for a, bq in zip(*G.edges())]
     lines.append("}")
@@ -410,7 +423,7 @@ def export_dot(G: GameGraph) -> str:
 def graph_to_json(G: GameGraph) -> dict:
     """Adjacency export: vertex labels plus an index-pair edge list."""
     return {
-        "vertices": [_vertex_label(v) for v in G.vertices],
+        "vertices": _vertex_labels(G),
         "edges": [[a, b] for a, b in zip(*G.edges())],
         "provenance": {"system_digest": G.system.digest(),
                        "rhs": "0" if G.homogeneous else "b"},

@@ -40,7 +40,7 @@ from .group import build_presentation, relation_residuals
 from .matops import dagger, eye_like, frob
 from .reporting import CheckBlock, CheckRecord, Checks
 from .system import LinearSystem, json_typed
-from .zp import ZpVector, check_prime
+from .zp import add_mod, check_prime
 
 
 def omega_pow(p: int, k: int) -> complex:
@@ -155,11 +155,11 @@ def _check_row_commutes(rep: Representation, i: int, cols: tuple[int, ...], tol:
                 )
 
 
-def _spectral_product(identity: np.ndarray, cols: tuple[int, ...], x: ZpVector,
+def _spectral_product(identity: np.ndarray, cols: tuple[int, ...], x: tuple[int, ...],
                       projection) -> np.ndarray:
     """projection(j, x_j) @ ... over the columns j in cols, left to right
     from the first factor; the identity when cols is empty."""
-    factors = [projection(j, x.entry(j)) for j in cols]
+    factors = [projection(j, x[j - 1]) for j in cols]
     return reduce(matmul, factors) if factors else identity
 
 
@@ -174,9 +174,9 @@ class ProjectionFamily:
 
     rep: Representation
     graph: GameGraph  # G(A,b): its system, rows and vertices index the entries
-    entries: dict  # (i, ZpVector) -> matrix, in vertex order
+    entries: dict  # (i, solution) -> matrix, in vertex order
 
-    def entry(self, i: int, x: ZpVector) -> np.ndarray:
+    def entry(self, i: int, x: tuple[int, ...]) -> np.ndarray:
         return self.entries[(i, x)]
 
     @cached_property
@@ -191,10 +191,10 @@ class ProjectionFamily:
     @cached_property
     def edge_products(self) -> np.ndarray:
         """frob(E_u E_v) and frob(E_v E_u) for each edge (u, v) of
-        graph.edges(), in that order; shape (edges, 2)."""
+        graph.sorted_edges(), in that order; shape (edges, 2)."""
         entries = list(self.entries.values())
         return np.array([(frob(entries[a] @ entries[b]), frob(entries[b] @ entries[a]))
-                         for a, b in zip(*self.graph.edges())], dtype=float).reshape(-1, 2)
+                         for a, b in zip(*self.graph.sorted_edges())], dtype=float).reshape(-1, 2)
 
     @cached_property
     def row_sum_residuals(self) -> dict[int, float]:
@@ -212,7 +212,7 @@ class ProjectionFamily:
         on g_j, is the phase sum of the lowest row that contains j; the
         other rows must agree with it."""
         rep, supports = self.rep, self.graph.system.supports
-        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x.entry(j)) for x in sols),
+        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x[j - 1]) for x in sols),
                        np.zeros_like(rep.images["J"]))
                 for i, sols in self.graph.rows.items() if j in supports[i - 1]}
 
@@ -236,7 +236,7 @@ class ProjectionFamily:
             by_variable[j] = (
                 rows, max((frob(sums[i] - phi) for i in rows[1:]), default=0.0),
                 [frob(total - rep.images[f"g{j}"]) for total in sums.values()])
-            for s in {x.entry(j) for i in rows for x in G.rows[i]}:
+            for s in {x[j - 1] for i in rows for x in G.rows[i]}:
                 projections[j, s] = _spectral_projection(phi, s, rep.p)
             del sums, phi
         identity = eye_like(rep.images["J"])
@@ -274,15 +274,10 @@ def projection_family_checks(
     checks = [CheckBlock(("psi-idempotent", "psi-selfadjoint"), (G.labels,), (idem, adj), tol)]
 
     # incompatible pairs in sorted-key order, the lower key on the left
-    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
-    pairs = np.argsort(order)[np.column_stack(G.edges())]  # sorted-key positions of each edge's ends
-    products = fam.edge_products
-    residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
-    pairs.sort(axis=1)
-    ranked = np.lexsort(pairs.T[::-1])
-    lefts, rights = np.array([G.labels[k] for k in order], dtype=object)[pairs[ranked].T]
-    checks.append(CheckBlock(("psi-orthogonal",), (lefts, rights),
-                             (array("d", residuals[ranked].tobytes()),), tol))
+    labels = G.labels
+    checks.append(CheckBlock(("psi-orthogonal",),
+                             tuple([labels[k] for k in ends] for ends in G.sorted_edges()),
+                             (array("d", fam.edge_products[:, 0].tobytes()),), tol))
 
     checks += [CheckRecord(f"psi-rowsum:{i}", residual, tol)
                for i, residual in fam.row_sum_residuals.items()]
@@ -291,7 +286,7 @@ def projection_family_checks(
 
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
-    return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x.entry(j) == t % fam.rep.p),
+    return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x[j - 1] == t % fam.rep.p),
                np.zeros_like(fam.rep.images["J"]))
 
 
@@ -350,7 +345,7 @@ class IsoGeneratorFamily:
 
     def entry(self, vg, vh) -> np.ndarray:
         (i, x), (j, y) = vg, vh
-        return self.family.entry(i, x + y) if i == j else self.zero
+        return self.family.entry(i, add_mod(self.family.rep.p, x, y)) if i == j else self.zero
 
 
 def iso_generator_images(
@@ -427,7 +422,7 @@ def psi_iso_consistency_checks(
     guards the implementation."""
     fam = iso.family
     sys = fam.graph.system
-    zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
+    zero_vec = (0,) * sys.n  # solves every homogeneous row
     residuals = []
     for i, x in fam.graph.vertices:
         total = iso.zero
@@ -465,6 +460,21 @@ def run_check_suite(
 # what np.asarray(rows, dtype=float) raises on a matrix that is not numeric
 _NOT_NUMERIC = (TypeError, ValueError, OverflowError)
 
+# a character of every string, true and false in JSON text, which no number
+# (NaN and Infinity included), array or whitespace holds
+_NOT_NUMBER_CHARS = '"rl'
+
+
+def _non_number(rows):
+    """A string or boolean in the nested lists rows, which numpy reads as a number, or None."""
+    stack = [rows]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (str, bool)):
+            return value
+        if isinstance(value, list):
+            stack += value
+
 
 def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:
     try:
@@ -489,6 +499,9 @@ def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representat
         raise ParseError(f"generator names must be g1..g{n} and J")
     images = {}
     for name, rows in generators.items():
+        bad = None if isinstance(rows, np.ndarray) else _non_number(rows)
+        if bad is not None:
+            raise ParseError(f"matrix for {name} is not numeric: it holds {bad!r}")
         try:
             parts = np.asarray(rows, dtype=float)
         except _NOT_NUMERIC as exc:
@@ -518,10 +531,10 @@ def _decode_representation(fh) -> object:
     """json.load(fh), except that each member of the top-level "generators"
     object goes through np.asarray(value, dtype=float) as soon as it is
     scanned, so the lists of one generator at a time are alive.  A member
-    that does not convert stays as decoded, and representation_from_json
-    raises its error in turn.  Values are scanned by json's scanner and the
-    two objects walked by json's JSONObject, so a malformed file raises
-    json's error at json's position."""
+    whose text holds a string, true or false, or that does not convert,
+    stays as decoded, for representation_from_json to refuse.  Values are
+    scanned by json's scanner and the two objects walked by json's
+    JSONObject, so a malformed file raises json's error at json's position."""
     text = fh.read()
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -529,12 +542,13 @@ def _decode_representation(fh) -> object:
     scan, keys = decoder.scan_once, _KeyMemo()
 
     def generator(s: str, end: int):
-        value, end = scan(s, end)
-        try:
-            value = np.asarray(value, dtype=float)
-        except _NOT_NUMERIC:
-            pass
-        return value, end
+        value, stop = scan(s, end)
+        if all(s.find(c, end, stop) < 0 for c in _NOT_NUMBER_CHARS):
+            try:
+                value = np.asarray(value, dtype=float)
+            except _NOT_NUMERIC:
+                pass
+        return value, stop
 
     def member(s: str, end: int):
         if keys.key == "generators" and s.startswith("{", end):

@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import chain
-from operator import attrgetter, mul
+from operator import mul
 from typing import ClassVar
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_TOL
@@ -34,7 +34,7 @@ from .graphs import EQUAL, GameGraph, build_game_graph
 from .group import GroupPresentation, build_presentation
 from .reporting import CheckBlock, CheckRecord, Checks
 from .system import LinearSystem
-from .zp import ZpVector
+from .zp import ZpVector, add_mod
 
 
 def _norm(d) -> float:
@@ -132,19 +132,16 @@ def _orthogonality(G: GameGraph, entries: list, tol: float) -> tuple[CheckBlock,
     """The orthogonality block of the entries, a check per edge, and the
     largest product of two entries on an edge, in either order.
 
-    A check names the lower sorted key on the left: the edges of G with
-    each row's solutions sorted by their entries are those pairs, in that
-    order.  One product is computed per ordered pair of distinct entry
-    values."""
-    by_key = GameGraph(G.system, G.homogeneous,
-                       {i: sorted(xs, key=attrgetter("entries")) for i, xs in G.rows.items()})
-    index, values = G._index, list(dict.fromkeys(entries))
+    A check names the lower (row, solution) on the left, in the order of
+    `GameGraph.sorted_edges`.  One product is computed per ordered pair of
+    distinct entry values."""
+    values = list(dict.fromkeys(entries))
     k = len(values)
-    ids = [values.index(entries[index[v]]) for v in by_key.vertices]
+    ids = [values.index(e) for e in entries]
     products = [_norm(x * y) for x in values for y in values]  # at (id of x) * k + id of y
-    lefts, rights = by_key.edges()
+    lefts, rights = G.sorted_edges()
     codes = [ids[a] * k + ids[b] for a, b in zip(lefts, rights)]
-    labels = by_key.labels
+    labels = G.labels
     block = CheckBlock(("psi-orthogonal",),
                        ([labels[a] for a in lefts], [labels[b] for b in rights]),
                        (array("d", [products[c] for c in codes]),), tol)
@@ -165,7 +162,7 @@ def _generator_map_checks(rep: ScalarRepresentation, G: GameGraph, entries: list
     nonzero: dict[int, list] = {i: [] for i in G.rows}
     for (i, x), e in zip(G.vertices, entries):
         if e:
-            nonzero[i].append((x.entries, e))
+            nonzero[i].append((x, e))
     phi_records, generator_records, phis = [], [], {}
     for j in sorted({j for i in G.rows for j in supports[i - 1]}):
         rows = [i for i in G.rows if j in supports[i - 1]]
@@ -185,7 +182,7 @@ def _generator_map_checks(rep: ScalarRepresentation, G: GameGraph, entries: list
                                           _norm(total - image), tol)
                               for i, total in zip(rows, sums)]
     projection = cache(lambda j, s: _eigenprojection(p, phis[j], s))
-    roundtrip = [_norm(math.prod(projection(j, y.entries[j - 1]) for j in supports[i - 1]) - e)
+    roundtrip = [_norm(math.prod(projection(j, y[j - 1]) for j in supports[i - 1]) - e)
                  for (i, y), e in zip(G.vertices, entries)]
     generator_records.append(CheckBlock(("roundtrip-projection",), (G.labels,), (roundtrip,), tol))
     return phi_records, generator_records
@@ -240,7 +237,7 @@ def run_check_suite(
     G = build_game_graph(sys, cap=cap)
     xstar, supports = rep.xstar.entries, sys.supports
     # E(i, x): the product of delta(x*_j, x_j) over the row support
-    entries = [math.prod(int(x.entries[j - 1] == xstar[j - 1]) for j in supports[i - 1])
+    entries = [math.prod(int(x[j - 1] == xstar[j - 1]) for j in supports[i - 1])
                for i, x in G.vertices]
     idem = [_norm(e * e - e) for e in entries]
     adj = [_norm(e.conjugate() - e) for e in entries]
@@ -267,8 +264,8 @@ def run_check_suite(
 
     # the zero column: E((i, x), (k, 0)) is E(i, x + 0) in row i, and zero
     # in the other rows
-    zero, index = ZpVector.zero(sys.p, sys.n), G._index
+    zero, index = (0,) * sys.n, G._index
     checks += [CheckBlock(("iso-zero-column",), (G.labels,),
-                          ([_norm(entries[index[i, x + zero]] - e)
+                          ([_norm(entries[index[i, add_mod(sys.p, x, zero)]] - e)
                             for (i, x), e in zip(G.vertices, entries)],), tol)]
     return checks

@@ -66,7 +66,7 @@ class LinearSystem:
         return tuple(tuple(c for c, a in enumerate(row, 1) if a) for row in self.A.rows)
 
     def homogeneous(self) -> "LinearSystem":
-        return LinearSystem(self.p, self.A, ZpVector.zero(self.p, self.m))
+        return LinearSystem(self.p, self.A, ZpVector(self.p, (0,) * self.m))
 
     @staticmethod
     def from_ints(p: int, A: list[list[int]], b: list[int]) -> "LinearSystem":
@@ -104,30 +104,30 @@ class LinearSystem:
 
 def row_solutions(
     sys: LinearSystem, i: int, cap: int = DEFAULT_ENUM_CAP
-) -> list[ZpVector]:
+) -> list[tuple[int, ...]]:
     """All x with row_i . x = b_i and supp(x) inside the row support.
 
-    Vectors have full length n, zero outside the support.  The first support
-    column is solved for, inv(a_pivot) (b_i - sum of a_c x_c), while the
-    other support columns run through Z_p in lexicographic order, the last
-    column fastest.  A zero row yields [0] when b_i = 0 and [] otherwise.
+    Solutions are tuples of n ints in range(p), zero outside the support.
+    The first support column is solved for, inv(a_pivot) (b_i - sum of a_c
+    x_c), while the other support columns run through Z_p in lexicographic
+    order, the last column fastest.  A zero row yields the zero tuple when
+    b_i = 0 and nothing otherwise.
     """
     sys._check_row(i)
     p, n = sys.p, sys.n
     row, bi = sys.A.rows[i - 1], sys.b.entry(i)
     cols = [c - 1 for c in sys.supports[i - 1]]  # 0-based
     if not cols:
-        return [ZpVector.zero(p, n)] if bi == 0 else []
+        return [(0,) * n] if bi == 0 else []
     pivot, free = cols[0], cols[1:]
     if p ** len(free) > cap:
         raise EnumerationTooLarge(f"{p}^{len(free)} points exceeds cap {cap}")
-    # every entry is reduced mod p, which the system's matrix checked prime
-    inv, x, out, vector = pow(row[pivot], p - 2, p), [0] * n, [], ZpVector.reduced
+    inv, x, out = pow(row[pivot], p - 2, p), [0] * n, []
     for values in itertools.product(range(p), repeat=len(free)):
         for c, v in zip(free, values):
             x[c] = v
         x[pivot] = inv * (bi - sum(row[c] * v for c, v in zip(free, values))) % p
-        out.append(vector(p, tuple(x)))
+        out.append(tuple(x))
     return out
 
 
@@ -136,9 +136,9 @@ def shared_keys(p: int, solutions, cols) -> list[int]:
     cols: two rows' solutions are compatible iff equal on the shared cols."""
     cols, codes = sorted(cols), []
     for x in solutions:
-        entries, code = x.entries, 0
+        code = 0
         for c in cols:
-            code = code * p + entries[c - 1]
+            code = code * p + x[c - 1]
         codes.append(code)
     return codes
 

@@ -53,7 +53,7 @@ def check_prime(p: int) -> int:
 
 @dataclass(frozen=True)
 class ZpVector:
-    """Immutable vector over Z_p; entries stored reduced."""
+    """Immutable vector over Z_p, such as b or a solution of Ax = b; entries stored reduced."""
 
     p: int
     entries: tuple[int, ...]
@@ -62,15 +62,6 @@ class ZpVector:
         check_prime(self.p)
         object.__setattr__(self, "entries", tuple(e % self.p for e in self.entries))
 
-    @classmethod
-    def reduced(cls, p: int, entries: tuple[int, ...]) -> "ZpVector":
-        """The vector of entries already reduced mod p, a modulus checked
-        prime before: no entry is reduced and p is not checked again."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "p", p)
-        object.__setattr__(v, "entries", entries)
-        return v
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -78,32 +69,15 @@ class ZpVector:
         """1-based coordinate access."""
         return self.entries[j - 1]
 
-    def _check(self, other: "ZpVector"):
-        if self.p != other.p or len(self) != len(other):
-            raise DimensionMismatch("vector shapes or moduli disagree")
 
-    def __add__(self, other: "ZpVector") -> "ZpVector":
-        self._check(other)
-        return ZpVector(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
+def add_mod(p: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """x + y mod p, entry by entry."""
+    return tuple((a + b) % p for a, b in zip(x, y))
 
-    def __sub__(self, other: "ZpVector") -> "ZpVector":
-        self._check(other)
-        return ZpVector(self.p, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def restrict(self, indices) -> "ZpVector":
-        """Zero every coordinate outside the given 1-based index set."""
-        keep = set(indices)
-        return ZpVector(
-            self.p,
-            tuple(e if (j + 1) in keep else 0 for j, e in enumerate(self.entries)),
-        )
-
-    def label(self) -> str:
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
-
-    @staticmethod
-    def zero(p: int, n: int) -> "ZpVector":
-        return ZpVector(p, (0,) * n)
+def label(x: tuple[int, ...]) -> str:
+    """"(x_1,...,x_n)", a solution as check records and reports spell it."""
+    return "(" + ",".join(map(str, x)) + ")"
 
 
 @dataclass(frozen=True)
@@ -187,4 +161,4 @@ def gauss_solve(A: ZpMatrix, b: ZpVector) -> AffineSolutionSet | None:
     for lead in sorted(pivots, reverse=True):
         prow, prhs = pivots[lead]
         x[lead] = (prhs - sum(a * x[c] for c, a in prow.items() if c != lead)) % p
-    return AffineSolutionSet(ZpVector.reduced(p, tuple(x)), A.n - len(pivots))
+    return AffineSolutionSet(ZpVector(p, tuple(x)), A.n - len(pivots))

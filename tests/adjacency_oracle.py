@@ -16,35 +16,36 @@ from row_oracle import row_support
 from synclcs.errors import NotASolution
 from synclcs.graphs import GameGraph
 from synclcs.system import LinearSystem
-from synclcs.zp import ZpMatrix, ZpVector
+from synclcs.zp import ZpMatrix
 
 
-def support(v: ZpVector) -> set[int]:
+def support(v: tuple[int, ...]) -> set[int]:
     """Indices of nonzero coordinates, 1-based."""
-    return {j + 1 for j, e in enumerate(v.entries) if e != 0}
+    return {j + 1 for j, e in enumerate(v) if e != 0}
 
 
-def row(A: ZpMatrix, i: int) -> ZpVector:
-    """Row i of A, 1-based, as a vector."""
-    return ZpVector(A.p, A.rows[i - 1])
+def row(A: ZpMatrix, i: int) -> tuple[int, ...]:
+    """Row i of A, 1-based."""
+    return A.rows[i - 1]
 
 
-def dot(u: ZpVector, v: ZpVector) -> int:
-    """The scalar product of two vectors of one length and modulus."""
-    return sum(a * b for a, b in zip(u.entries, v.entries)) % u.p
+def dot(p: int, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """The scalar product mod p of two vectors of one length."""
+    return sum(a * b for a, b in zip(u, v)) % p
 
 
-def is_row_solution(sys: LinearSystem, i: int, x: ZpVector) -> bool:
-    """Membership test for the restricted solution set of row i."""
+def is_row_solution(sys: LinearSystem, i: int, x: tuple[int, ...]) -> bool:
+    """Membership test for the restricted solution set of row i: n ints in
+    range(p), zero off the row support, solving the row."""
     sys._check_row(i)
-    if x.p != sys.p or len(x) != sys.n:
+    if len(x) != sys.n or not all(type(e) is int and 0 <= e < sys.p for e in x):
         return False
     if not support(x) <= row_support(sys, i):
         return False
-    return dot(row(sys.A, i), x) == sys.b.entry(i)
+    return dot(sys.p, row(sys.A, i), x) == sys.b.entry(i)
 
 
-def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> bool:
+def compatible(sys: LinearSystem, i: int, j: int, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
     """True iff x and y agree on every shared support coordinate.
 
     x must solve row i and y row j; anything else raises NotASolution.
@@ -54,7 +55,7 @@ def compatible(sys: LinearSystem, i: int, j: int, x: ZpVector, y: ZpVector) -> b
     if not is_row_solution(sys, j, y):
         raise NotASolution(f"y is not a restricted solution of row {j}")
     shared = row_support(sys, i) & row_support(sys, j)
-    return all(x.entry(k) == y.entry(k) for k in shared)
+    return all(x[k - 1] == y[k - 1] for k in shared)
 
 
 def has_vertex(G: GameGraph, v) -> bool:
@@ -73,7 +74,7 @@ def per_column_adjacency(G: GameGraph) -> np.ndarray:
     # entries are < p; left to itself numpy would round those above int64
     # to float64, so they stay Python ints in an object array
     dtype = np.int64 if p <= 2**63 else object
-    values = np.array([x.entries for _, x in G.vertices], dtype=dtype).reshape(d, n)
+    values = np.array([x for _, x in G.vertices], dtype=dtype).reshape(d, n)
     uses = np.array([[a != 0 for a in G.system.A.rows[i - 1]] for i, _ in G.vertices],
                     dtype=bool).reshape(d, n)
     adj = np.zeros((d, d), dtype=bool)

@@ -18,7 +18,6 @@ from synclcs import (
     GameGraph,
     LinearSystem,
     SynchronousGame,
-    ZpVector,
     row_solutions,
 )
 from synclcs.errors import SearchBudgetExceeded
@@ -44,23 +43,23 @@ def closure_synclcs_game(sys: LinearSystem) -> RuleGame:
     """The syncLCS game with the same inputs and outputs as
     `build_synclcs_game`, deciding each pair from stored solution sets."""
     solutions = {i: row_solutions(sys, i) for i in range(1, sys.m + 1)}
-    solution_sets = {i: frozenset(s.entries for s in sol) for i, sol in solutions.items()}
+    solution_sets = {i: frozenset(sol) for i, sol in solutions.items()}
     supports = {i: row_support(sys, i) for i in solutions}
     outputs, seen = [], set()
     for i in range(1, sys.m + 1):
         for x in solutions[i]:
-            if x.entries not in seen:
-                seen.add(x.entries)
+            if x not in seen:
+                seen.add(x)
                 outputs.append(x)
     if not outputs:
-        outputs = [ZpVector.zero(sys.p, sys.n)]
+        outputs = [(0,) * sys.n]
 
     def rule(x, y, i, j) -> bool:
         if i not in solution_sets or j not in solution_sets:
             return False
-        if x.entries not in solution_sets[i] or y.entries not in solution_sets[j]:
+        if x not in solution_sets[i] or y not in solution_sets[j]:
             return False
-        return all(x.entries[k - 1] == y.entries[k - 1] for k in supports[i] & supports[j])
+        return all(x[k - 1] == y[k - 1] for k in supports[i] & supports[j])
 
     return RuleGame(tuple(range(1, sys.m + 1)), tuple(outputs), rule)
 
@@ -177,9 +176,12 @@ def best_search(g: Game, budget: int = 10**9):
 
 
 def rule_table(g: Game) -> list[dict]:
-    """Every winning (i, j, x, y), labelled."""
+    """Every winning (i, j, x, y), labelled; a solution, a tuple of ints,
+    as "(x_1,...,x_n)"."""
     def label(obj) -> str:
-        return obj.label() if isinstance(obj, ZpVector) else str(obj)
+        if isinstance(obj, tuple) and all(type(e) is int for e in obj):
+            return "(" + ",".join(str(e) for e in obj) + ")"
+        return str(obj)
 
     return [{"i": label(i), "j": label(j), "x": label(x), "y": label(y)}
             for i in g.inputs for j in g.inputs

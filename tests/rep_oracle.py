@@ -110,11 +110,11 @@ def eye_spectral_projection(g: np.ndarray, s: int, p: int, exact: bool) -> np.nd
     return total / p
 
 
-def eye_spectral_product(identity: np.ndarray, cols, x: ZpVector, projection) -> np.ndarray:
+def eye_spectral_product(identity: np.ndarray, cols, x: tuple[int, ...], projection) -> np.ndarray:
     """identity @ projection(j, x_j) @ ... over the columns j in cols."""
     result = identity
     for j in cols:
-        result = result @ projection(j, x.entry(j))
+        result = result @ projection(j, x[j - 1])
     return result
 
 
@@ -162,22 +162,26 @@ def cached_phase_sums(fam: ProjectionFamily) -> dict[int, dict[int, np.ndarray]]
     for i, sols in fam.graph.rows.items():
         for j in fam.graph.system.supports[i - 1]:
             sums.setdefault(j, {})[i] = sum(
-                (fam.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
+                (fam.entry(i, x) * omega_pow(rep.p, x[j - 1], rep.exact) for x in sols),
                 np.zeros_like(rep.images["J"]))
     return sums
 
 
 def cached_projection_family_checks(fam: ProjectionFamily,
                                     tol: float = DEFAULT_TOL) -> list[CheckRecord]:
-    """The records of `projection_family_checks`, psi-rowsum from `cached_row_sums`."""
+    """The records of `projection_family_checks`, psi-rowsum from `cached_row_sums`
+    and both products of each edge's entries taken here, in `dense_edges` order."""
     G = fam.graph
     records = []
     for label, (idem, adj) in zip(G.labels, fam.entry_residuals.tolist()):
         records.append(CheckRecord(f"psi-idempotent:{label}", idem, tol))
         records.append(CheckRecord(f"psi-selfadjoint:{label}", adj, tol))
-    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
-    pairs = np.argsort(order)[dense_edges(G)]
-    products = fam.edge_products
+    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1]))
+    edges = dense_edges(G)
+    entries = list(fam.entries.values())
+    products = np.array([(frob(entries[a] @ entries[b]), frob(entries[b] @ entries[a]))
+                         for a, b in edges], dtype=float).reshape(-1, 2)
+    pairs = np.argsort(order)[edges]
     residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
     pairs.sort(axis=1)
     ranked = np.lexsort(pairs.T[::-1])
@@ -255,7 +259,7 @@ def per_record_zero_column_checks(iso: IsoGeneratorFamily,
     """The records of `psi_iso_consistency_checks`, one by one."""
     fam = iso.family
     sys = fam.graph.system
-    zero_vec = ZpVector.zero(sys.p, sys.n)
+    zero_vec = (0,) * sys.n
     records = []
     for (i, x), label in zip(fam.graph.vertices, fam.graph.labels):
         total = iso.zero
@@ -315,7 +319,7 @@ def psi_image(
     rep: Representation,
     sys: LinearSystem,
     i: int,
-    x: ZpVector,
+    x: tuple[int, ...],
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Image of the game-algebra generator for (row i, solution x): the
@@ -560,11 +564,11 @@ def _check_row_commutes(rep: Representation, i: int, cols: tuple[int, ...], tol:
                 )
 
 
-def _spectral_product(identity: np.ndarray, cols: tuple[int, ...], x: ZpVector,
+def _spectral_product(identity: np.ndarray, cols: tuple[int, ...], x: tuple[int, ...],
                       projection) -> np.ndarray:
     """projection(j, x_j) @ ... over the columns j in cols, left to right
     from the first factor; the identity when cols is empty."""
-    factors = [projection(j, x.entry(j)) for j in cols]
+    factors = [projection(j, x[j - 1]) for j in cols]
     return reduce(matmul, factors) if factors else identity
 
 
@@ -579,9 +583,9 @@ class ProjectionFamily:
 
     rep: Representation
     graph: GameGraph  # G(A,b): its system, rows and vertices index the entries
-    entries: dict  # (i, ZpVector) -> matrix, in vertex order
+    entries: dict  # (i, solution) -> matrix, in vertex order
 
-    def entry(self, i: int, x: ZpVector) -> np.ndarray:
+    def entry(self, i: int, x: tuple[int, ...]) -> np.ndarray:
         return self.entries[(i, x)]
 
     @cached_property
@@ -632,7 +636,7 @@ class ProjectionFamily:
         on g_j, is the phase sum of the lowest row that contains j; the
         other rows must agree with it."""
         rep, supports = self.rep, self.graph.system.supports
-        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x.entry(j), rep.exact) for x in sols),
+        return {i: sum((self.entry(i, x) * omega_pow(rep.p, x[j - 1], rep.exact) for x in sols),
                        np.zeros_like(rep.images["J"]))
                 for i, sols in self.graph.rows.items() if j in supports[i - 1]}
 
@@ -656,7 +660,7 @@ class ProjectionFamily:
             by_variable[j] = (
                 rows, max((frob(sums[i] - phi) for i in rows[1:]), default=0.0),
                 [frob(total - rep.images[f"g{j}"]) for total in sums.values()])
-            for s in {x.entry(j) for i in rows for x in G.rows[i]}:
+            for s in {x[j - 1] for i in rows for x in G.rows[i]}:
                 projections[j, s] = _spectral_projection(phi, s, rep.p, rep.exact)
             del sums, phi
         identity = eye_like(rep.images["J"])
@@ -694,7 +698,7 @@ def projection_family_checks(
     checks = [CheckBlock(("psi-idempotent", "psi-selfadjoint"), (G.labels,), (idem, adj), tol)]
 
     # incompatible pairs in sorted-key order, the lower key on the left
-    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1].entries))
+    order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1]))
     pairs = np.argsort(order)[dense_edges(G)]  # sorted-key positions of each edge's ends
     products = fam.edge_products
     residuals = np.where(pairs[:, 0] < pairs[:, 1], products[:, 0], products[:, 1])
@@ -711,7 +715,7 @@ def projection_family_checks(
 
 def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
     """Sum of family entries of row i whose solution has value t at j."""
-    return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x.entry(j) == t % fam.rep.p),
+    return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x[j - 1] == t % fam.rep.p),
                np.zeros_like(fam.rep.images["J"]))
 
 
@@ -770,7 +774,10 @@ class IsoGeneratorFamily:
 
     def entry(self, vg, vh) -> np.ndarray:
         (i, x), (j, y) = vg, vh
-        return self.family.entry(i, x + y) if i == j else self.zero
+        if i != j:
+            return self.zero
+        p = self.family.rep.p
+        return self.family.entry(i, tuple((a + b) % p for a, b in zip(x, y)))
 
 
 def iso_generator_images(
@@ -883,7 +890,7 @@ def psi_iso_consistency_checks(
     guards the implementation."""
     fam = iso.family
     sys = fam.graph.system
-    zero_vec = ZpVector.zero(sys.p, sys.n)  # solves every homogeneous row
+    zero_vec = (0,) * sys.n  # solves every homogeneous row
     residuals = []
     for i, x in fam.graph.vertices:
         total = iso.zero

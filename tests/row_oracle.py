@@ -6,7 +6,8 @@ on sparse rows: a full reduced row echelon form, the particular solution
 and a kernel basis.  The row path is as it was before each equation was
 solved in closed form: the row, restricted to its support, is a 1 x k
 system that `dense_gauss_solve` solves, and `enumerate_affine` lists the
-affine solution set, adding kernel basis vectors one `ZpVector` at a time."""
+affine solution set, adding kernel basis vectors one `ZpVector` at a time;
+the solutions are returned as plain tuples, as `row_solutions` gives them."""
 
 from __future__ import annotations
 
@@ -22,10 +23,6 @@ def row_support(sys: LinearSystem, i: int) -> set[int]:
     """Support of row i of A (1-based column indices), as a set."""
     sys._check_row(i)
     return set(sys.supports[i - 1])
-
-
-def scale(v: ZpVector, c: int) -> ZpVector:
-    return ZpVector(v.p, tuple(c * a for a in v.entries))
 
 
 def rref(A: ZpMatrix, rhs: ZpVector | None):
@@ -110,21 +107,21 @@ def enumerate_affine(
         v = particular
         for c, bvec in zip(coeffs, basis):
             if c:
-                v = v + scale(bvec, c)
+                v = ZpVector(p, tuple(a + c * e for a, e in zip(v.entries, bvec.entries)))
         out.append(v)
     return out
 
 
 def gauss_row_solutions(
     sys: LinearSystem, i: int, cap: int = DEFAULT_ENUM_CAP
-) -> list[ZpVector]:
+) -> list[tuple[int, ...]]:
     """Row i's restricted solutions, in the order of `enumerate_affine` on
     the row solved over its support by `dense_gauss_solve`."""
     p, n = sys.p, sys.n
     cols = sorted(row_support(sys, i))
     bi = sys.b.entry(i)
     if not cols:
-        return [ZpVector.zero(p, n)] if bi == 0 else []
+        return [(0,) * n] if bi == 0 else []
     row = sys.A.rows[i - 1]
     restricted = ZpMatrix(p, (tuple(row[c - 1] for c in cols),))
     sol = dense_gauss_solve(restricted, ZpVector(p, (bi,)))
@@ -134,5 +131,5 @@ def gauss_row_solutions(
         full = [0] * n
         for c, val in zip(cols, small.entries):
             full[c - 1] = val
-        out.append(ZpVector(p, tuple(full)))
+        out.append(tuple(full))
     return out

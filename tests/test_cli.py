@@ -692,9 +692,9 @@ def test_repcheck_certifies_modulus_at_cap(capsys, tmp_path):
         assert json.loads(out)["representation"]["p"] == MAX_REPCHECK_P
 
 
-def _rep_doc(n: int, entry: float = 1.0) -> dict:
+def _rep_doc(n: int, entry: float = 1.0, j_entry=-1.0) -> dict:
     generators = {f"g{j}": [[[entry, 0.0]]] for j in range(1, n + 1)}
-    generators["J"] = [[[-1.0, 0.0]]]
+    generators["J"] = [[[j_entry, 0.0]]]
     return {"p": 2, "dim": 1, "omega_convention": "exp(2*pi*i/p)", "generators": generators}
 
 
@@ -705,6 +705,11 @@ DEFECTS = {
                              3, "ParseError", "SYNCLCS_ENUM_CAP"),
     "search-budget-not-integer": ({"SYNCLCS_SEARCH_BUDGET": "1e3"}, "iso one.json",
                                   3, "ParseError", "SYNCLCS_SEARCH_BUDGET"),
+    # a budget or cap below 1 once ran and ended in exit 4 against it
+    "search-budget-negative": ({"SYNCLCS_SEARCH_BUDGET": "-3"}, "iso one.json",
+                               3, "ParseError", "SYNCLCS_SEARCH_BUDGET='-3' is below 1"),
+    "enum-cap-zero": ({"SYNCLCS_ENUM_CAP": "0"}, "analyze one.json",
+                      3, "ParseError", "SYNCLCS_ENUM_CAP='0' is below 1"),
     "tol-inf": ({}, "repcheck one.json --rep scalar:0,0 --tol inf", 3, "ParseError", "--tol"),
     "tol-nan": ({}, "repcheck one.json --rep scalar:0,0 --tol nan", 3, "ParseError", "--tol"),
     "tol-negative": ({}, "repcheck one.json --rep scalar:0,0 --tol -0.001",
@@ -730,6 +735,11 @@ DEFECTS = {
                        "1 generators"),
     "rep-file-long": ({}, "repcheck one.json --rep rep3.json", 2, "DimensionMismatch",
                       "3 generators"),
+    # numpy reads "-1" as -1.0 and true as 1.0, which once certified x1 + x2 = 0
+    "rep-entry-string": ({}, "repcheck one.json --rep string.json", 3, "ParseError",
+                         "matrix for J is not numeric"),
+    "rep-entry-bool": ({}, "repcheck one.json --rep bool.json", 3, "ParseError",
+                       "is not numeric"),
     # unitary within a huge tolerance, so products would overflow to an
     # infinite residual; no tolerance of 1 or more certifies unitarity
     "residual-overflows": ({}, "repcheck one.json --rep huge.json --tol 1e150",
@@ -750,7 +760,8 @@ def test_defect_input_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
     (tmp_path / "one.json").write_text(json.dumps(one_eq_system().to_json()))
     (tmp_path / "latin1.json").write_bytes('{"p": 2, "A": [[1]], "b": [0], "é": 0}'.encode("latin-1"))
     for name, doc in [("rep1.json", _rep_doc(1)), ("rep3.json", _rep_doc(3)),
-                      ("huge.json", _rep_doc(2, 1e70))]:
+                      ("huge.json", _rep_doc(2, 1e70)), ("string.json", _rep_doc(2, j_entry="-1")),
+                      ("bool.json", _rep_doc(2, True))]:
         (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
     for name, value in env.items():

@@ -17,12 +17,11 @@ from closure_game import (
     perfect_search,
     rule_table,
 )
-from conftest import pentagram_system, random_system, zvec
+from conftest import pentagram_system, random_system
 from row_oracle import row_support
 from synclcs import (
     DeterministicStrategy,
     LinearSystem,
-    ZpVector,
     best_deterministic_strategy,
     build_game_graph,
     build_synclcs_game,
@@ -45,7 +44,7 @@ def test_synclcs_rule_single_row():
 def test_synclcs_rule_magic_square_cross_row():
     ms = magic_square_system()
     g = build_synclcs_game(ms)
-    zero = zvec(2, *([0] * 9))
+    zero = (0,) * 9
     # the zero vector solves both row 1 and column 1 (= input 4) and
     # trivially agrees with itself at the shared cell
     assert g.wins(zero, zero, 1, 4)
@@ -54,7 +53,7 @@ def test_synclcs_rule_magic_square_cross_row():
 def test_nonsolution_output_always_loses():
     sys_ = one_eq_system()
     g = build_synclcs_game(sys_)
-    bad = zvec(2, 1, 0)  # not a solution of x1 + x2 = 0
+    bad = (1, 0)  # not a solution of x1 + x2 = 0
     for y in g.outputs:
         for i in g.inputs:
             for j in g.inputs:
@@ -64,8 +63,8 @@ def test_nonsolution_output_always_loses():
 def test_outputs_are_sparse_union_of_row_solutions():
     ms = magic_square_system()
     g = build_synclcs_game(ms)
-    union = {x.entries for i in g.inputs for x in row_solutions(ms, i)}
-    assert {o.entries for o in g.outputs} == union
+    union = {x for i in g.inputs for x in row_solutions(ms, i)}
+    assert set(g.outputs) == union
     assert len(g.outputs) == len(union)
 
 
@@ -91,7 +90,8 @@ def test_restricted_global_solution_is_perfect():
     xstar = sol.particular
     g = build_synclcs_game(sys_)
     strat = DeterministicStrategy({
-        i: xstar.restrict(row_support(sys_, i)) for i in g.inputs
+        i: tuple(e if j in row_support(sys_, i) else 0 for j, e in enumerate(xstar.entries, 1))
+        for i in g.inputs
     })
     assert is_perfect(strat, g)
     assert game_value(strat, g) == 1
@@ -108,7 +108,7 @@ def test_find_perfect_first_enumerated_solution():
     g = build_synclcs_game(sys_)
     strat = find_perfect_deterministic(g)
     assert strat is not None
-    assert strat.assignment[1].entries == (1, 0)
+    assert strat.assignment[1] == (1, 0)
 
 
 def test_find_perfect_magic_square_exhausts_to_none():
@@ -159,7 +159,7 @@ def test_magic_square_best_value_vs_exhaustive_oracle():
 def test_all_losing_strategy_has_value_zero():
     sys_ = one_eq_system()
     g = build_synclcs_game(sys_)
-    bad = zvec(2, 1, 0)
+    bad = (1, 0)
     assert game_value(DeterministicStrategy({1: bad}), g) == 0
 
 
@@ -238,9 +238,8 @@ def small_systems(draw):
     return LinearSystem.from_ints(p, A, b)
 
 
-def _labels(strategy):
-    return None if strategy is None else {
-        i: x.label() for i, x in strategy.assignment.items()}
+def _assignment(strategy):
+    return None if strategy is None else strategy.assignment
 
 
 def _assert_same_as_closure_searches(sys_):
@@ -248,20 +247,21 @@ def _assert_same_as_closure_searches(sys_):
     assert game.outputs == oracle.outputs
     # the rule read from the tables, on every (x, y, i, j), with the first
     # vector that solves no row (when one exists) and inputs 0 and m + 1
-    solving = {x.entries for x in game.outputs}
+    solving = set(game.outputs)
     outside = next((v for v in itertools.product(range(sys_.p), repeat=sys_.n)
                     if v not in solving), None)
-    vectors = game.outputs + (() if outside is None else (ZpVector(sys_.p, outside),))
+    vectors = game.outputs + (() if outside is None else (outside,))
     inputs = (0, *game.inputs, sys_.m + 1)
     cases = [(x, y, i, j) for i in inputs for j in inputs for x in vectors for y in vectors]
     assert [game.wins(*c) for c in cases] == [oracle.wins(*c) for c in cases]
     perfect, perfect_nodes = perfect_search(oracle)
     best, value, best_nodes = best_search(oracle)
-    assert _labels(find_perfect_deterministic(game)) == _labels(perfect)
+    assert _assignment(find_perfect_deterministic(game)) == _assignment(perfect)
     got, got_value = best_deterministic_strategy(game)
-    assert (_labels(got), got_value) == (_labels(best), value)
+    assert (_assignment(got), got_value) == (_assignment(best), value)
     # the budget trips at the node the closure search would reach
-    assert _labels(find_perfect_deterministic(game, budget=perfect_nodes)) == _labels(perfect)
+    found = find_perfect_deterministic(game, budget=perfect_nodes)
+    assert _assignment(found) == _assignment(perfect)
     assert best_deterministic_strategy(game, budget=best_nodes)[1] == value
     if perfect_nodes:
         with pytest.raises(SearchBudgetExceeded):

@@ -53,7 +53,7 @@ def test_one_equation_graph_is_k2():
     assert G.order() == 2
     assert G.edge_count() == 1
     (i, x), (j, y) = G.vertices
-    assert {x.entries, y.entries} == {(0, 0), (1, 1)}
+    assert {x, y} == {(0, 0), (1, 1)}
     assert adjacent(G, (i, x), (j, y))
 
 
@@ -174,10 +174,22 @@ def test_key_counts_and_edges_match_the_numpy_ones(rng):
             assert np.array_equal(np.column_stack((lefts, rights)).reshape(-1, 2), dense_edges(G))
 
 
+def test_sorted_edges_are_the_dense_edges_in_key_order(rng):
+    # each edge once, its lower (row, solution) on the left, ordered by the
+    # left vertex's pair and then the right's
+    for sys_ in [*_widened_systems(rng), wide_modulus_system()]:
+        for homogeneous in (False, True):
+            G = build_game_graph(sys_, homogeneous=homogeneous)
+            V = G.vertices
+            expected = sorted(tuple(sorted((V[a], V[b]))) for a, b in dense_edges(G).tolist())
+            lefts, rights = G.sorted_edges()
+            assert [(V[a], V[b]) for a, b in zip(lefts, rights)] == expected
+
+
 def test_distinct_rows_same_vector_stay_distinct_vertices():
     sys_ = LinearSystem.from_ints(2, [[1, 1, 0], [0, 1, 1]], [0, 0])
     G = build_game_graph(sys_)
-    zero = zvec(2, 0, 0, 0)
+    zero = (0, 0, 0)
     assert has_vertex(G, (1, zero)) and has_vertex(G, (2, zero))
     assert G.order() == 4
 
@@ -260,8 +272,8 @@ def test_translate_identity_when_homogeneous():
 def test_translate_one_equation_example():
     sys_ = LinearSystem.from_ints(2, [[1, 1]], [1])
     bij = translate_isomorphism(*_graph_pair(sys_), zvec(2, 1, 0))
-    assert bij.forward[(1, zvec(2, 1, 0))] == (1, zvec(2, 0, 0))
-    assert bij.forward[(1, zvec(2, 0, 1))] == (1, zvec(2, 1, 1))
+    assert bij.forward[(1, (1, 0))] == (1, (0, 0))
+    assert bij.forward[(1, (0, 1))] == (1, (1, 1))
 
 
 def test_translate_rejects_non_solutions():

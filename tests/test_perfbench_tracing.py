@@ -44,21 +44,49 @@ def test_tracer_installs_and_uninstalls(tracing):
         assert vars(owner)[attr] is fn, attr
 
 
-def test_commands_import_the_wrapped_functions(tracing, tmp_path, capsys):
-    """A command imports its layer when it runs, so it calls the wrappers
-    the tracer installed before it."""
+# the row enumeration and graph builds of the magic square's two graphs:
+# per graph, its 6 rows enumerated, 4 solutions each, and 24 vertices, 108
+# edges and 276 vertex pairs
+MAGIC_SQUARE_COUNTS = {
+    "system.row_solutions.calls": 12,
+    "system.row_solutions.vectors": 48,
+    "graphs.build_game_graph.calls": 2,
+    "graphs.build_game_graph.vertices": 48,
+    "graphs.build_game_graph.edges": 216,
+    "graphs.build_game_graph.pairs": 552,
+}
+
+
+def traced_magic_square(tracing, tmp_path, capsys, command: str, *options: str):
+    """A tracer that ran the command on the magic square."""
     path = tmp_path / "magic-square.json"
     path.write_text(json.dumps(magic_square_system().to_json()))
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert cli.main(["iso", str(path)]) == 0
+        assert cli.main([command, str(path), *options]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    return tracer
+
+
+def test_commands_import_the_wrapped_functions(tracing, tmp_path, capsys):
+    """A command imports its layer when it runs, so it calls the wrappers
+    the tracer installed before it; the counts the benchmark reads on the
+    magic square are pinned."""
+    tracer = traced_magic_square(tracing, tmp_path, capsys, "iso")
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {"graphs.isomorphism_search", "graphs.build_game_graph"} <= recorded
-    assert tracer.counts["graphs.build_game_graph.calls"] == 2
+    assert {name: tracer.counts[name] for name in MAGIC_SQUARE_COUNTS} == MAGIC_SQUARE_COUNTS
+
+
+def test_traced_pauli_repcheck_counts_rows_graphs_and_records(tracing, tmp_path, capsys):
+    tracer = traced_magic_square(tracing, tmp_path, capsys, "repcheck", "--rep", "pauli-ms")
+    recorded = {tracer.names[span[0]] for span in tracer.spans}
+    assert {"reps.run_check_suite", "system.row_solutions"} <= recorded
+    expected = {**MAGIC_SQUARE_COUNTS, "reps.assemble_family.entries": 24, "reps.records": 349}
+    assert {name: tracer.counts[name] for name in expected} == expected
 
 
 def traced_scalar_repcheck(tracing, tmp_path, capsys):

@@ -20,8 +20,9 @@ from rep_oracle import (
     pentagram_rep,
     representation_to_json,
 )
-from synclcs import load_representation, pauli_magic_square_rep
+from synclcs import load_representation, pauli_magic_square_rep, representation_from_json
 from synclcs.cli import main
+from synclcs.errors import ParseError
 
 BASE = representation_to_json(pauli_magic_square_rep())
 COMPACT = json.dumps(BASE, separators=(",", ":"))
@@ -80,7 +81,9 @@ CASES = {
     "minus-infinity": json.dumps(with_generator_entry(float("-inf"))),
     "null": json.dumps(with_generator_entry(None)),
     "bool": json.dumps(with_generator_entry(True)),
+    "false": json.dumps(with_generator_entry(False)),
     "string": json.dumps(with_generator_entry("1.0")),
+    "negative-string": json.dumps(with_generator_entry("-1")),
     "ragged-rows": json.dumps(ragged()),
     "1e400": json.dumps(with_generator_entry(SENTINEL)).replace(str(SENTINEL), "1e400"),
     "400-digit-int": json.dumps(with_generator_entry(SENTINEL)).replace(str(SENTINEL), "9" * 400),
@@ -118,6 +121,18 @@ def test_load_matches_json_load(tmp_path, name):
     else:
         assert got[:3] == expected[:3]
         assert all(np.array_equal(a, b) for a, b in zip(got[3], expected[3]))
+
+
+@pytest.mark.parametrize("name", ["bool", "false", "string", "negative-string"])
+def test_non_numeric_entries_are_refused(tmp_path, name):
+    # numpy would read each of them as a float
+    path = tmp_path / f"{name}.json"
+    path.write_text(CASES[name])
+    for load in (load_representation, json_load_representation):
+        with pytest.raises(ParseError, match="matrix for g3 is not numeric"):
+            load(str(path))
+    with pytest.raises(ParseError, match="matrix for g3 is not numeric"):
+        representation_from_json(json.loads(CASES[name]))
 
 
 @pytest.mark.parametrize("name", ["convention-object", "trailing-data"])

@@ -224,7 +224,7 @@ def test_psi_single_variable_row_equals_f():
     rep = rep_oracle.scalar_rep_from_solution(sys_, zvec(2, 0, 0))
     x = row_solutions(sys_, 1)[0]
     assert scalar_value(psi_image(rep, sys_, 1, x)) == scalar_value(
-        rep_oracle.f_projection(rep, 1, x.entry(1))
+        rep_oracle.f_projection(rep, 1, x[0])
     )
 
 
@@ -232,14 +232,14 @@ def test_psi_rejects_non_solution_and_noncommuting():
     ms = magic_square_system()
     rep = pauli_magic_square_rep()
     with pytest.raises(NotASolution):
-        psi_image(rep, ms, 1, zvec(2, 1, 0, 0, 0, 0, 0, 0, 0, 0))
+        psi_image(rep, ms, 1, (1, 0, 0, 0, 0, 0, 0, 0, 0))
     # X and Z anticommute: a fake rep with them in one row must be refused
     sys_ = LinearSystem.from_ints(2, [[1, 1]], [0])
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     Z = np.array([[1, 0], [0, -1]], dtype=complex)
     fake = make_representation(2, {"g1": X, "g2": Z, "J": -np.eye(2, dtype=complex)})
     with pytest.raises(NonCommutingFactors):
-        psi_image(fake, sys_, 1, zvec(2, 0, 0))
+        psi_image(fake, sys_, 1, (0, 0))
 
 
 def test_build_family_scalar_one_per_row():
@@ -391,6 +391,16 @@ def test_iso_relations_scalar_exact():
         assert rec.residual == 0.0
 
 
+def _add(p, x, y):
+    """x + y mod p, entry by entry, on solution tuples."""
+    return tuple((a + b) % p for a, b in zip(x, y))
+
+
+def _label(x):
+    """"(x_1,...,x_n)", a solution as record names spell it."""
+    return "(" + ",".join(str(e) for e in x) + ")"
+
+
 def _iso_table_oracle(fam):
     """The isomorphism-game generators as an explicit per-pair table, built
     from row_solutions alone: ((i, x), (i, y)) -> family(i, x + y) for x in
@@ -398,7 +408,7 @@ def _iso_table_oracle(fam):
     sys_ = fam.graph.system
     hom = sys_.homogeneous()
     return {
-        ((i, x), (i, y)): fam.entry(i, x + y)
+        ((i, x), (i, y)): fam.entry(i, _add(sys_.p, x, y))
         for i in range(1, sys_.m + 1)
         for x in row_solutions(sys_, i)
         for y in row_solutions(hom, i)
@@ -791,23 +801,23 @@ def _oracle_residuals(rep, sys_):
     def product(i, x, factor):
         result = identity
         for j in cols[i]:
-            result = result @ factor(j, x.entry(j))
+            result = result @ factor(j, x[j - 1])
         return result
 
     E = {(i, x): product(i, x, lambda j, s: _oracle_projection(rep.images[f"g{j}"], s, rep))
          for i, sols in rows.items() for x in sols}
     out = {}
     for (i, x), M in E.items():
-        out[f"psi-idempotent:{i}:{x.label()}"] = frob(M @ M - M)
-        out[f"psi-selfadjoint:{i}:{x.label()}"] = frob(dagger(M) - M)
-    keys = sorted(E, key=lambda k: (k[0], k[1].entries))
+        out[f"psi-idempotent:{i}:{_label(x)}"] = frob(M @ M - M)
+        out[f"psi-selfadjoint:{i}:{_label(x)}"] = frob(dagger(M) - M)
+    keys = sorted(E)
     conflicting = []
     for a, (i, x) in enumerate(keys):
         for k, y in keys[a + 1:]:
             shared = set(cols[i]) & set(cols[k])
-            if any(x.entry(j) != y.entry(j) for j in shared):
+            if any(x[j - 1] != y[j - 1] for j in shared):
                 conflicting.append(((i, x), (k, y)))
-                out[f"psi-orthogonal:{i}:{x.label()}|{k}:{y.label()}"] = frob(E[(i, x)] @ E[(k, y)])
+                out[f"psi-orthogonal:{i}:{_label(x)}|{k}:{_label(y)}"] = frob(E[(i, x)] @ E[(k, y)])
     for i, sols in rows.items():
         total = zero
         for x in sols:
@@ -818,8 +828,8 @@ def _oracle_residuals(rep, sys_):
         total = zero
         for x in rows[i]:
             if t is None:
-                total = total + E[(i, x)] * rep_oracle.omega_pow(rep.p, x.entry(j), rep.exact)
-            elif x.entry(j) == t:
+                total = total + E[(i, x)] * rep_oracle.omega_pow(rep.p, x[j - 1], rep.exact)
+            elif x[j - 1] == t:
                 total = total + E[(i, x)]
         return total
 
@@ -839,7 +849,7 @@ def _oracle_residuals(rep, sys_):
             out[f"roundtrip-generator:g{j}:row{i}"] = frob(S - rep.images[f"g{j}"])
     for (i, y), M in E.items():
         back = product(i, y, lambda j, s: _oracle_projection(phi[j], s, rep))
-        out[f"roundtrip-projection:{i}:{y.label()}"] = frob(back - M)
+        out[f"roundtrip-projection:{i}:{_label(y)}"] = frob(back - M)
     out["iso-idempotent"] = max((frob(M @ M - M) for M in E.values()), default=0.0)
     out["iso-selfadjoint"] = max((frob(dagger(M) - M) for M in E.values()), default=0.0)
     out["iso-rule-orthogonality"] = max(
@@ -851,17 +861,17 @@ def _oracle_residuals(rep, sys_):
         for y in ys:
             total = zero
             for x in rows.get(i, ()):
-                total = total + E[(i, x + y)]
-            out[f"iso-sum-over-inhomogeneous:{i}:{y.label()}"] = frob(total - identity)
+                total = total + E[(i, _add(p, x, y))]
+            out[f"iso-sum-over-inhomogeneous:{i}:{_label(y)}"] = frob(total - identity)
     for (i, x), M in E.items():
         total = zero
         for y in hom_rows[i]:
-            total = total + E[(i, x + y)]
-        out[f"iso-sum-over-homogeneous:{i}:{x.label()}"] = frob(total - identity)
+            total = total + E[(i, _add(p, x, y))]
+        out[f"iso-sum-over-homogeneous:{i}:{_label(x)}"] = frob(total - identity)
         total = zero
         for k in range(1, sys_.m + 1):
             total = total + (M if k == i else zero)
-        out[f"iso-zero-column:{i}:{x.label()}"] = frob(total - M)
+        out[f"iso-zero-column:{i}:{_label(x)}"] = frob(total - M)
     return out
 
 

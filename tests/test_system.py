@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjacency_oracle import compatible, is_row_solution, row, support
-from conftest import brute_force_row_solutions, json_like, random_system, zvec
+from conftest import brute_force_row_solutions, json_like, random_system
 from row_oracle import gauss_row_solutions, row_support
 from synclcs import (
     LinearSystem,
@@ -104,26 +104,26 @@ def test_row_index_bounds():
 
 
 def test_row_solutions_one_eq():
-    assert [v.entries for v in row_solutions(one_eq_system(), 1)] == [(0, 0), (1, 1)]
+    assert row_solutions(one_eq_system(), 1) == [(0, 0), (1, 1)]
 
 
 def test_row_solutions_p3_demo():
     sols = row_solutions(p3_demo_system(), 1)
     assert len(sols) == 3  # 3^(2-1)
-    assert {v.entries for v in sols} == {(1, 0, 0), (0, 2, 0), (2, 1, 0)}
+    assert set(sols) == {(1, 0, 0), (0, 2, 0), (2, 1, 0)}
 
 
 def test_row_solutions_magic_square_row():
     sols = row_solutions(magic_square_system(), 1)
     assert len(sols) == 4
     for v in sols:
-        assert sum(v.entries[:3]) % 2 == 0
-        assert v.entries[3:] == (0,) * 6
+        assert sum(v[:3]) % 2 == 0
+        assert v[3:] == (0,) * 6
 
 
 def test_zero_row_solutions():
     sys0 = LinearSystem.from_ints(2, [[0, 0]], [0])
-    assert [v.entries for v in row_solutions(sys0, 1)] == [(0, 0)]
+    assert row_solutions(sys0, 1) == [(0, 0)]
     sys1 = LinearSystem.from_ints(2, [[0, 0]], [1])
     assert row_solutions(sys1, 1) == []
 
@@ -132,19 +132,19 @@ def test_zero_row_solutions():
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.integers(0, 10**9))
 def test_row_solution_count_vs_brute_force(p, n, seed):
     sys_ = random_system(random.Random(seed), p, 1, n)
-    sols = {v.entries for v in row_solutions(sys_, 1)}
+    sols = set(row_solutions(sys_, 1))
     assert sols == brute_force_row_solutions(sys_, 1)
     V = row_support(sys_, 1)
     if V:
         assert len(sols) == p ** (len(V) - 1)
     for v in row_solutions(sys_, 1):
-        assert set(j + 1 for j, e in enumerate(v.entries) if e) <= V
+        assert set(j + 1 for j, e in enumerate(v) if e) <= V
 
 
 def _outcome(solve, sys_, i, cap):
     """Row i's solutions as entry tuples, in order, or the cap's message."""
     try:
-        return [v.entries for v in solve(sys_, i, cap)]
+        return list(solve(sys_, i, cap))
     except EnumerationTooLarge as exc:
         return str(exc)
 
@@ -164,6 +164,11 @@ def test_row_solutions_equal_the_gauss_path(p):
         for i in range(1, 6):
             expected = _outcome(gauss_row_solutions, sys_, i, 1000)
             assert _outcome(row_solutions, sys_, i, 1000) == expected
+            if isinstance(expected, list):
+                # each solution is a plain tuple of n ints, reduced mod p
+                for x in row_solutions(sys_, i, 1000):
+                    assert type(x) is tuple and len(x) == n
+                    assert all(type(e) is int and 0 <= e < p for e in x)
 
 
 def test_row_solutions_cap_is_inclusive():
@@ -183,16 +188,16 @@ def test_compatible_same_row_is_equality():
 
 def test_compatible_shared_coordinate():
     sys_ = LinearSystem.from_ints(2, [[1, 1, 0], [1, 0, 1]], [0, 0])
-    x = zvec(2, 1, 1, 0)
-    y = zvec(2, 1, 0, 1)
+    x = (1, 1, 0)
+    y = (1, 0, 1)
     assert compatible(sys_, 1, 2, x, y)  # agree at the shared k=1
-    assert not compatible(sys_, 1, 2, zvec(2, 0, 0, 0), y)
+    assert not compatible(sys_, 1, 2, (0, 0, 0), y)
 
 
 def test_compatible_rejects_non_solutions():
     sys_ = one_eq_system()
     with pytest.raises(NotASolution):
-        compatible(sys_, 1, 1, zvec(2, 1, 0), zvec(2, 0, 0))
+        compatible(sys_, 1, 1, (1, 0), (0, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,9 +219,10 @@ def test_compatible_symmetry(p, m, n, seed):
 
 def test_is_row_solution_membership():
     sys_ = p3_demo_system()
-    assert is_row_solution(sys_, 1, zvec(3, 1, 0, 0))
-    assert not is_row_solution(sys_, 1, zvec(3, 1, 0, 1))  # support leaks
-    assert not is_row_solution(sys_, 1, zvec(3, 2, 0, 0))  # wrong value
+    assert is_row_solution(sys_, 1, (1, 0, 0))
+    assert not is_row_solution(sys_, 1, (1, 0, 1))  # support leaks
+    assert not is_row_solution(sys_, 1, (2, 0, 0))  # wrong value
+    assert not is_row_solution(sys_, 1, (4, 0, 0))  # not reduced mod p
 
 
 def test_validate_magic_square():

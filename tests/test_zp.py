@@ -8,40 +8,19 @@ from hypothesis import strategies as st
 from adjacency_oracle import support
 from conftest import brute_force_solutions, random_consistent_system, random_system, zvec
 from row_oracle import dense_gauss_solve, enumerate_affine, rank
-from synclcs import LinearSystem, ZpMatrix, ZpVector, gauss_solve, is_prime, row_solutions
+from synclcs import ZpMatrix, ZpVector, gauss_solve, is_prime
 from synclcs.errors import DimensionMismatch, EnumerationTooLarge, NotPrime
 from synclcs.presets import magic_square_system
 
 
 def test_support_reads_off_nonzeros():
-    assert support(zvec(2, 1, 1, 0)) == {1, 2}
-    assert support(zvec(3, 0, 0, 0)) == set()
-    assert support(zvec(5, 0, 4, 0, 1)) == {2, 4}
+    assert support((1, 1, 0)) == {1, 2}
+    assert support((0, 0, 0)) == set()
+    assert support((0, 4, 0, 1)) == {2, 4}
 
 
 def test_entries_reduced_on_construction():
     assert zvec(3, 4, -1, 6).entries == (1, 2, 0)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**64 - 59])
-def test_reduced_constructor_matches_the_checked_one(rng, p):
-    # row_solutions and gauss_solve build their vectors from entries they
-    # reduced, without reducing them again or checking p again
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        row = [rng.randrange(p) for _ in range(n)]
-        row[rng.randrange(n)] = rng.randrange(1, p)
-        sys_ = LinearSystem.from_ints(p, [row], [rng.randrange(p)])
-        free = sum(1 for a in row if a) - 1
-        solutions = row_solutions(sys_, 1) if p ** free <= 400 else []
-        solved = gauss_solve(sys_.A, sys_.b).particular
-        for x in [*solutions, solved]:
-            checked = ZpVector(p, x.entries)
-            assert x == checked and hash(x) == hash(checked)
-            assert type(x.entries) is tuple and all(type(e) is int for e in x.entries)
-        entries = tuple(rng.randrange(p) for _ in range(n))
-        assert ZpVector.reduced(p, entries) == ZpVector(p, entries)
-        assert hash(ZpVector.reduced(p, entries)) == hash(ZpVector(p, entries))
 
 
 def test_composite_modulus_rejected():
@@ -128,8 +107,8 @@ def test_enumerate_affine_respects_cap():
         ZpVector(2, tuple(1 if k == j else 0 for k in range(8))) for j in range(8)
     )
     with pytest.raises(EnumerationTooLarge):
-        enumerate_affine(ZpVector.zero(2, 8), basis, cap=100)
-    assert len(enumerate_affine(ZpVector.zero(2, 8), basis)) == 256
+        enumerate_affine(ZpVector(2, (0,) * 8), basis, cap=100)
+    assert len(enumerate_affine(ZpVector(2, (0,) * 8), basis)) == 256
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,7 +212,7 @@ def test_long_chain_solves_quickly():
     n = 301
     A = ZpMatrix(2, tuple(tuple(1 if c in (0, j) else 0 for c in range(n)) for j in range(1, n)))
     start = time.perf_counter()
-    sol = gauss_solve(A, ZpVector.zero(2, n - 1))
+    sol = gauss_solve(A, ZpVector(2, (0,) * (n - 1)))
     assert time.perf_counter() - start < 1.0
     assert sol.kernel_dimension == 1
-    assert sol.particular == ZpVector.zero(2, n)
+    assert sol.particular == ZpVector(2, (0,) * n)
