@@ -40,7 +40,7 @@ from .errors import (
     UnknownExample,
 )
 from .presets import magic_square_system, preset_system
-from .system import LinearSystem, validate_document
+from .system import LinearSystem, row_size, validate_document
 from .zp import ZpVector, label
 
 # Each command imports the games, graphs, group, scalar and reps names it
@@ -168,19 +168,21 @@ def _graph_counts(G) -> dict:
 
 
 def cmd_analyze(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
-    from .graphs import build_game_graph
-    G = build_game_graph(system, homogeneous=False, cap=limits.enum_cap)
-    H = build_game_graph(system, homogeneous=True, cap=limits.enum_cap)
-    report["rows"] = [{"row": i, "support": list(V), "support_size": len(V),
-                       "solutions": len(G.rows.get(i, ()))}
-                      for i, V in enumerate(system.supports, 1)]
+    # the sizes follow from the supports, so no row is listed; the cap is
+    # checked as the graph builds check it, G(A,b) and then G(A,0)
+    from .graphs import count_edges, row_pair_counts
+    graphs, sizes = {}, {}
+    for name, target in (("inhomogeneous", system), ("homogeneous", system.homogeneous())):
+        sizes[name] = [row_size(target, i, limits.enum_cap) for i in range(1, system.m + 1)]
+        graphs[name] = {"vertices": sum(sizes[name]),
+                        "edges": count_edges(row_pair_counts(target, sizes[name]))}
+    report["rows"] = [{"row": i, "support": list(V), "support_size": len(V), "solutions": size}
+                      for i, (V, size) in enumerate(zip(system.supports, sizes["inhomogeneous"]), 1)]
     report["classically_solvable"] = system.solutions is not None
-    report["graphs"] = {"inhomogeneous": _graph_counts(G), "homogeneous": _graph_counts(H)}
-    warnings = [
-        {"row": i, "message": "zero row with nonzero right-hand side"}
-        for i in range(1, system.m + 1)
-        if not system.supports[i - 1] and system.b.entry(i) != 0
-    ]
+    report["graphs"] = graphs
+    # a row without solutions is a zero row with b_i != 0
+    warnings = [{"row": i, "message": "zero row with nonzero right-hand side"}
+                for i, size in enumerate(sizes["inhomogeneous"], 1) if not size]
     if warnings:
         report["warnings"] = warnings
     return EXIT_PASS, {"verdict": "pass"}

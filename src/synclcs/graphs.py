@@ -1,9 +1,9 @@
 """Incompatibility graphs of a linear system, brute-force isomorphism
 search, and the translation isomorphism.
 
-Vertices, edges and pair counts come from the row keys with Python ints;
-numpy is imported by the dense adjacency, the refinement and the search,
-which use it."""
+Vertices and edges come from the row keys, and the vertex-pair counts
+from the row supports alone, with Python ints; numpy is imported by the
+dense adjacency, the refinement and the search, which use it."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from array import array
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
@@ -23,12 +23,36 @@ from .zp import ZpVector, label
 EQUAL, ADJACENT, DISTINCT = 0, 1, 2
 
 
-def _key_counts(ids: list[int], keys: int) -> list[int]:
-    """How many of ids are each of 0 .. keys - 1."""
-    counts = [0] * keys
-    for key in ids:
-        counts[key] += 1
-    return counts
+def row_pair_counts(sys: LinearSystem, sizes: list[int]) -> list[list[list[int]]]:
+    """The ordered vertex-pair counts of the graph on sys's rows (G(A,0) for
+    sys.homogeneous()), row i with sizes[i-1] solutions, as Python ints from
+    the supports alone: [r][i-1][k-1] counts the pairs (u in row i, v in row
+    k) that relate as r.  Rows i and k agree (are equal or compatible) on
+    |S_i||S_k| / p^|C| pairs, C their shared columns, unless they share one
+    nonzero support of s columns: then on their common solutions, all |S_i|
+    when a_k = l a_i and b_k = l b_i, none when only a_k = l a_i, and
+    p^(s - 2) otherwise.  Agreeing pairs are EQUAL when u = v, else DISTINCT."""
+    p = sys.p
+    masks = [sum(1 << c for c in V) for V in sys.supports]
+    scaled = []  # each row's coefficients and b_i, scaled to a leading 1
+    for row, bi, V in zip(sys.A.rows, sys.b.entries, sys.supports):
+        inv = pow(row[V[0] - 1], p - 2, p) if V else 0
+        scaled.append([a * inv % p for a in (*row, bi)])
+    agree = [[si * sk // p ** (mi & mk).bit_count() if mi != mk or not mi
+              else si if ei == ek  # one equation
+              else 0 if ei[:-1] == ek[:-1]  # parallel equations
+              else si // p
+              for sk, mk, ek in zip(sizes, masks, scaled)]
+             for si, mi, ei in zip(sizes, masks, scaled)]
+    equal = [[si if i == k else 0 for k in range(len(sizes))] for i, si in enumerate(sizes)]
+    return [equal,
+            [[si * sk - ag for sk, ag in zip(sizes, row)] for si, row in zip(sizes, agree)],
+            [[ag - eq for ag, eq in zip(row, eqs)] for row, eqs in zip(agree, equal)]]
+
+
+def count_edges(counts: list[list[list[int]]]) -> int:
+    """The edges of a graph of these `row_pair_counts`: half its ADJACENT pairs."""
+    return sum(map(sum, counts[ADJACENT])) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,27 +120,13 @@ class GameGraph:
 
     @cached_property
     def pair_counts(self) -> list[list[list[int]]]:
-        """Ordered vertex-pair counts as Python ints, [r][i-1][k-1]: the pairs
-        (u in row i, v in row k) that relate as r (EQUAL, ADJACENT or
-        DISTINCT); ADJACENT is |S_i||S_k| less equal-key pairs."""
-        m = self.system.m
-        sizes = [len(self.rows.get(i, ())) for i in range(1, m + 1)]
-        agree = [[si * sk for sk in sizes] for si in sizes]  # rows that share no column
-        for P, Q, a, b, keys in self._key_blocks():
-            cq = {k: _key_counts(ids, keys) for k, ids in self._row_slices(Q, b).items()}
-            for i, ids in self._row_slices(P, a).items():
-                cp = _key_counts(ids, keys)
-                for k, count in cq.items():
-                    agree[i - 1][k - 1] = sum(map(mul, cp, count))
-        equal = [[sizes[i] if i == k else 0 for k in range(m)] for i in range(m)]
-        return [equal,
-                [[si * sk - ag for sk, ag in zip(sizes, row)] for si, row in zip(sizes, agree)],
-                [[ag - eq for ag, eq in zip(row, eqs)] for row, eqs in zip(agree, equal)]]
+        """The `row_pair_counts` of this graph, [r][i-1][k-1]."""
+        target = self.system.homogeneous() if self.homogeneous else self.system
+        return row_pair_counts(target, [len(self.rows.get(i, ())) for i in range(1, target.m + 1)])
 
     def edge_count(self) -> int:
-        """Half the ordered pairs with unequal keys, in O(|V|), not O(m^2)."""
-        return sum(len(a) * len(b) - sum(map(mul, _key_counts(a, keys), _key_counts(b, keys)))
-                   for _, _, a, b, keys in self._key_blocks()) // 2
+        """Half the ADJACENT pairs of `pair_counts`, in O(m^2), with no key walked."""
+        return count_edges(self.pair_counts)
 
     @cached_property
     def adj(self):

@@ -466,7 +466,13 @@ _NOT_NUMBER_CHARS = '"rl'
 
 
 def _non_number(rows):
-    """A string or boolean in the nested lists rows, which numpy reads as a number, or None."""
+    """A string or boolean in rows, nested lists or an object array, which
+    numpy reads as a number, or None; or the dtype of any other array but
+    int or float."""
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind != "O":
+            return None if rows.dtype.kind in "fiu" else rows.dtype
+        rows = rows.tolist()
     stack = [rows]
     while stack:
         value = stack.pop()
@@ -499,7 +505,7 @@ def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representat
         raise ParseError(f"generator names must be g1..g{n} and J")
     images = {}
     for name, rows in generators.items():
-        bad = None if isinstance(rows, np.ndarray) else _non_number(rows)
+        bad = _non_number(rows)
         if bad is not None:
             raise ParseError(f"matrix for {name} is not numeric: it holds {bad!r}")
         try:

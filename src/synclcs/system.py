@@ -102,6 +102,16 @@ class LinearSystem:
             raise RowOutOfRange(f"row {i} outside 1..{self.m}")
 
 
+def row_size(sys: LinearSystem, i: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """len(row_solutions(sys, i, cap)), found without listing them: p^(s - 1)
+    for s support columns; above cap it raises EnumerationTooLarge."""
+    sys._check_row(i)
+    s = len(sys.supports[i - 1])
+    if s and sys.p ** (s - 1) > cap:
+        raise EnumerationTooLarge(f"{sys.p}^{s - 1} points exceeds cap {cap}")
+    return sys.p ** (s - 1) if s else int(sys.b.entry(i) == 0)
+
+
 def row_solutions(
     sys: LinearSystem, i: int, cap: int = DEFAULT_ENUM_CAP
 ) -> list[tuple[int, ...]]:
@@ -113,15 +123,13 @@ def row_solutions(
     order, the last column fastest.  A zero row yields the zero tuple when
     b_i = 0 and nothing otherwise.
     """
-    sys._check_row(i)
+    size = row_size(sys, i, cap)
     p, n = sys.p, sys.n
     row, bi = sys.A.rows[i - 1], sys.b.entry(i)
     cols = [c - 1 for c in sys.supports[i - 1]]  # 0-based
     if not cols:
-        return [(0,) * n] if bi == 0 else []
+        return [(0,) * n] * size
     pivot, free = cols[0], cols[1:]
-    if p ** len(free) > cap:
-        raise EnumerationTooLarge(f"{p}^{len(free)} points exceeds cap {cap}")
     inv, x, out = pow(row[pivot], p - 2, p), [0] * n, []
     for values in itertools.product(range(p), repeat=len(free)):
         for c, v in zip(free, values):

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from conftest import wide_modulus_system
-from synclcs import LinearSystem, build_game_graph
+from synclcs import GameGraph, LinearSystem, build_game_graph
 from synclcs.cli import main
 from synclcs.config import MAX_REPCHECK_P
+from synclcs.errors import EnumerationTooLarge
 from synclcs.presets import magic_square_system, one_eq_system, p3_demo_system
 
 TIMESTAMP_LINE = re.compile(r'^\s*"timestamp": .*$', re.MULTILINE)
@@ -190,13 +191,71 @@ def test_iso_builds_each_graph_once(capsys, tmp_path, monkeypatch):
     assert len(builds) == 2
 
 
-def test_analyze_enumerates_each_row_once_per_graph(capsys, tmp_path, monkeypatch):
+def test_analyze_enumerates_no_row(capsys, tmp_path, monkeypatch):
     path = write_preset(capsys, tmp_path, "magic-square")
     calls = count_calls(monkeypatch, "system", "row_solutions")
+    builds = count_calls(monkeypatch, "graphs", "build_game_graph")
     code, out = run(capsys, ["analyze", path])
     assert code == 0
-    assert [row["solutions"] for row in json.loads(out)["rows"]] == [4] * 6
-    assert len(calls) == 2 * magic_square_system().m
+    report = json.loads(out)
+    assert [row["solutions"] for row in report["rows"]] == [4] * 6
+    counts = {"vertices": 24, "edges": 108}
+    assert report["graphs"] == {"inhomogeneous": counts, "homogeneous": counts}
+    assert calls == builds == []
+
+
+def test_analyze_counts_wide_rows_without_listing_them(capsys, tmp_path):
+    # two disjoint 11-variable rows over Z_3: listing both graphs' rows
+    # took 103 MiB end to end
+    path = tmp_path / "two11.json"
+    path.write_text(json.dumps({"p": 3, "A": [[1] * 11 + [0] * 11, [0] * 11 + [1] * 11],
+                                "b": [1, 2]}))
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, ["analyze", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads(out)
+    assert [row["solutions"] for row in report["rows"]] == [59_049, 59_049]
+    counts = {"vertices": 118_098, "edges": 3_486_725_352}
+    assert report["graphs"] == {"inhomogeneous": counts, "homogeneous": counts}
+    assert peak < 2**20
+
+
+def test_analyze_refuses_the_first_row_over_the_cap(capsys, tmp_path, monkeypatch):
+    # rows 2 and 3 have 3^7 and 3^11 solutions; the listing path names row 2
+    sys_ = LinearSystem.from_ints(3, [[1, 1] + [0] * 20, [0, 0] + [1] * 8 + [0] * 12,
+                                      [0] * 10 + [1] * 12], [1, 2, 0])
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(sys_.to_json()))
+    monkeypatch.setenv("SYNCLCS_ENUM_CAP", "1000")
+    code, out = run(capsys, ["analyze", str(path)])
+    assert code == 4
+    message = "3^7 points exceeds cap 1000"
+    assert json.loads(out)["error"] == {"type": "EnumerationTooLarge", "message": message}
+    with pytest.raises(EnumerationTooLarge) as raised:
+        build_game_graph(sys_, cap=1000)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("argv, walks", [(["iso"], 2), (["graph"], 1), (["graph", "--homogeneous"], 1)],
+                         ids=["iso", "graph", "graph-homogeneous"])
+def test_iso_and_graph_walk_the_key_blocks_once_per_graph(capsys, tmp_path, monkeypatch,
+                                                          argv, walks):
+    path = tmp_path / "solvable.json"
+    path.write_text(json.dumps({"p": 3, "A": [[1, 2, 0], [0, 1, 1]], "b": [1, 2]}))
+    original, calls = GameGraph._key_blocks, []
+
+    def counted(self):
+        calls.append(self.homogeneous)
+        return original(self)
+
+    monkeypatch.setattr(GameGraph, "_key_blocks", counted)
+    code, _ = run(capsys, [*argv, str(path)])
+    assert code == 0
+    assert len(calls) == len(set(calls)) == walks
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "solve", "iso"])

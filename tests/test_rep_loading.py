@@ -135,6 +135,26 @@ def test_non_numeric_entries_are_refused(tmp_path, name):
         representation_from_json(json.loads(CASES[name]))
 
 
+@pytest.mark.parametrize("kind", ["str", "bool", "complex", "object-str"])
+def test_non_numeric_arrays_are_refused(kind):
+    # numpy would convert each of them to float
+    J = np.asarray(BASE["generators"]["J"], dtype=float)
+    rows = {"str": J.astype(str), "bool": J != 0, "complex": J.astype(complex),
+            "object-str": J.astype(object)}[kind]
+    if kind == "object-str":
+        rows[0, 0, 0] = "-1"
+    with pytest.raises(ParseError, match="matrix for J is not numeric"):
+        representation_from_json(dict(BASE, generators=dict(BASE["generators"], J=rows)))
+
+
+def test_int_and_float_arrays_load():
+    expected = representation_from_json(BASE)
+    for dtype in (float, np.int64):
+        gens = {name: np.asarray(M, dtype=dtype) for name, M in BASE["generators"].items()}
+        rep = representation_from_json(dict(BASE, generators=gens))
+        assert all(np.array_equal(rep.images[name], M) for name, M in expected.images.items())
+
+
 @pytest.mark.parametrize("name", ["convention-object", "trailing-data"])
 def test_cli_refusal_matches_json_load(capsys, tmp_path, monkeypatch, name):
     system, rep = tmp_path / "ms.json", tmp_path / "rep.json"
