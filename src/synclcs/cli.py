@@ -220,11 +220,12 @@ def cmd_graph(system: LinearSystem, report: dict, args, limits: Limits) -> tuple
     from .graphs import build_game_graph, export_dot, graph_to_json
     G = build_game_graph(system, homogeneous=args.homogeneous, cap=limits.enum_cap)
     report["homogeneous"] = bool(args.homogeneous)
-    report["graph"] = graph_to_json(G)
+    edges = G.edges()  # listed once, for the JSON and the DOT text
+    report["graph"] = graph_to_json(G, edges)
     report["counts"] = _graph_counts(G)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(export_dot(G))
+            fh.write(export_dot(G, edges))
         report["dot_file"] = args.dot
     return EXIT_PASS, {"verdict": "pass"}
 
@@ -297,11 +298,7 @@ def _bound_modulus(p: int) -> None:
 
 
 def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
-    # a scalar representation is certified by value, without numpy
-    if args.rep.startswith("scalar:"):
-        from .scalar import run_check_suite
-    else:
-        from .reps import run_check_suite
+    from .scalar import run_check_suite
     tol = args.tol
     # a residual of 1 or more cannot certify unitarity
     if not 0 <= tol < 1:

@@ -62,7 +62,10 @@ class GameGraph:
     Vertices with equal solutions under different rows stay distinct.  No
     self-loops; adjacency is symmetric.  The graph is G(system) or, when
     homogeneous, G(system with b = 0).  `rows` maps each row with a solution
-    to its solutions, tuples of ints, ascending; vertices follow it."""
+    to its solutions, tuples of ints, in `row_solutions` order: the pivot is
+    solved for as the free columns run in lexicographic order, which is not
+    ascending (x1 + x2 = 0 over Z_3 gives (0,0), (2,1), (1,2)); vertices
+    follow it.  So `sorted_edges` sorts each row's solutions for the checks."""
 
     system: LinearSystem
     homogeneous: bool
@@ -421,20 +424,20 @@ def _vertex_labels(G: GameGraph) -> list[str]:
     return [f"{i}:{sep.join(map(str, x))}" for i, x in G.vertices]
 
 
-def export_dot(G: GameGraph) -> str:
+def export_dot(G: GameGraph, edges: tuple[array, array] | None = None) -> str:
     """Graphviz DOT text with deterministic vertex and edge order."""
     labels = _vertex_labels(G)
     lines = ["graph game_graph {", *(f'  "{label}";' for label in labels)]
-    lines += [f'  "{labels[a]}" -- "{labels[bq]}";' for a, bq in zip(*G.edges())]
+    lines += [f'  "{labels[a]}" -- "{labels[bq]}";' for a, bq in zip(*(edges or G.edges()))]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(G: GameGraph) -> dict:
+def graph_to_json(G: GameGraph, edges: tuple[array, array] | None = None) -> dict:
     """Adjacency export: vertex labels plus an index-pair edge list."""
     return {
         "vertices": _vertex_labels(G),
-        "edges": [[a, b] for a, b in zip(*G.edges())],
+        "edges": [[a, b] for a, b in zip(*(edges or G.edges()))],
         "provenance": {"system_digest": G.system.digest(),
                        "rhs": "0" if G.homogeneous else "b"},
     }

@@ -1,15 +1,12 @@
-"""Finite-dimensional *-representation engine.
+"""Finite-dimensional *-representations in complex float matrices.
 
 Builds projection families from solution-group representations through the
 spectral projections f_j(s), evaluates the generator map back from family
-sums, and certifies numerically every identity linking the game algebra,
-the quotient group algebra, and the isomorphism-game algebra.
-
-Matrix representations use complex floats and are judged against a
-Frobenius-norm tolerance; sums and products keep the order and operands
-of the direct formulas, which decide their bits.  The scalar
-representations of classical solutions are certified by value in
-`scalar`, to which `run_check_suite` hands them.
+sums, and computes the residual of every identity linking the game
+algebra, the quotient group algebra, and the isomorphism-game algebra.
+`scalar.run_check_suite`, the one certification suite, lays them out as
+checks.  Sums and products keep the order and operands of the direct
+formulas, which decide their bits.
 """
 
 from __future__ import annotations
@@ -26,8 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import scalar
-from .config import DEFAULT_ENUM_CAP, DEFAULT_TOL, OMEGA_CONVENTION
+from .config import DEFAULT_TOL, OMEGA_CONVENTION
 from .errors import (
     DimensionMismatch,
     JNotIdentified,
@@ -36,9 +32,13 @@ from .errors import (
     UnitarityViolation,
 )
 from .graphs import GameGraph, build_game_graph
-from .group import build_presentation, relation_residuals
+from .group import GroupPresentation, relation_residuals
 from .matops import dagger, eye_like, frob
-from .reporting import CheckBlock, CheckRecord, Checks
+from .reporting import CheckRecord
+from .scalar import (  # noqa: F401  (the suite's stages, bound here by name)
+    check_iso_relations, check_mutual_inverse, iso_generator_images, iso_partition_checks,
+    phi_welldefinedness_checks, projection_family_checks, psi_iso_consistency_checks,
+    run_check_suite)
 from .system import LinearSystem, json_typed
 from .zp import add_mod, check_prime
 
@@ -64,6 +64,12 @@ class Representation:
     @property
     def n(self) -> int:
         return sum(1 for k in self.images if k != "J")
+
+    def relation_records(self, pres: GroupPresentation, tol: float) -> list[CheckRecord]:
+        return relation_residuals(self, pres, tol)
+
+    def family(self, sys: LinearSystem, tol: float, cap: int) -> ProjectionFamily:
+        return _assemble_family(self, sys, tol, cap)
 
 
 def make_representation(
@@ -180,21 +186,39 @@ class ProjectionFamily:
         return self.entries[(i, x)]
 
     @cached_property
-    def entry_residuals(self) -> np.ndarray:
-        """(idempotency, self-adjointness) residual of each entry, in entry
-        order; shape (entries, 2)."""
-        out = np.zeros((len(self.entries), 2))
-        for k, E in enumerate(self.entries.values()):
-            out[k] = frob(E @ E - E), frob(dagger(E) - E)
-        return out
+    def zero(self) -> np.ndarray:
+        return np.zeros_like(self.rep.images["J"])
+
+    @cached_property
+    def entry_residuals(self) -> tuple[list[float], list[float]]:
+        """The idempotency and the self-adjointness residual columns of the
+        entries, in entry order."""
+        entries = self.entries.values()
+        return [frob(E @ E - E) for E in entries], [frob(dagger(E) - E) for E in entries]
+
+    def edge_residuals(self, lefts, rights) -> array:
+        """frob(E_u E_v) per edge (u, v) of graph.sorted_edges(), given as
+        its columns; both products of each edge fill `edge_products`."""
+        self.edge_products = self.products_on(lefts, rights)
+        return array("d", self.edge_products[:, 0].tobytes())
 
     @cached_property
     def edge_products(self) -> np.ndarray:
-        """frob(E_u E_v) and frob(E_v E_u) for each edge (u, v) of
-        graph.sorted_edges(), in that order; shape (edges, 2)."""
+        """`products_on` the edges of graph.sorted_edges()."""
+        return self.products_on(*self.graph.sorted_edges())
+
+    def products_on(self, lefts, rights) -> np.ndarray:
+        """frob(E_u E_v) and frob(E_v E_u) for each edge (u, v) of the
+        columns, in that order; shape (edges, 2)."""
         entries = list(self.entries.values())
         return np.array([(frob(entries[a] @ entries[b]), frob(entries[b] @ entries[a]))
-                         for a, b in zip(*self.graph.sorted_edges())], dtype=float).reshape(-1, 2)
+                         for a, b in zip(lefts, rights)], dtype=float).reshape(-1, 2)
+
+    @property
+    def maxima(self) -> tuple[float, float, float]:
+        """The largest entry residuals and edge product; a NaN gives NaN."""
+        return (*np.max(self.entry_residuals, axis=1, initial=0.0).tolist(),
+                float(self.edge_products.max(initial=0.0)))
 
     @cached_property
     def row_sum_residuals(self) -> dict[int, float]:
@@ -246,6 +270,42 @@ class ProjectionFamily:
             for i, y in G.vertices]
         return by_variable, roundtrip
 
+    def value_block_residuals(self, j: int, rows: list[int]) -> list[float]:
+        """Per value t < p, the largest frob(block_i - block_lowest) over
+        the rows, block_i the sum of row i's entries with value t at j."""
+        out = []
+        for t in range(self.rep.p):
+            blocks = [sum((self.entry(i, x) for x in self.graph.rows[i] if x[j - 1] == t),
+                          np.zeros_like(self.rep.images["J"])) for i in rows]
+            out.append(max((frob(block - blocks[0]) for block in blocks[1:]), default=0.0))
+        return out
+
+    def partition_residuals(self, H: GameGraph) -> tuple[list[float], list[float]]:
+        """frob(sum - I) of the partition sums over G(A,b) at each vertex of
+        H = G(A,0), and over H at each vertex of G(A,b), one row at a time:
+        the sums alive are those of one row's vertices of H and one more."""
+        zero, p = self.zero, self.rep.p
+        identity = eye_like(zero)
+        over_g, over_h = [], []
+        for i, ys in H.rows.items():
+            sums_g = [zero] * len(ys)
+            for x in self.graph.rows.get(i, ()):
+                total = zero
+                for k, y in enumerate(ys):
+                    E = self.entry(i, add_mod(p, x, y))
+                    sums_g[k] = sums_g[k] + E
+                    total = total + E
+                over_h.append(frob(total - identity))
+            over_g += [frob(total - identity) for total in sums_g]
+        return over_g, over_h
+
+    def zero_column_residuals(self) -> list[float]:
+        """frob(E(i, x + 0) - E(i, x)) per vertex: adding the other rows'
+        zeros would change only signs of zeros, which frob cannot see."""
+        zero, p = (0,) * self.graph.system.n, self.rep.p
+        return [frob(self.entry(i, add_mod(p, x, zero)) - self.entry(i, x))
+                for i, x in self.graph.vertices]
+
 
 def _assemble_family(
     rep: Representation, sys: LinearSystem, tol: float, cap: int
@@ -260,201 +320,6 @@ def _assemble_family(
         for x in sols:
             entries[(i, x)] = _spectral_product(identity, cols, x, projection)
     return ProjectionFamily(rep, graph, entries)
-
-
-def projection_family_checks(
-    fam: ProjectionFamily, tol: float = DEFAULT_TOL
-) -> Checks:
-    """Idempotency, self-adjointness, orthogonality on incompatible pairs,
-    and the per-row resolutions of identity.  Orthogonality has a check per
-    edge, so its block holds the labels of each pair's ends, not names, and
-    its residuals as an array of doubles, which reads back Python floats."""
-    G = fam.graph
-    idem, adj = fam.entry_residuals.T.tolist()
-    checks = [CheckBlock(("psi-idempotent", "psi-selfadjoint"), (G.labels,), (idem, adj), tol)]
-
-    # incompatible pairs in sorted-key order, the lower key on the left
-    labels = G.labels
-    checks.append(CheckBlock(("psi-orthogonal",),
-                             tuple([labels[k] for k in ends] for ends in G.sorted_edges()),
-                             (array("d", fam.edge_products[:, 0].tobytes()),), tol))
-
-    checks += [CheckRecord(f"psi-rowsum:{i}", residual, tol)
-               for i, residual in fam.row_sum_residuals.items()]
-    return Checks(checks)
-
-
-def p_block(fam: ProjectionFamily, i: int, j: int, t: int) -> np.ndarray:
-    """Sum of family entries of row i whose solution has value t at j."""
-    return sum((fam.entry(i, x) for x in fam.graph.rows[i] if x[j - 1] == t % fam.rep.p),
-               np.zeros_like(fam.rep.images["J"]))
-
-
-def phi_welldefinedness_checks(
-    fam: ProjectionFamily, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
-    """Cross-row agreement of phi(g_j) and of every value block: the sums
-    over solutions with a fixed value at j must not depend on which
-    containing row is used.  The worst disagreement with the lowest row is
-    reported rather than an average, which would mask a failure."""
-    records = []
-    for j, (rows, residual, _) in fam.generator_map_residuals[0].items():
-        records.append(CheckRecord(f"phi-welldefined:g{j}", residual, tol, detail={"rows": rows}))
-        for t in range(fam.rep.p):
-            blocks = [p_block(fam, i, j, t) for i in rows]
-            residual = max(
-                (frob(bq - blocks[0]) for bq in blocks[1:]), default=0.0
-            )
-            records.append(CheckRecord(
-                f"phi-valueblock:g{j}:t={t}", residual, tol))
-    return records
-
-
-def check_mutual_inverse(
-    fam: ProjectionFamily, tol: float = DEFAULT_TOL
-) -> Checks:
-    """Both round trips of the generator maps between the family and the
-    representation it was built from.
-
-    (a) reconstructing each g_ell from weighted family sums over every row
-    containing ell must return the original image; (b) evaluating the
-    spectral-projection product built from the reconstructed generators
-    must return each family entry.
-    """
-    by_variable, roundtrip = fam.generator_map_residuals
-    checks = [
-        CheckRecord(f"roundtrip-generator:g{ell}:row{i}", residual, tol)
-        for ell, (rows, _, residuals) in by_variable.items()
-        for i, residual in zip(rows, residuals)
-    ]
-    checks.append(CheckBlock(("roundtrip-projection",), (fam.graph.labels,), (roundtrip,), tol))
-    return Checks(checks)
-
-
-@dataclass(eq=False)
-class IsoGeneratorFamily:
-    """Matrices for the isomorphism-game generators, indexed by pairs of a
-    vertex (i, x) of G(A,b) and a vertex (j, y) of G(A,0): the family
-    entry at the translated solution x + y when i == j (adding a
-    homogeneous row solution keeps the inhomogeneous-row solution set),
-    and zero across different rows."""
-
-    family: ProjectionFamily
-    hom_graph: GameGraph  # G(A,0)
-    zero: np.ndarray
-
-    def entry(self, vg, vh) -> np.ndarray:
-        (i, x), (j, y) = vg, vh
-        return self.family.entry(i, add_mod(self.family.rep.p, x, y)) if i == j else self.zero
-
-
-def iso_generator_images(
-    fam: ProjectionFamily, cap: int = DEFAULT_ENUM_CAP
-) -> IsoGeneratorFamily:
-    """The isomorphism-game family of fam, over G(A,b) and G(A,0)."""
-    H = build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
-    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.rep.images["J"]))
-
-
-def iso_partition_checks(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
-) -> Checks:
-    """Both partition-of-unity identities: summing E over all vertices of
-    either graph, the other one held fixed, gives the identity.
-
-    Only same-row pairs are nonzero, and translation by a homogeneous
-    solution permutes S_i(A,b), so both sums at a vertex of row i add up
-    the family entries of row i.  The sums run in the vertex
-    order of the summed graph, one row at a time, so the sums alive are
-    those over G(A,b) of one row's vertices of G(A,0) and one sum over
-    G(A,0).
-    """
-    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
-    identity = eye_like(iso.zero)
-    over_g, over_h = [], []
-    for i, ys in H.rows.items():
-        sums_g = [iso.zero] * len(ys)
-        for x in G.rows.get(i, ()):
-            total = iso.zero
-            for k, y in enumerate(ys):
-                E = iso.entry((i, x), (i, y))
-                sums_g[k] = sums_g[k] + E
-                total = total + E
-            over_h.append(frob(total - identity))
-        over_g += [frob(total - identity) for total in sums_g]
-    return Checks([CheckBlock(("iso-sum-over-inhomogeneous",), (H.labels,), (over_g,), tol),
-                   CheckBlock(("iso-sum-over-homogeneous",), (G.labels,), (over_h,), tol)])
-
-
-def check_iso_relations(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
-) -> list[CheckRecord]:
-    """Rule orthogonality plus idempotency/self-adjointness of every E.
-
-    A quadruple of generators must multiply to zero whenever the two
-    inhomogeneous-graph vertices relate (equal / adjacent / distinct
-    non-adjacent) differently from the two homogeneous-graph vertices.
-    Quadruples with a structurally zero factor vanish exactly and are only
-    counted.  For the rest, the product is family(i, x+y) family(i', x'+y'),
-    and the translated pairs (x+y, x'+y') arising from rule-zero quadruples
-    are exactly the adjacent vertex pairs of the inhomogeneous graph: a
-    mismatch in how the pairs relate forces a coordinate conflict in the
-    sums, and conversely any conflicting pair is reached by taking both
-    homogeneous parts zero.  So the edge products of the family, in both orders,
-    cover every rule-zero quadruple.  Likewise the nonzero generators of
-    row i are exactly its family entries, each repeated |S_i(A,0)| times,
-    so idempotency and self-adjointness are those of the family entries.
-    Every residual is read from the family; nothing is multiplied here.
-    """
-    fam = iso.family
-    idem_max, adj_max = fam.entry_residuals.max(axis=0, initial=0.0).tolist()
-    return scalar.iso_relation_records(fam.graph, iso.hom_graph, idem_max, adj_max,
-                                       float(fam.edge_products.max(initial=0.0)),
-                                       len(fam.edge_products), tol)
-
-
-def psi_iso_consistency_checks(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
-) -> Checks:
-    """The reverse generator map into the isomorphism-game algebra: for
-    each (i, x), summing E over the homogeneous zero-solution column per
-    row recovers the family entry.  Structural by construction; this
-    guards the implementation."""
-    fam = iso.family
-    sys = fam.graph.system
-    zero_vec = (0,) * sys.n  # solves every homogeneous row
-    residuals = []
-    for i, x in fam.graph.vertices:
-        total = iso.zero
-        for k in range(1, sys.m + 1):
-            total = total + iso.entry((i, x), (k, zero_vec))
-        residuals.append(frob(total - fam.entry(i, x)))
-    return Checks([CheckBlock(("iso-zero-column",), (fam.graph.labels,), (residuals,), tol)])
-
-
-def run_check_suite(
-    rep: Representation,
-    sys: LinearSystem,
-    tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Checks:
-    """The full certification pipeline, in order: group relations, family
-    invariants, generator-map well-definedness, both round trips, the
-    partition identities of the isomorphism-game family, and its rule
-    orthogonality.  A scalar representation is certified by value, by
-    `scalar.run_check_suite`."""
-    if isinstance(rep, scalar.ScalarRepresentation):
-        return scalar.run_check_suite(rep, sys, tol, cap)
-    checks = Checks(relation_residuals(rep, build_presentation(sys), tol))
-    fam = _assemble_family(rep, sys, tol, cap)
-    checks += projection_family_checks(fam, tol)
-    checks += phi_welldefinedness_checks(fam, tol)
-    checks += check_mutual_inverse(fam, tol)
-    iso = iso_generator_images(fam, cap)
-    checks += iso_partition_checks(iso, tol)
-    checks += check_iso_relations(iso, tol)
-    checks += psi_iso_consistency_checks(iso, tol)
-    return checks
 
 
 # what np.asarray(rows, dtype=float) raises on a matrix that is not numeric

@@ -173,7 +173,7 @@ def cached_projection_family_checks(fam: ProjectionFamily,
     and both products of each edge's entries taken here, in `dense_edges` order."""
     G = fam.graph
     records = []
-    for label, (idem, adj) in zip(G.labels, fam.entry_residuals.tolist()):
+    for label, idem, adj in zip(G.labels, *fam.entry_residuals):
         records.append(CheckRecord(f"psi-idempotent:{label}", idem, tol))
         records.append(CheckRecord(f"psi-selfadjoint:{label}", adj, tol))
     order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1]))
@@ -589,13 +589,11 @@ class ProjectionFamily:
         return self.entries[(i, x)]
 
     @cached_property
-    def entry_residuals(self) -> np.ndarray:
-        """(idempotency, self-adjointness) residual of each entry, in entry
-        order; shape (entries, 2)."""
-        out = np.zeros((len(self.entries), 2))
-        for k, E in enumerate(self.entries.values()):
-            out[k] = frob(E @ E - E), frob(dagger(E) - E)
-        return out
+    def entry_residuals(self) -> tuple[list[float], list[float]]:
+        """The idempotency and the self-adjointness residual columns of the
+        entries, in entry order."""
+        entries = self.entries.values()
+        return [frob(E @ E - E) for E in entries], [frob(dagger(E) - E) for E in entries]
 
     @cached_property
     def edge_products(self) -> np.ndarray:
@@ -694,8 +692,7 @@ def projection_family_checks(
     edge, so its block holds the labels of each pair's ends, not names, and
     its residuals as an array of doubles, which reads back Python floats."""
     G = fam.graph
-    idem, adj = fam.entry_residuals.T.tolist()
-    checks = [CheckBlock(("psi-idempotent", "psi-selfadjoint"), (G.labels,), (idem, adj), tol)]
+    checks = [CheckBlock(("psi-idempotent", "psi-selfadjoint"), (G.labels,), fam.entry_residuals, tol)]
 
     # incompatible pairs in sorted-key order, the lower key on the left
     order = sorted(range(G.order()), key=lambda k: (G.vertices[k][0], G.vertices[k][1]))
@@ -849,7 +846,7 @@ def check_iso_relations(
     """
     fam, G, H = iso.family, iso.family.graph, iso.hom_graph
 
-    idem_max, adj_max = fam.entry_residuals.max(axis=0, initial=0.0).tolist()
+    idem_max, adj_max = np.max(fam.entry_residuals, axis=1, initial=0.0).tolist()
     # object entries: the quadruple counts grow as |V|^4
     counts_g, counts_h = numpy_pair_counts(G).astype(object), numpy_pair_counts(H).astype(object)
     nonzero = int((counts_g[EQUAL] * counts_h[EQUAL]).sum())

@@ -240,10 +240,12 @@ def test_analyze_refuses_the_first_row_over_the_cap(capsys, tmp_path, monkeypatc
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("argv, walks", [(["iso"], 2), (["graph"], 1), (["graph", "--homogeneous"], 1)],
-                         ids=["iso", "graph", "graph-homogeneous"])
+@pytest.mark.parametrize("argv, walks", [(["iso"], 2), (["graph"], 1), (["graph", "--homogeneous"], 1),
+                                         (["graph", "--dot", "solvable.dot"], 1)],
+                         ids=["iso", "graph", "graph-homogeneous", "graph-dot"])
 def test_iso_and_graph_walk_the_key_blocks_once_per_graph(capsys, tmp_path, monkeypatch,
                                                           argv, walks):
+    monkeypatch.chdir(tmp_path)  # where --dot writes
     path = tmp_path / "solvable.json"
     path.write_text(json.dumps({"p": 3, "A": [[1, 2, 0], [0, 1, 1]], "b": [1, 2]}))
     original, calls = GameGraph._key_blocks, []
@@ -409,15 +411,13 @@ def records_summary(records: list) -> dict:
     ("magic-square", ["--rep", "pauli-ms", "--tol", "0"], 1),
 ], ids=["pass-float", "pass-exact", "fail-in-a-block"])
 def test_repcheck_summary_reads_the_columns(capsys, tmp_path, monkeypatch, system, flags, code):
-    import synclcs.reps as reps
     import synclcs.scalar as scalar
     from rep_oracle import expanded
     from synclcs.reporting import CheckBlock
 
     suites = []
-    module = scalar if flags[1].startswith("scalar:") else reps  # the suite repcheck runs
-    suite = module.run_check_suite
-    monkeypatch.setattr(module, "run_check_suite",
+    suite = scalar.run_check_suite  # the one suite repcheck runs, for every --rep
+    monkeypatch.setattr(scalar, "run_check_suite",
                         lambda *args, **kwargs: suites.append(suite(*args, **kwargs)) or suites[-1])
     path = write_preset(capsys, tmp_path, system)
     got, out = run(capsys, ["repcheck", path, *flags])

@@ -90,7 +90,8 @@ def test_traced_pauli_repcheck_counts_rows_graphs_and_records(tracing, tmp_path,
 
 
 def traced_scalar_repcheck(tracing, tmp_path, capsys):
-    """A tracer that ran `repcheck --rep scalar:0,0` on one equation."""
+    """A tracer that ran `repcheck --rep scalar:0,0` on one equation, and
+    the report."""
     path = tmp_path / "one.json"
     path.write_text(json.dumps(one_eq_system().to_json()))
     tracer = tracing.Tracer()
@@ -99,28 +100,28 @@ def traced_scalar_repcheck(tracing, tmp_path, capsys):
         assert cli.main(["repcheck", str(path), "--rep", "scalar:0,0"]) == 0
     finally:
         tracer.uninstall()
-    capsys.readouterr()
-    return tracer
+    return tracer, json.loads(capsys.readouterr().out)
 
 
 def test_traced_scalar_repcheck_counts_cyclotomic_work(tracing, tmp_path, capsys):
     """The exact path builds and multiplies cyclotomics through the methods
     the tracer counts, so a constructor that skips __init__ fails here
     rather than reading 0 in the benchmark's counts."""
-    tracer = traced_scalar_repcheck(tracing, tmp_path, capsys)
+    tracer, _ = traced_scalar_repcheck(tracing, tmp_path, capsys)
     assert tracer.counts["cyclotomic.new"] > 0
     assert tracer.counts["cyclotomic.mul"] > 0
 
 
 def test_traced_scalar_repcheck_times_the_graph_core(tracing, tmp_path, capsys):
-    """A scalar representation is certified by value in synclcs.scalar,
-    which the tracer does not time, so the reps layers read 0; the row
-    enumeration and the graph builds it calls are timed."""
-    tracer = traced_scalar_repcheck(tracing, tmp_path, capsys)
+    """A scalar representation is certified by the one suite, whose stages
+    are bound in reps, so the tracer times them and counts the records, as
+    it does the row enumeration and the graph builds they call."""
+    tracer, report = traced_scalar_repcheck(tracing, tmp_path, capsys)
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {"system.row_solutions", "graphs.build_game_graph", "cli.emit"} <= recorded
-    assert not any(name.startswith("reps.") for name in recorded)
-    assert tracer.counts["reps.records"] == 0
+    assert {"reps.run_check_suite", "reps.projection_family_checks",
+            "reps.psi_iso_consistency_checks"} <= recorded
+    assert tracer.counts["reps.records"] == report["summary"]["checks"] == len(report["checks"])
     assert tracer.counts["graphs.build_game_graph.calls"] == 2
     assert tracer.counts["graphs.build_game_graph.vertices"] == 4
     assert tracer.counts["graphs.build_game_graph.edges"] == 2
