@@ -23,7 +23,7 @@ _EXPORTS = {
     "group": "GroupPresentation Relation Word build_presentation relation_residuals",
     "presets": "PRESETS magic_square_system one_eq_system p3_demo_system preset_system",
     "reps": "ProjectionFamily Representation f_projection load_representation make_representation pauli_magic_square_rep representation_from_json",
-    "scalar": "IsoGeneratorFamily check_iso_relations check_mutual_inverse iso_generator_images iso_partition_checks phi_welldefinedness_checks projection_family_checks run_check_suite scalar_rep_from_solution",
+    "scalar": "check_iso_relations check_mutual_inverse iso_generator_images iso_partition_checks phi_welldefinedness_checks projection_family_checks run_check_suite scalar_rep_from_solution",
     "system": "LinearSystem ValidationReport row_solutions validate_document validate_system",
     "zp": "AffineSolutionSet ZpMatrix ZpVector gauss_solve is_prime",
 }

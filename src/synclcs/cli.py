@@ -288,13 +288,26 @@ def _resolve_representation(spec: str, system: LinearSystem, tol: float):
                 "pauli-ms is only valid for the built-in magic-square system"
             )
         return pauli_magic_square_rep()
-    return load_representation(spec, tol)
+    return load_representation(spec, tol, lambda p, n: _screen_representation(system, p, n))
 
 
 def _bound_modulus(p: int) -> None:
     if p > MAX_REPCHECK_P:
         raise ModulusTooLarge(
             f"modulus {p} exceeds {MAX_REPCHECK_P}, the largest repcheck certifies")
+
+
+def _screen_representation(system: LinearSystem, p: int, n: int) -> None:
+    """Refuse a file of modulus p and n generators g_j above the cap, or for
+    another p or n, where the checks would pair roots of unity with another
+    Z_p or generators with variables that are not there."""
+    _bound_modulus(p)
+    if p != system.p:
+        raise DimensionMismatch(
+            f"representation modulus {p} differs from system modulus {system.p}")
+    if n != system.n:
+        raise DimensionMismatch(
+            f"representation has {n} generators g_j, system has {system.n} variables")
 
 
 def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
@@ -308,15 +321,6 @@ def cmd_repcheck(system: LinearSystem, report: dict, args, limits: Limits) -> tu
     report["inputs"]["rep_source"] = args.rep
     try:
         rep = _resolve_representation(args.rep, system, tol)
-        _bound_modulus(rep.p)
-        # the checks would pair p-th roots of unity with Z_p solutions of
-        # another p, or generators with variables that are not there
-        if rep.p != system.p:
-            raise DimensionMismatch(
-                f"representation modulus {rep.p} differs from system modulus {system.p}")
-        if rep.n != system.n:
-            raise DimensionMismatch(
-                f"representation has {rep.n} generators g_j, system has {system.n} variables")
         report["representation"] = {"dim": rep.dim, "p": rep.p, "exact": rep.exact}
         records = run_check_suite(rep, system, tol=tol, cap=limits.enum_cap)
     except (ParseError, EnumerationTooLarge, SearchBudgetExceeded):

@@ -59,9 +59,14 @@ class DeterministicStrategy:
     assignment: dict = field(default_factory=dict)
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a bool's byte as a binary digit
+
+
 def _bitset(flags) -> int:
-    """The int whose bit b is set when the b-th flag is true."""
-    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+    """The int whose bit b is set when the b-th flag is true.  flags are
+    bools or a numpy bool array, whose elements are one byte each, 0 or 1;
+    the buffer of a wider array would be misread."""
+    return int(bytes(flags).translate(_DIGITS)[::-1] or b"0", 2)
 
 
 class KeyTables:

@@ -347,7 +347,9 @@ def _non_number(rows):
             stack += value
 
 
-def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representation:
+def representation_from_json(doc: dict, tol: float = DEFAULT_TOL, screen=None) -> Representation:
+    """screen(p, n), if given, may refuse the document by raising, once p and
+    the names g1..gn, J are read and before any matrix is validated."""
     try:
         p = json_typed(doc["p"], int, "p")
         dim = json_typed(doc["dim"], int, "dim")
@@ -368,6 +370,8 @@ def representation_from_json(doc: dict, tol: float = DEFAULT_TOL) -> Representat
     expected = {f"g{j}" for j in range(1, n + 1)} | {"J"}
     if set(generators) != expected:
         raise ParseError(f"generator names must be g1..g{n} and J")
+    if screen is not None:
+        screen(p, n)
     images = {}
     for name, rows in generators.items():
         bad = _non_number(rows)
@@ -435,13 +439,14 @@ def _decode_representation(fh) -> object:
     return decoder.decode(text)
 
 
-def load_representation(path: str, tol: float = DEFAULT_TOL) -> Representation:
-    """Read a representation file.  It is decoded with the cyclic garbage
-    collector paused: a d = 256 file builds some 660k small lists, the
-    collector would pass over them again and again while they are built,
-    and decoded JSON holds no reference cycles.  Each generator's matrix
-    becomes an array as soon as it is decoded, so the decoded lists of one
-    generator at a time are alive next to the file's text."""
+def load_representation(path: str, tol: float = DEFAULT_TOL, screen=None) -> Representation:
+    """Read a representation file, screened as in representation_from_json.
+    It is decoded with the cyclic garbage collector paused: a d = 256 file
+    builds some 660k small lists, the collector would pass over them again
+    and again while they are built, and decoded JSON holds no reference
+    cycles.  Each generator's matrix becomes an array as soon as it is
+    decoded, so the decoded lists of one generator at a time are alive next
+    to the file's text."""
     collecting = gc.isenabled()
     try:
         with open(path) as fh:
@@ -453,4 +458,4 @@ def load_representation(path: str, tol: float = DEFAULT_TOL) -> Representation:
                     gc.enable()
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    return representation_from_json(doc, tol)
+    return representation_from_json(doc, tol, screen)

@@ -7,7 +7,7 @@ float matrices, `ScalarFamily` for g_j -> omega^{x*_j}, J -> omega, a
 solution x* of Ax = b.  There g_j has the one eigenvalue omega^{x*_j}, so
 the spectral projection f_j(s) is delta(x*_j, s), a family entry is the
 indicator of x = x* on the row support, a phase sum over a row is the sum
-of its nonzero terms, and a relation word is a product of omega-powers.
+of its nonzero terms, and a relation word is one omega-power.
 These Cyclotomic and int scalars are computed by value: exact values are
 canonical and exact sums do not depend on their order.  Each residual is
 still the Frobenius norm of the 1x1 matrix [d], math.sqrt(abs(d) ** 2), so
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import chain
 from operator import mul
 from typing import ClassVar
@@ -100,16 +100,16 @@ def scalar_rep_from_solution(sys: LinearSystem, xstar: ZpVector) -> ScalarRepres
 def relation_residuals(
     rep: ScalarRepresentation, pres: GroupPresentation, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
-    """The distance of every relation word from 1: a word's value is the
-    product of its factors' omega-powers, 1 for the empty word."""
+    """The distance of every relation word from 1: a word's value, the
+    product of its factors' omega-powers, is omega to the sum of their
+    exponents, exactly, as exact values are canonical; 1 for the empty word."""
     exponents, p = rep.exponents, rep.p
     for gen in pres.generators:
         if gen not in exponents:
             raise DimensionMismatch(f"representation missing generator {gen}")
     records = []
     for rel in pres.relations:
-        powers = [Cyclotomic.omega_power(p, exponents[gen] * e) for gen, e in rel.word.factors]
-        value = reduce(mul, powers) if powers else 1
+        value = Cyclotomic.omega_power(p, sum(exponents[gen] * e for gen, e in rel.word.factors))
         records.append(CheckRecord(f"relation:{rel.label}", _norm(value - 1), tol,
                                    detail={"family": rel.family, "display": rel.display()}))
     return records
@@ -144,8 +144,6 @@ class ScalarFamily:
     rep: ScalarRepresentation
     graph: GameGraph  # G(A,b): its vertices index the entries
     entries: list
-
-    zero: ClassVar[int] = 0
 
     def entry(self, i: int, x: tuple[int, ...]):
         return self.entries[self.graph._index[i, x]]
@@ -292,42 +290,27 @@ def check_mutual_inverse(fam, tol: float = DEFAULT_TOL) -> Checks:
     return Checks(checks)
 
 
-@dataclass(eq=False)
-class IsoGeneratorFamily:
-    """The isomorphism-game generators, indexed by pairs of a vertex (i, x)
-    of G(A,b) and a vertex (j, y) of G(A,0): the family entry at x + y when
-    i == j (adding a homogeneous row solution keeps the inhomogeneous-row
-    solution set), and zero across different rows."""
-
-    family: object  # a reps.ProjectionFamily or a ScalarFamily
-    hom_graph: GameGraph  # G(A,0)
-    zero: object
-
-    def entry(self, vg, vh):
-        (i, x), (j, y) = vg, vh
-        return self.family.entry(i, add_mod(self.family.rep.p, x, y)) if i == j else self.zero
+def iso_generator_images(fam, cap: int = DEFAULT_ENUM_CAP) -> GameGraph:
+    """G(A,0).  A pair of vertices (i, x) of G(A,b) and (j, y) of G(A,0)
+    indexes the isomorphism-game generator E((i,x),(j,y)): the family entry
+    at x + y when i == j, zero across rows.  The stages read fam's residuals."""
+    return build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
 
 
-def iso_generator_images(fam, cap: int = DEFAULT_ENUM_CAP) -> IsoGeneratorFamily:
-    """The isomorphism-game family of fam, over G(A,b) and G(A,0)."""
-    H = build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
-    return IsoGeneratorFamily(fam, H, fam.zero)
-
-
-def iso_partition_checks(iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL) -> Checks:
+def iso_partition_checks(fam, H: GameGraph, tol: float = DEFAULT_TOL) -> Checks:
     """Both partition-of-unity identities: summing E over all vertices of
     either graph, the other one held fixed, gives the identity.
 
     Only same-row pairs are nonzero, and translation by a homogeneous
     solution permutes S_i(A,b), so both sums at a vertex of row i add up
     the family entries of row i."""
-    over_g, over_h = iso.family.partition_residuals(iso.hom_graph)
+    over_g, over_h = fam.partition_residuals(H)
     return Checks([
-        CheckBlock(("iso-sum-over-inhomogeneous",), (iso.hom_graph.labels,), (over_g,), tol),
-        CheckBlock(("iso-sum-over-homogeneous",), (iso.family.graph.labels,), (over_h,), tol)])
+        CheckBlock(("iso-sum-over-inhomogeneous",), (H.labels,), (over_g,), tol),
+        CheckBlock(("iso-sum-over-homogeneous",), (fam.graph.labels,), (over_h,), tol)])
 
 
-def check_iso_relations(iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL) -> list[CheckRecord]:
+def check_iso_relations(fam, H: GameGraph, tol: float = DEFAULT_TOL) -> list[CheckRecord]:
     """Rule orthogonality plus idempotency/self-adjointness of every E.
 
     A quadruple of generators must multiply to zero whenever the two
@@ -346,8 +329,8 @@ def check_iso_relations(iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL) -> li
     Every residual is read from the family; nothing is multiplied here.
     The quadruple counts are exact Python ints, from the pair counts.
     """
-    G, H = iso.family.graph, iso.hom_graph
-    idem_max, adj_max, product_max = iso.family.maxima
+    G = fam.graph
+    idem_max, adj_max, product_max = fam.maxima
     flat_g, flat_h = ([list(chain.from_iterable(rows)) for rows in X.pair_counts] for X in (G, H))
     nonzero = sum(map(mul, flat_g[EQUAL], flat_h[EQUAL]))
     # rule-zero quadruples (G pair and H pair related differently) over the
@@ -376,13 +359,13 @@ def check_iso_relations(iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL) -> li
     ]
 
 
-def psi_iso_consistency_checks(iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL) -> Checks:
+def psi_iso_consistency_checks(fam, tol: float = DEFAULT_TOL) -> Checks:
     """The reverse generator map into the isomorphism-game algebra: for
     each (i, x), summing E over the homogeneous zero-solution column per
     row, of which only the row-i term is not zero, recovers the family
     entry.  Structural by construction; this guards the implementation."""
-    return Checks([CheckBlock(("iso-zero-column",), (iso.family.graph.labels,),
-                              (iso.family.zero_column_residuals(),), tol)])
+    return Checks([CheckBlock(("iso-zero-column",), (fam.graph.labels,),
+                              (fam.zero_column_residuals(),), tol)])
 
 
 def run_check_suite(rep, sys: LinearSystem, tol: float = DEFAULT_TOL,
@@ -397,8 +380,8 @@ def run_check_suite(rep, sys: LinearSystem, tol: float = DEFAULT_TOL,
     checks += projection_family_checks(fam, tol)
     checks += phi_welldefinedness_checks(fam, tol)
     checks += check_mutual_inverse(fam, tol)
-    iso = iso_generator_images(fam, cap)
-    checks += iso_partition_checks(iso, tol)
-    checks += check_iso_relations(iso, tol)
-    checks += psi_iso_consistency_checks(iso, tol)
+    H = iso_generator_images(fam, cap)
+    checks += iso_partition_checks(fam, H, tol)
+    checks += check_iso_relations(fam, H, tol)
+    checks += psi_iso_consistency_checks(fam, tol)
     return checks

@@ -4,8 +4,10 @@ library ran exact representations on (an oracle for the by-value suite of
 arrays), the image of one game-algebra generator by its direct formula (an
 oracle for the family entries), the product chains started at an identity
 product (an oracle for the library's chains, which start at their first
-factor), the float partition sums held all at once (an oracle for the
-library's row-by-row sums), the row sums and phase sums cached as matrices
+factor), the isomorphism-game generators of a family as objects (an
+oracle for the stages, which read the family's residuals), the float
+partition sums held all at once (an oracle for the library's row-by-row
+sums), the row sums and phase sums cached as matrices
 with the check families that read them (an oracle for the library's cached
 residuals), the whole suite built record by record (an oracle for the
 library's check blocks), the records of a block by its naming (an oracle
@@ -119,11 +121,11 @@ def eye_spectral_product(identity: np.ndarray, cols, x: tuple[int, ...], project
 
 
 def all_at_once_partition_checks(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
+    fam: ProjectionFamily, H: GameGraph, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
     """The float records of `iso_partition_checks` as the library computed
     them while it held the sum at every vertex of both graphs at once."""
-    G, H = iso.family.graph, iso.hom_graph
+    G, iso = fam.graph, IsoGeneratorFamily(fam)
     identity = eye_like(iso.zero)
     sums_g = {vh: iso.zero for vh in H.vertices}
     sums_h = {vg: iso.zero for vg in G.vertices}
@@ -231,15 +233,15 @@ def cached_check_mutual_inverse(fam: ProjectionFamily,
     return records
 
 
-def cached_iso_partition_checks(iso: IsoGeneratorFamily,
+def cached_iso_partition_checks(fam: ProjectionFamily, H: GameGraph,
                                 tol: float = DEFAULT_TOL) -> list[CheckRecord]:
     """The records of `iso_partition_checks`: exact ones from
     `cached_row_sums`, float ones from `all_at_once_partition_checks`."""
-    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
     if not fam.rep.exact:
-        return all_at_once_partition_checks(iso, tol)
-    identity, row_sums = eye_like(iso.zero), cached_row_sums(fam)
-    by_row = {i: frob(row_sums.get(i, iso.zero) - identity) for i in H.rows}
+        return all_at_once_partition_checks(fam, H, tol)
+    G, zero = fam.graph, IsoGeneratorFamily(fam).zero
+    identity, row_sums = eye_like(zero), cached_row_sums(fam)
+    by_row = {i: frob(row_sums.get(i, zero) - identity) for i in H.rows}
     return [
         CheckRecord(f"{family}:{label}", by_row[i], tol)
         for family, vertices, labels in (("iso-sum-over-inhomogeneous", H.vertices, H.labels),
@@ -254,11 +256,10 @@ def cached_iso_partition_checks(iso: IsoGeneratorFamily,
 # sums, from the cached oracles above, and the zero-column sums.
 
 
-def per_record_zero_column_checks(iso: IsoGeneratorFamily,
+def per_record_zero_column_checks(fam: ProjectionFamily,
                                   tol: float = DEFAULT_TOL) -> list[CheckRecord]:
     """The records of `psi_iso_consistency_checks`, one by one."""
-    fam = iso.family
-    sys = fam.graph.system
+    iso, sys = IsoGeneratorFamily(fam), fam.graph.system
     zero_vec = (0,) * sys.n
     records = []
     for (i, x), label in zip(fam.graph.vertices, fam.graph.labels):
@@ -279,10 +280,10 @@ def per_record_check_suite(rep: Representation, sys: LinearSystem, tol: float = 
     records += cached_projection_family_checks(fam, tol)
     records += cached_phi_welldefinedness_checks(fam, tol)
     records += cached_check_mutual_inverse(fam, tol)
-    iso = engine.iso_generator_images(fam, cap)
-    records += cached_iso_partition_checks(iso, tol)
-    records += engine.check_iso_relations(iso, tol)
-    records += per_record_zero_column_checks(iso, tol)
+    H = engine.iso_generator_images(fam, cap)
+    records += cached_iso_partition_checks(fam, H, tol)
+    records += engine.check_iso_relations(fam, H, tol)
+    records += per_record_zero_column_checks(fam, tol)
     return records
 
 
@@ -389,7 +390,8 @@ def save_representation(rep: Representation, path: str):
         fh.write("\n")
 
 
-def json_load_representation(path: str, tol: float = DEFAULT_TOL) -> reps.Representation:
+def json_load_representation(path: str, tol: float = DEFAULT_TOL,
+                             screen=None) -> reps.Representation:
     """The library's loader as it was while it decoded the whole file with
     json.load before it built any image."""
     try:
@@ -397,7 +399,7 @@ def json_load_representation(path: str, tol: float = DEFAULT_TOL) -> reps.Repres
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    return representation_from_json(doc, tol)
+    return representation_from_json(doc, tol, screen)
 
 
 # ------------------------------------------------------- object-array engine
@@ -759,15 +761,19 @@ def check_mutual_inverse(
 
 @dataclass(eq=False)
 class IsoGeneratorFamily:
-    """Matrices for the isomorphism-game generators, indexed by pairs of a
-    vertex (i, x) of G(A,b) and a vertex (j, y) of G(A,0): the family
-    entry at the translated solution x + y when i == j (adding a
-    homogeneous row solution keeps the inhomogeneous-row solution set),
-    and zero across different rows."""
+    """Matrices for the isomorphism-game generators of a family, of the
+    library or of this engine, indexed by pairs of a vertex (i, x) of
+    G(A,b) and a vertex (j, y) of G(A,0): the family entry at the
+    translated solution x + y when i == j (adding a homogeneous row
+    solution keeps the inhomogeneous-row solution set), and zero across
+    different rows.  The library reads every residual from the family and
+    builds no generator."""
 
     family: ProjectionFamily
-    hom_graph: GameGraph  # G(A,0)
-    zero: np.ndarray
+
+    @cached_property
+    def zero(self) -> np.ndarray:
+        return np.zeros_like(self.family.rep.images["J"])
 
     def entry(self, vg, vh) -> np.ndarray:
         (i, x), (j, y) = vg, vh
@@ -777,16 +783,14 @@ class IsoGeneratorFamily:
         return self.family.entry(i, tuple((a + b) % p for a, b in zip(x, y)))
 
 
-def iso_generator_images(
-    fam: ProjectionFamily, cap: int = DEFAULT_ENUM_CAP
-) -> IsoGeneratorFamily:
-    """The isomorphism-game family of fam, over G(A,b) and G(A,0)."""
-    H = build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
-    return IsoGeneratorFamily(fam, H, np.zeros_like(fam.rep.images["J"]))
+def iso_generator_images(fam: ProjectionFamily, cap: int = DEFAULT_ENUM_CAP) -> GameGraph:
+    """G(A,0), whose vertices pair with those of fam's G(A,b) to index the
+    isomorphism-game generators."""
+    return build_game_graph(fam.graph.system, homogeneous=True, cap=cap)
 
 
 def iso_partition_checks(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
+    fam: ProjectionFamily, H: GameGraph, tol: float = DEFAULT_TOL
 ) -> Checks:
     """Both partition-of-unity identities: summing E over all vertices of
     either graph, the other one held fixed, gives the identity.
@@ -800,7 +804,7 @@ def iso_partition_checks(
     those over G(A,b) of one row's vertices of G(A,0) and one sum over
     G(A,0).
     """
-    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
+    G, iso = fam.graph, IsoGeneratorFamily(fam)
     identity = eye_like(iso.zero)
     if fam.rep.exact:
         residuals = fam.row_sum_residuals
@@ -825,7 +829,7 @@ def iso_partition_checks(
 
 
 def check_iso_relations(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
+    fam: ProjectionFamily, H: GameGraph, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
     """Rule orthogonality plus idempotency/self-adjointness of every E.
 
@@ -844,7 +848,7 @@ def check_iso_relations(
     so idempotency and self-adjointness are those of the family entries.
     Every residual is read from the family; nothing is multiplied here.
     """
-    fam, G, H = iso.family, iso.family.graph, iso.hom_graph
+    G = fam.graph
 
     idem_max, adj_max = np.max(fam.entry_residuals, axis=1, initial=0.0).tolist()
     # object entries: the quadruple counts grow as |V|^4
@@ -879,14 +883,13 @@ def check_iso_relations(
 
 
 def psi_iso_consistency_checks(
-    iso: IsoGeneratorFamily, tol: float = DEFAULT_TOL
+    fam: ProjectionFamily, tol: float = DEFAULT_TOL
 ) -> Checks:
     """The reverse generator map into the isomorphism-game algebra: for
     each (i, x), summing E over the homogeneous zero-solution column per
     row recovers the family entry.  Structural by construction; this
     guards the implementation."""
-    fam = iso.family
-    sys = fam.graph.system
+    iso, sys = IsoGeneratorFamily(fam), fam.graph.system
     zero_vec = (0,) * sys.n  # solves every homogeneous row
     residuals = []
     for i, x in fam.graph.vertices:
@@ -912,10 +915,10 @@ def run_check_suite(
     checks += projection_family_checks(fam, tol)
     checks += phi_welldefinedness_checks(fam, tol)
     checks += check_mutual_inverse(fam, tol)
-    iso = iso_generator_images(fam, cap)
-    checks += iso_partition_checks(iso, tol)
-    checks += check_iso_relations(iso, tol)
-    checks += psi_iso_consistency_checks(iso, tol)
+    H = iso_generator_images(fam, cap)
+    checks += iso_partition_checks(fam, H, tol)
+    checks += check_iso_relations(fam, H, tol)
+    checks += psi_iso_consistency_checks(fam, tol)
     return checks
 
 

@@ -213,9 +213,9 @@ def test_isomorphism_game_identities():
     # operator source: the magic square
     ms = magic_square_system()
     fam = checked_family(pauli_magic_square_rep(), ms, TOL)
-    iso = iso_generator_images(fam)
-    partition = iso_partition_checks(iso, TOL)
-    rules = check_iso_relations(iso, TOL)
+    H = iso_generator_images(fam)
+    partition = iso_partition_checks(fam, H, TOL)
+    rules = check_iso_relations(fam, H, TOL)
     ok = ok and all(rec.residual <= TOL for rec in partition + rules)
     ok = ok and _quadruple_counts(rules) == _iso_zero_quadruples_oracle(ms)
 
@@ -244,7 +244,8 @@ def test_isomorphism_game_identities():
     phases = {"g1": 1, "g2": 0, "g3": 0, "J": 1}  # x = (1, 0, 0) solves row 1
     rep = make_representation(3, {
         name: np.array([[cmath.exp(2j * cmath.pi * k / 3)]]) for name, k in phases.items()})
-    rules = check_iso_relations(iso_generator_images(checked_family(rep, zero_row, TOL)))
+    fam = checked_family(rep, zero_row, TOL)
+    rules = check_iso_relations(fam, iso_generator_images(fam))
     ok = ok and _quadruple_counts(rules) == _iso_zero_quadruples_oracle(zero_row)
     _verdict("isomorphism-game identities on both sources", ok)
 

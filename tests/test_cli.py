@@ -701,7 +701,7 @@ DeterministicStrategy SynchronousGame best_deterministic_strategy build_synclcs_
 find_perfect_deterministic GameGraph VertexBijection build_game_graph export_dot
 graph_to_json is_isomorphism isomorphism_search translate_isomorphism GroupPresentation
 Relation Word build_presentation relation_residuals PRESETS magic_square_system
-one_eq_system p3_demo_system preset_system IsoGeneratorFamily ProjectionFamily
+one_eq_system p3_demo_system preset_system ProjectionFamily
 Representation check_iso_relations check_mutual_inverse f_projection
 iso_generator_images iso_partition_checks load_representation make_representation
 pauli_magic_square_rep phi_welldefinedness_checks projection_family_checks
@@ -794,6 +794,16 @@ DEFECTS = {
                        "1 generators"),
     "rep-file-long": ({}, "repcheck one.json --rep rep3.json", 2, "DimensionMismatch",
                       "3 generators"),
+    # another system's file once had its matrices validated first: exit 1
+    # with JNotIdentified, NotPrime, UnitarityViolation and JNotIdentified
+    "rep-file-p3": ({}, "repcheck one.json --rep p3.json", 2, "DimensionMismatch",
+                    "representation modulus 3 differs from system modulus 2"),
+    "rep-file-p4": ({}, "repcheck one.json --rep p4.json", 2, "DimensionMismatch",
+                    "representation modulus 4 differs"),
+    "rep-file-long-not-unitary": ({}, "repcheck one.json --rep rep3-g3-two.json", 2,
+                                  "DimensionMismatch", "3 generators"),
+    "rep-file-above-cap": ({}, "repcheck one.json --rep p37.json", 4, "ModulusTooLarge",
+                           "modulus 37 exceeds"),
     # numpy reads "-1" as -1.0 and true as 1.0, which once certified x1 + x2 = 0
     "rep-entry-string": ({}, "repcheck one.json --rep string.json", 3, "ParseError",
                          "matrix for J is not numeric"),
@@ -818,9 +828,12 @@ def test_defect_input_ends_in_one_report(capsys, tmp_path, monkeypatch, case):
     env, argv, exit_code, error_type, fragment = DEFECTS[case]
     (tmp_path / "one.json").write_text(json.dumps(one_eq_system().to_json()))
     (tmp_path / "latin1.json").write_bytes('{"p": 2, "A": [[1]], "b": [0], "é": 0}'.encode("latin-1"))
+    not_unitary = _rep_doc(3)
+    not_unitary["generators"]["g3"] = [[[2.0, 0.0]]]
     for name, doc in [("rep1.json", _rep_doc(1)), ("rep3.json", _rep_doc(3)),
                       ("huge.json", _rep_doc(2, 1e70)), ("string.json", _rep_doc(2, j_entry="-1")),
-                      ("bool.json", _rep_doc(2, True))]:
+                      ("bool.json", _rep_doc(2, True)), ("rep3-g3-two.json", not_unitary),
+                      *((f"p{p}.json", dict(_rep_doc(2), p=p)) for p in (3, 4, 37))]:
         (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
     for name, value in env.items():

@@ -81,10 +81,16 @@ def test_commands_import_the_wrapped_functions(tracing, tmp_path, capsys):
     assert {name: tracer.counts[name] for name in MAGIC_SQUARE_COUNTS} == MAGIC_SQUARE_COUNTS
 
 
+# the isomorphism-game stages, which the suite hands the family and G(A,0)
+ISO_STAGES = {"reps.iso_generator_images", "reps.iso_partition_checks",
+              "reps.check_iso_relations", "reps.psi_iso_consistency_checks"}
+
+
 def test_traced_pauli_repcheck_counts_rows_graphs_and_records(tracing, tmp_path, capsys):
     tracer = traced_magic_square(tracing, tmp_path, capsys, "repcheck", "--rep", "pauli-ms")
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {"reps.run_check_suite", "system.row_solutions"} <= recorded
+    assert ISO_STAGES <= recorded
     expected = {**MAGIC_SQUARE_COUNTS, "reps.assemble_family.entries": 24, "reps.records": 349}
     assert {name: tracer.counts[name] for name in expected} == expected
 
@@ -119,8 +125,7 @@ def test_traced_scalar_repcheck_times_the_graph_core(tracing, tmp_path, capsys):
     tracer, report = traced_scalar_repcheck(tracing, tmp_path, capsys)
     recorded = {tracer.names[span[0]] for span in tracer.spans}
     assert {"system.row_solutions", "graphs.build_game_graph", "cli.emit"} <= recorded
-    assert {"reps.run_check_suite", "reps.projection_family_checks",
-            "reps.psi_iso_consistency_checks"} <= recorded
+    assert {"reps.run_check_suite", "reps.projection_family_checks", *ISO_STAGES} <= recorded
     assert tracer.counts["reps.records"] == report["summary"]["checks"] == len(report["checks"])
     assert tracer.counts["graphs.build_game_graph.calls"] == 2
     assert tracer.counts["graphs.build_game_graph.vertices"] == 4

@@ -13,6 +13,7 @@ import rep_oracle
 import synclcs.scalar as scalar_module
 from conftest import json_like, pentagram_system, random_consistent_system, seeded_unitary, zvec
 from rep_oracle import (
+    IsoGeneratorFamily,
     all_at_once_partition_checks,
     as_matrices,
     cached_check_mutual_inverse,
@@ -351,13 +352,13 @@ def test_corrupted_family_yields_named_failure():
 def test_iso_generator_images_structure():
     ms = magic_square_system()
     fam = checked_family(pauli_magic_square_rep(), ms)
-    iso = iso_generator_images(fam)
-    assert len(fam.graph.vertices) == 24 and len(iso.hom_graph.vertices) == 24
+    H = iso_generator_images(fam)
+    assert len(fam.graph.vertices) == 24 and len(H.vertices) == 24
     # cross-row entries are structurally zero
     vg = fam.graph.vertices[0]
-    vh = next(v for v in iso.hom_graph.vertices if v[0] != vg[0])
-    assert frob(iso.entry(vg, vh)) == 0.0
-    recs = iso_partition_checks(iso)
+    vh = next(v for v in H.vertices if v[0] != vg[0])
+    assert frob(IsoGeneratorFamily(fam).entry(vg, vh)) == 0.0
+    recs = iso_partition_checks(fam, H)
     assert len(recs) == 48
     assert max(r.residual for r in recs) <= 1e-9
 
@@ -365,9 +366,8 @@ def test_iso_generator_images_structure():
 def test_iso_relations_pauli():
     ms = magic_square_system()
     fam = checked_family(pauli_magic_square_rep(), ms)
-    iso = iso_generator_images(fam)
     G = build_game_graph(ms)
-    recs = check_iso_relations(iso)
+    recs = check_iso_relations(fam, iso_generator_images(fam))
     by_name = {r.name: r for r in recs}
     assert by_name["iso-rule-orthogonality"].residual <= 1e-9
     detail = by_name["iso-rule-orthogonality"].detail
@@ -426,17 +426,17 @@ def _iso_oracle_sources():
 def test_iso_family_matches_per_pair_table():
     for fam in _iso_oracle_sources():
         engine = engine_of(fam.rep)
-        iso = engine.iso_generator_images(fam)
+        H, iso = engine.iso_generator_images(fam), IsoGeneratorFamily(fam)
         table = _iso_table_oracle(fam)
         assert table
         for vg in fam.graph.vertices:
-            for vh in iso.hom_graph.vertices:
+            for vh in H.vertices:
                 if (vg, vh) in table:
                     assert np.array_equal(iso.entry(vg, vh), table[(vg, vh)])
                 else:
                     assert vg[0] != vh[0]
                     assert frob(iso.entry(vg, vh)) == 0.0
-        by_name = {r.name: r for r in engine.check_iso_relations(iso)}
+        by_name = {r.name: r for r in engine.check_iso_relations(fam, H)}
         idem = max(frob(E @ E - E) for E in table.values())
         adj = max(frob(dagger(E) - E) for E in table.values())
         assert by_name["iso-idempotent"].residual == idem
@@ -510,8 +510,9 @@ def test_float_partition_sums_match_all_at_once(name):
         "zero-row-b1": (with_zero_row(1), pauli_magic_square_rep()),
         "zero-row-b0": (with_zero_row(0), pauli_magic_square_rep()),
     }[name]
-    iso = iso_generator_images(checked_family(rep, sys_))
-    got, expected = iso_partition_checks(iso, TOL), all_at_once_partition_checks(iso, TOL)
+    fam = checked_family(rep, sys_)
+    H = iso_generator_images(fam)
+    got, expected = iso_partition_checks(fam, H, TOL), all_at_once_partition_checks(fam, H, TOL)
     assert [(r.name, r.residual.hex()) for r in got] == [(r.name, r.residual.hex()) for r in expected]
     assert (name == "zero-row-b1") == any(r.residual == 2.0 for r in got)
 
@@ -519,16 +520,18 @@ def test_float_partition_sums_match_all_at_once(name):
 def test_float_partition_sums_hold_one_row():
     # a sum per vertex of both graphs held 82 images here
     rep = conjugate_representation(padded(pentagram_rep(), 8), seeded_unitary(64, 3))
-    iso = iso_generator_images(checked_family(rep, pentagram_system()))
+    fam = checked_family(rep, pentagram_system())
+    H = iso_generator_images(fam)
+    fam.zero  # the partition sums start from it; built before the measured call
     tracemalloc.start()
     try:
-        records = iso_partition_checks(iso)
+        records = iso_partition_checks(fam, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in records)
-    widest = max(len(ys) for ys in iso.hom_graph.rows.values())
-    assert peak <= (widest + 4) * iso.zero.nbytes
+    widest = max(len(ys) for ys in H.rows.values())
+    assert peak <= (widest + 4) * fam.zero.nbytes
 
 
 def _commuting_non_solution() -> tuple[LinearSystem, object]:
@@ -578,15 +581,15 @@ def test_cached_residuals_match_cached_sums(name):
     rep = as_matrices(sys_, rep)
     engine = engine_of(rep)
     fam = engine._assemble_family(rep, sys_, TOL, 2**20)
-    iso = engine.iso_generator_images(fam)
+    H = engine.iso_generator_images(fam)
     checks = [
-        (engine.projection_family_checks, cached_projection_family_checks, fam),
-        (engine.phi_welldefinedness_checks, cached_phi_welldefinedness_checks, fam),
-        (engine.check_mutual_inverse, cached_check_mutual_inverse, fam),
-        (engine.iso_partition_checks, cached_iso_partition_checks, iso),
+        (engine.projection_family_checks, cached_projection_family_checks, (fam,)),
+        (engine.phi_welldefinedness_checks, cached_phi_welldefinedness_checks, (fam,)),
+        (engine.check_mutual_inverse, cached_check_mutual_inverse, (fam,)),
+        (engine.iso_partition_checks, cached_iso_partition_checks, (fam, H)),
     ]
-    for library, oracle, arg in checks:
-        got, expected = library(arg, TOL), oracle(arg, TOL)
+    for library, oracle, args in checks:
+        got, expected = library(*args, TOL), oracle(*args, TOL)
         assert [(r.name, r.residual.hex(), r.detail) for r in got] == \
             [(r.name, r.residual.hex(), r.detail) for r in expected], library.__name__
     if name == "commuting-non-solution":
@@ -638,8 +641,7 @@ def test_generator_maps_hold_residuals_not_sums():
 def test_iso_zero_column_consistency():
     ms = magic_square_system()
     fam = checked_family(pauli_magic_square_rep(), ms)
-    iso = iso_generator_images(fam)
-    for rec in psi_iso_consistency_checks(iso):
+    for rec in psi_iso_consistency_checks(fam):
         assert rec.residual <= 1e-9
 
 
