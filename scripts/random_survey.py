@@ -5,7 +5,8 @@
 Usage: python scripts/random_survey.py [--count N] [--seed S] [--pmax 3]
 
 Exits 1 when any system's verdicts disagree or, with --certify, when any
-consistent system has a nonzero certification residual.
+consistent system has a nonzero certification residual, and 2 on a usage
+error, such as --pmax below 2 or --size below 1.
 """
 
 import argparse
@@ -34,11 +35,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--count", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pmax", type=int, default=3)
-    parser.add_argument("--size", type=int, default=5, help="max rows/columns")
+    parser.add_argument("--pmax", type=int, default=3,
+                        help="draw each modulus from the primes 2, 3 and 5 up to this (at least 2)")
+    parser.add_argument("--size", type=int, default=5, help="max rows/columns (at least 1)")
     parser.add_argument("--certify", action="store_true",
                         help="also run the scalar certification suite on consistent systems")
     args = parser.parse_args(argv)
+    if args.pmax < 2:
+        parser.error("--pmax must be at least 2")
+    if args.size < 1:
+        parser.error("--size must be at least 1")
 
     primes = [q for q in (2, 3, 5) if q <= args.pmax]
     rng = random.Random(args.seed)

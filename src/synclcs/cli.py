@@ -64,66 +64,19 @@ EXIT_CODES = (
 
 
 def _emit(report: dict, out_path: str | None = None) -> None:
-    """Write the report as json.dumps(report, indent=2, allow_nan=False)
-    does, to `out_path` in full first, then to stdout.  Every piece is
+    """Write the report as json.dumps(report, indent=2, allow_nan=False,
+    default=CheckRecord.to_json) does, with each Checks written as its
+    records, to `out_path` in full first, then to stdout.  Every piece is
     encoded before anything is written, so a value JSON cannot hold leaves
     no partial output."""
+    from .reporting import report_text  # loaded when a report is written
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    pieces = _object_text(report, 0)
+    pieces = report_text(report)
     pieces.append("\n")
     if out_path:
         with open(out_path, "w") as fh:
             fh.writelines(pieces)
     _sys.stdout.writelines(pieces)
-
-
-def _object_text(obj: dict, level: int) -> list[str]:
-    """json.dumps(obj, indent=2, allow_nan=False) of a dict with str keys
-    nested `level` deep in a document, as pieces to write in order."""
-    if not obj:
-        return ["{}"]
-    pad = "\n" + "  " * (level + 1)  # starts the line of a key
-    pieces = ["{"]
-    for key, value in obj.items():
-        pieces.append(f"{pad}{json.dumps(key)}: ")
-        pieces += _value_text(key, value, level + 1)
-        pieces.append(",")
-    pieces[-1] = "\n" + "  " * level + "}"
-    return pieces
-
-
-def _value_text(key: str, value, level: int) -> list[str]:
-    """The text of the value at `key`, nested `level` deep, as pieces.
-
-    With an indent the stdlib runs its pure-Python encoder, so the long
-    lists of reports are written by `reporting.list_text`, byte for byte:
-    the check records of `checks`, a list or a suite's Checks, and the
-    [a, b] index pairs of a graph's `edges`.  Every other value is encoded
-    by json.dumps and indented."""
-    if key == "checks":
-        # repcheck has loaded it with reps; elsewhere only validation records need it
-        from .reporting import Checks, checks_text, list_text
-        if type(value) in (list, Checks):
-            return list_text(value, level, checks_text)
-    if key == "graph" and type(value) is dict and all(type(k) is str for k in value):
-        return _object_text(value, level)
-    if key == "edges" and type(value) is list:
-        from .reporting import list_text
-        return list_text(value, level, _pairs_text)
-    return [json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)]
-
-
-def _pairs_text(pairs: list, lead: str, inner: str):
-    """The `list_text` writer of a graph's edges: a list of two ints as the
-    stdlib encoder writes it, each int on its own line; anything else by
-    json.dumps."""
-    from .reporting import item_text
-    item = inner + "  "  # starts the line of an int
-    for pair in pairs:
-        if type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int:
-            yield f"{lead}[{item}{pair[0]},{item}{pair[1]}{inner}]"
-        else:
-            yield item_text(pair, lead, inner)
 
 
 def _base_report(command: str, inputs: dict) -> dict:

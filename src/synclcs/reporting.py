@@ -1,8 +1,9 @@
-"""Check records shared by the residual suites and the CLI reports.
+"""Check records, and the writer of the CLI reports that hold them.
 
 A suite returns its checks as `Checks`: single `CheckRecord`s and
 `CheckBlock`s, which hold the checks of a large family as columns and
-build its records only when they are iterated."""
+build its records only when they are iterated.  `report_text` writes a
+report as json.dumps would, each value by its type."""
 
 from __future__ import annotations
 
@@ -101,49 +102,62 @@ class Checks:
         return Checks([*other, *self.parts])
 
 
-def list_text(items, level: int, write) -> list[str]:
-    """json.dumps(items, indent=2, allow_nan=False) of a list nested `level`
-    deep in a document, as pieces to write in order, then the closing
-    bracket.
+def report_text(value, level: int = 0) -> list[str]:
+    """json.dumps(value, indent=2, allow_nan=False) of a value nested `level`
+    deep, as pieces to write in order.  A dict with str keys is written key
+    by key, a list, tuple or Checks item by item (a CheckBlock CHUNK records
+    to a piece, an [int, int] pair by one f-string), and any other value by
+    the stdlib encoder, a CheckRecord as its to_json(), refusals included."""
+    pad = "\n" + "  " * level  # starts the line of the closing bracket
+    inner = pad + "  "  # starts the line of a key or an item
+    if type(value) is dict and all(type(key) is str for key in value):
+        pieces = []
+        for key, item in value.items():
+            text = report_text(item, level + 1)
+            text[0] = f",{inner}{encode_basestring_ascii(key)}: {text[0]}"
+            pieces += text
+        return _enclosed(pieces, "{}", pad)
+    if type(value) in (list, tuple, Checks):
+        lead = "," + inner
+        pieces = []
+        for item in (value.parts if type(value) is Checks else value):
+            if type(item) is CheckBlock:
+                pieces += _block_text(item, lead, inner)
+            elif (type(item) is list and len(item) == 2 and type(item[0]) is int
+                  and type(item[1]) is int):
+                pieces.append(f"{lead}[{inner}  {item[0]},{inner}  {item[1]}{inner}]")
+            else:
+                text = report_text(item, level + 1)
+                text[0] = lead + text[0]
+                pieces += text
+        return _enclosed(pieces, "[]", pad)
+    return [_ENCODER.encode(value).replace("\n", pad)]
 
-    `write(items, lead, inner)` yields the pieces of the items' text, each
-    item started by `lead` and each line after an item's first started by
-    `inner`.  JSON strings escape their newlines, so each newline of an
-    item's text starts one of its lines."""
-    inner = "\n" + "  " * (level + 1)  # starts a line of an item
-    pieces = list(write(items, "," + inner, inner))
+
+def _enclosed(pieces: list[str], brackets: str, pad: str) -> list[str]:
+    """The pieces of a dict's or a list's items, each after a comma, bracketed."""
     if not pieces:
-        return ["[]"]
-    pieces[0] = "[" + pieces[0][1:]  # the first item follows no separator
-    pieces.append("\n" + "  " * level + "]")
+        return [brackets]
+    pieces[0] = brackets[0] + pieces[0][1:]  # the first item follows no comma
+    pieces.append(pad + brackets[1])
     return pieces
 
 
-def item_text(item, lead: str, inner: str, default=None) -> str:
-    """An item of a list as json.dumps writes it, after `lead`."""
-    return lead + json.dumps(item, indent=2, allow_nan=False, default=default).replace("\n", inner)
+class _Encoder(json.JSONEncoder):
+    def default(self, obj):  # a CheckRecord as its to_json(), else the stdlib's TypeError
+        return obj.to_json() if type(obj) is CheckRecord else super().default(obj)
 
 
-def checks_text(checks, lead: str, inner: str):
-    """The `list_text` writer of check records, a list or a Checks: the text
-    of json.dumps(list(checks), indent=2, allow_nan=False,
-    default=CheckRecord.to_json).
-
-    A block is written CHUNK records to a piece, each piece from one
-    template when its residuals and its tolerance are finite floats: the
-    name by `encode_basestring_ascii`, the floats by `float.__repr__` (what
-    `!r` calls on an exact float), the verdict from residual <= tolerance,
-    as the stdlib encoder would.  Any other piece, and every other item,
-    goes through json.dumps record by record, so its text and its refusals
-    are the stdlib's."""
-    for part in (checks.parts if type(checks) is Checks else checks):
-        if type(part) is CheckBlock:
-            yield from _block_text(part, lead, inner)
-        else:
-            yield item_text(part, lead, inner, CheckRecord.to_json)
+_ENCODER = _Encoder(indent=2, allow_nan=False)
 
 
 def _block_text(block: CheckBlock, lead: str, inner: str):
+    """The text of a block's records, each after `lead`, CHUNK records to a
+    piece.  A piece comes from one template when its residuals and the
+    tolerance are finite floats: the name by `encode_basestring_ascii`, the
+    floats by `float.__repr__` (what `!r` calls on an exact float), the
+    verdict from residual <= tolerance, as the stdlib encoder would.  Any
+    other piece goes through the encoder record by record."""
     key = inner + "  "  # starts a line of one of a record's keys
     head, middle = f'{lead}{{{key}"name": ', f',{key}"residual": '
     tol = block.tolerance
@@ -159,5 +173,5 @@ def _block_text(block: CheckBlock, lead: str, inner: str):
             yield "".join([f"{head}{encode_basestring_ascii(name)}{middle}{r!r}{tails[r <= tol]}"
                            for name, r in chunk])
         else:
-            yield "".join([item_text(CheckRecord(name, r, tol), lead, inner, CheckRecord.to_json)
+            yield "".join([lead + _ENCODER.encode(CheckRecord(name, r, tol)).replace("\n", inner)
                            for name, r in chunk])

@@ -656,7 +656,7 @@ from synclcs.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
 layers = ("numpy", "synclcs.games", "synclcs.graphs", "synclcs.group", "synclcs.scalar",
-          "synclcs.reps")
+          "synclcs.reps", "synclcs.reporting")
 print(json.dumps({"exit": code, "loaded": [m for m in layers if m in sys.modules]}))
 """
 
@@ -665,7 +665,7 @@ NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
 
 
 @pytest.mark.parametrize("argv, unloaded, loaded", [
-    ([], NOTHING_HEAVY + ("synclcs.scalar",), ()),
+    ([], NOTHING_HEAVY + ("synclcs.scalar", "synclcs.reporting"), ()),
     (["validate", "{magic-square}"], NOTHING_HEAVY, ()),
     (["solve", "{magic-square}"], NOTHING_HEAVY, ("synclcs.games",)),
     (["examples", "magic-square", "--out-file", "{tmp}/written.json"], NOTHING_HEAVY, ()),

@@ -109,6 +109,15 @@ REPORTS = st.builds(
     st.integers(0, 5))
 
 
+# records, suites and [a, b] pairs under any key, at any depth, among
+# other values: the writer is chosen by each value's type, not its key
+ANYWHERE = st.dictionaries(TEXT, st.recursive(
+    LEAVES | RECORDS | SUITES | st.lists(st.integers() | st.booleans(), min_size=2, max_size=2),
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=3)),
+    max_leaves=8), max_size=4)
+
+
 def outcome(write, report: dict):
     """The text `write` makes of the report, or the type and message of
     the error it raises."""
@@ -119,7 +128,7 @@ def outcome(write, report: dict):
 
 
 @settings(max_examples=300, deadline=None)
-@given(REPORTS)
+@given(REPORTS | ANYWHERE)
 def test_emitter_writes_the_stdlib_text(report):
     # emitted first: _emit adds the timestamp the oracle then writes too
     assert outcome(emitted, report) == outcome(oracle, report)

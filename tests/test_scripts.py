@@ -19,8 +19,7 @@ def test_script_runs_clean(argv):
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the survey's closing line claims agreement regardless; the per-system
-    # lines are the evidence
+    # the closing line counts the disagreements; the per-system lines name them
     assert "DISAGREEMENT" not in proc.stdout
     assert "NONZERO RESIDUAL" not in proc.stdout
 
@@ -44,3 +43,15 @@ def test_survey_reports_and_fails_on_disagreement(monkeypatch, capsys):
     summary = out.strip().splitlines()[-1]
     assert "always agree" not in summary
     assert status != 0
+
+
+@pytest.mark.parametrize("flag", [["--pmax", "1"], ["--size", "0"]])
+def test_survey_refuses_arguments_it_cannot_draw_from(flag):
+    # before, --pmax 1 ended in an IndexError from an empty choice of
+    # primes and --size 0 in a ValueError from an empty range
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "scripts/random_survey.py", "--count", "1", *flag],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert f"{flag[0]} must be at least" in proc.stderr
+    assert "Traceback" not in proc.stderr
