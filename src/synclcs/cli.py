@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-import traceback
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -66,17 +65,26 @@ EXIT_CODES = (
 def _emit(report: dict, out_path: str | None = None) -> None:
     """Write the report as json.dumps(report, indent=2, allow_nan=False,
     default=CheckRecord.to_json) does, with each Checks written as its
-    records, to `out_path` in full first, then to stdout.  Every piece is
-    encoded before anything is written, so a value JSON cannot hold leaves
-    no partial output."""
+    records, to `out_path` in full first, then to stdout.  Every refusal
+    of a value JSON cannot hold is decided before the first byte: every
+    value but a check block is encoded first, and a block is written as
+    it is made, in pieces, only when nothing in it can be refused."""
     from .reporting import report_text  # loaded when a report is written
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     pieces = report_text(report)
     pieces.append("\n")
+
+    def write(fh) -> None:
+        for piece in pieces:  # a str, or a function that makes a block's text anew
+            if type(piece) is str:
+                fh.write(piece)
+            else:
+                fh.writelines(piece())
+
     if out_path:
         with open(out_path, "w") as fh:
-            fh.writelines(pieces)
-    _sys.stdout.writelines(pieces)
+            write(fh)
+    write(_sys.stdout)
 
 
 def _base_report(command: str, inputs: dict) -> dict:
@@ -398,6 +406,7 @@ def _failure(args, error: Exception) -> tuple[int, dict]:
     """The exit code and error report of a command that raised `error`."""
     code = next((code for kinds, code in EXIT_CODES if isinstance(error, kinds)), EXIT_INTERNAL)
     if code == EXIT_INTERNAL:
+        import traceback  # loaded only for an internal error
         traceback.print_exc(file=_sys.stderr)
     inputs = {"name": args.name} if args.command == "examples" else {"path": args.path}
     report = _base_report(args.command, inputs)

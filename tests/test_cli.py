@@ -656,12 +656,13 @@ from synclcs.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
 layers = ("numpy", "synclcs.games", "synclcs.graphs", "synclcs.group", "synclcs.scalar",
-          "synclcs.reps", "synclcs.reporting")
+          "synclcs.reps", "synclcs.reporting", "traceback")
 print(json.dumps({"exit": code, "loaded": [m for m in layers if m in sys.modules]}))
 """
 
-# the layers a command must leave unloaded, and those it runs
-NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
+# the layers a command must leave unloaded, and those it runs; cli imports
+# traceback only for an internal error, and what numpy imports is its own
+NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group", "traceback")
 
 
 @pytest.mark.parametrize("argv, unloaded, loaded", [
@@ -670,11 +671,11 @@ NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group")
     (["solve", "{magic-square}"], NOTHING_HEAVY, ("synclcs.games",)),
     (["examples", "magic-square", "--out-file", "{tmp}/written.json"], NOTHING_HEAVY, ()),
     (["iso", "{magic-square}"], ("synclcs.reps",), ("numpy", "synclcs.graphs")),
-    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], ("numpy", "synclcs.reps"),
+    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], ("numpy", "synclcs.reps", "traceback"),
      ("synclcs.graphs", "synclcs.group", "synclcs.scalar")),
-    (["analyze", "{magic-square}"], ("numpy", "synclcs.reps", "synclcs.group"),
+    (["analyze", "{magic-square}"], ("numpy", "synclcs.reps", "synclcs.group", "traceback"),
      ("synclcs.graphs",)),
-    (["graph", "{magic-square}", "--dot", "{tmp}/ms.dot"], ("numpy", "synclcs.reps"),
+    (["graph", "{magic-square}", "--dot", "{tmp}/ms.dot"], ("numpy", "synclcs.reps", "traceback"),
      ("synclcs.graphs",)),
     (["repcheck", "{magic-square}", "--rep", "pauli-ms"], (), ("numpy", "synclcs.reps")),
 ], ids=["import", "validate", "solve", "examples", "iso", "repcheck", "analyze", "graph",
