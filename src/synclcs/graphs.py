@@ -1,9 +1,10 @@
 """Incompatibility graphs of a linear system, brute-force isomorphism
 search, and the translation isomorphism.
 
-Vertices and edges come from the row keys, and the vertex-pair counts
-from the row supports alone, with Python ints; numpy is imported by the
-dense adjacency, the refinement and the search, which use it."""
+Vertices, edges and the neighbour bitsets come from the row keys, and the
+vertex-pair counts from the row supports alone, with Python ints.  A pair
+of graphs within `SMALL_ISO_EDGES` is refined, searched and verified on
+its bitsets; only the dense adjacency of a larger pair imports numpy."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from array import array
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress, count
+from operator import add, itemgetter
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
@@ -132,6 +134,22 @@ class GameGraph:
         return count_edges(self.pair_counts)
 
     @cached_property
+    def bits(self) -> list[int]:
+        """Each vertex's neighbours as an int, bit v set for vertex v, built
+        from the row keys: a solution of row i is adjacent to the solutions
+        of each row k sharing a column with row i that differ from it there."""
+        bits = [0] * self.order()
+        for P, Q, a, b, _ in self._key_blocks():
+            keys_q = self._row_slices(Q, b).items()
+            apart: dict[int, int] = {}  # key -> the vertices of Q's rows without it
+            for u, key in zip((u for i in P for u in self._positions[i]), a):
+                if key not in apart:
+                    apart[key] = sum(_bitset(other != key for other in keys_k) << self._positions[k].start
+                                     for k, keys_k in keys_q)
+                bits[u] |= apart[key]
+        return bits
+
+    @cached_property
     def adj(self):
         """The dense |V| x |V| boolean numpy adjacency, filled on first use."""
         import numpy as np
@@ -222,22 +240,56 @@ class VertexBijection:
         return VertexBijection(forward, inverse)
 
 
+# Graph pairs of at most this many directed edges (2 * edge_count(), of the
+# larger graph) are refined, searched and verified on `bits`, in Python
+# ints, so no numpy is imported for them; larger pairs use the dense `adj`,
+# whose refinement runs its common-neighbour counts through BLAS.  On a
+# 2-CPU VM (Python 3.11, numpy 2.4) the bitset path cost 0.5-0.8 us more
+# per directed edge than the dense one, and numpy's import 62 ms, so the
+# two cross near 90,000 directed edges.
+SMALL_ISO_EDGES = 80_000
+
+
+def _small(G: GameGraph, H: GameGraph) -> bool:
+    return 2 * max(G.edge_count(), H.edge_count()) <= SMALL_ISO_EDGES
+
+
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit as a bool's byte
+
+
+def _flags(bits: list[int]) -> list[bytes]:
+    """Each of the |V| bitsets as |V| bytes, byte v 1 when bit v is set, else 0."""
+    return [format(row, f"0{len(bits)}b")[::-1].encode().translate(_FLAGS) for row in bits]
+
+
 def is_isomorphism(G: GameGraph, H: GameGraph, bij: VertexBijection) -> bool:
-    """Full edge-preservation verification over all vertex pairs."""
+    """Full edge-preservation verification over all vertex pairs: on `bits`
+    for a small pair, each G row's image must be the H row of the image of
+    its vertex; else on `adj`."""
     if set(bij.forward) != set(G.vertices) or set(bij.inverse) != set(H.vertices):
         return False  # bij is a bijection, so the orders agree too
+    perm = [H._index[bij.forward[v]] for v in G.vertices]
+    if _small(G, H):
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)
+        h_rows = _flags(H.bits)
+        return all(bytes(map(row.__getitem__, inverse)) == h_rows[q]
+                   for row, q in zip(_flags(G.bits), perm))
     import numpy as np
 
-    perm = np.array([H._index[bij.forward[v]] for v in G.vertices], dtype=np.intp)
+    perm = np.array(perm, dtype=np.intp)
     return bool(np.array_equal(G.adj, H.adj[np.ix_(perm, perm)]))
 
 
-def _wl_edges(adj, dtype) -> tuple:
-    """Every directed edge of adj, row after row: (offsets, neighbors,
-    common-neighbor counts), with vertex a's edges at offsets[a] to
-    offsets[a + 1]."""
+def _array_signatures(adj, K: int):
+    """The signatures of one refinement round on the dense adjacency: each
+    vertex's color and the bytes of its sorted edge codes, numpy ints of
+    one width, from every directed edge of adj listed once, row after row,
+    with its common-neighbor count."""
     import numpy as np
 
+    # a round codes the colors of one whose multisets agreed, at most |V|
+    # of them, so every code is below K * K
+    dtype = np.int32 if K * K <= 2**31 else np.int64
     # float32 runs the product through BLAS; it is exact for counts below
     # 2**24, far more vertices than a dense adjacency matrix can hold
     counts = adj.astype(np.float32)
@@ -247,7 +299,34 @@ def _wl_edges(adj, dtype) -> tuple:
     cn = common[rows, nb].astype(dtype)
     del common
     offsets = np.searchsorted(rows, np.arange(len(adj) + 1)).tolist()
-    return offsets, nb.astype(dtype), cn
+    nb = nb.astype(dtype)
+
+    def signatures(colors: list[int]) -> list:
+        codes = np.array(colors, dtype)[nb]
+        codes *= K
+        codes += cn
+        out = []
+        for a, color in enumerate(colors):
+            row = codes[offsets[a]:offsets[a + 1]]
+            row.sort()
+            out.append((color, row.tobytes()))
+        return out
+
+    return signatures
+
+
+def _bit_signatures(bits: list[int], K: int):
+    """The signatures of one refinement round on neighbour bitsets: each
+    vertex's color and its sorted edge codes, a tuple of ints."""
+    neighbors = [list(compress(count(), flags)) for flags in _flags(bits)]
+    common = [[(row & bits[b]).bit_count() for b in nb] for row, nb in zip(bits, neighbors)]
+
+    def signatures(colors: list[int]) -> list:
+        coded = [color * K for color in colors]
+        return [(color, tuple(sorted(map(add, map(coded.__getitem__, nb), cn))))
+                for color, nb, cn in zip(colors, neighbors, common)]
+
+    return signatures
 
 
 def _wl_refine(G: GameGraph, H: GameGraph):
@@ -260,33 +339,26 @@ def _wl_refine(G: GameGraph, H: GameGraph):
     Each round codes every edge of a vertex as color[neighbor] * K +
     common, with K above every count so the code is injective, sorts the
     codes of each vertex, and numbers the signatures (own color, sorted
-    codes) of G and H through one palette.  Returns (colors_G, colors_H,
+    codes) of G and H through one palette.  A small pair (`SMALL_ISO_EDGES`)
+    is refined on `bits`, with common(a, b) = (bits[a] & bits[b]).bit_count();
+    a larger one on `adj`, through BLAS.  The codes are the same ints, so
+    both number the same signatures alike.  Returns (colors_G, colors_H,
     rounds) with comparable color ids, or None as soon as the color
     multisets diverge (a sound non-isomorphism certificate).
     """
-    import numpy as np
-
     K = max(G.order(), H.order()) + 1
-    # a round codes the colors of one whose multisets agreed, at most |V|
-    # of them, so every code is below K * K
-    dtype = np.int32 if K * K <= 2**31 else np.int64
-    edges = [_wl_edges(X.adj, dtype) for X in (G, H)]
+    if _small(G, H):
+        signatures_of = [_bit_signatures(X.bits, K) for X in (G, H)]
+    else:
+        signatures_of = [_array_signatures(X.adj, K) for X in (G, H)]
     colors = [[0] * X.order() for X in (G, H)]
     classes, rounds = 1, 0
     while True:
         palette = {}
-        for k, (offsets, nb, cn) in enumerate(edges):
-            codes = np.array(colors[k], dtype)[nb]
-            codes *= K
-            codes += cn
-            new = []
-            for a, color in enumerate(colors[k]):
-                row = codes[offsets[a]:offsets[a + 1]]
-                row.sort()
-                new.append(palette.setdefault((color, row.tobytes()), len(palette)))
-            colors[k] = new
+        colors = [[palette.setdefault(sig, len(palette)) for sig in signatures(c)]
+                  for signatures, c in zip(signatures_of, colors)]
         rounds += 1
-        if not np.array_equal(*(np.bincount(c, minlength=len(palette)) for c in colors)):
+        if sorted(colors[0]) != sorted(colors[1]):
             return None
         stable = len(palette) == classes
         classes = len(palette)
@@ -310,6 +382,17 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _search_rows(G: GameGraph, H: GameGraph) -> tuple[list, list[int]]:
+    """G's adjacency rows a byte per flag, and H's as ints: from `bits` for a
+    small pair, else from `adj`, H's rows packed 8 flags to a byte."""
+    if _small(G, H):
+        return _flags(G.bits), H.bits
+    import numpy as np
+
+    packed = np.packbits(H.adj, axis=1, bitorder="little")
+    return [row.tobytes() for row in G.adj], [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def isomorphism_search(
     G: GameGraph, H: GameGraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> IsoSearchResult:
@@ -324,16 +407,17 @@ def isomorphism_search(
     backtracking as soon as one of them empties.  The sets a step changes
     keep their old values on one undo trail, which a frame pops back to
     its mark before its next candidate, so memory is |V|^2 bytes for the G
-    rows, as for `adj`, and O(|V|^2/8) for the sets plus the changed rows
-    on the trail.  A found bijection is verified edge-preserving before
-    return.  None is returned only with the tree exhausted; budget
-    exhaustion raises instead.
+    rows, and O(|V|^2/8) for the H rows, the sets and the changed rows on
+    the trail.  A small pair (`SMALL_ISO_EDGES`) takes every row from
+    `bits` and imports no numpy; a larger one builds `adj`, |V|^2 bytes
+    more.  A found bijection is verified edge-preserving before return.
+    None is returned only with the tree exhausted; budget exhaustion
+    raises instead.
     """
-    import numpy as np
-
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)
-    if not np.array_equal(np.sort(G.adj.sum(axis=1)), np.sort(H.adj.sum(axis=1))):
+    g_rows, h_rows = _search_rows(G, H)
+    if sorted(row.count(1) for row in g_rows) != sorted(map(int.bit_count, h_rows)):
         return IsoSearchResult(None, "wl-distinguished", 0, 1)
     n = G.order()
     if n == 0:
@@ -346,8 +430,6 @@ def isomorphism_search(
     for q, c in enumerate(colors_h):
         by_color[c] = by_color.get(c, 0) | 1 << q
     cand = [by_color[c] for c in colors_g]  # G index -> bitset of H indices
-    g_rows = [row.tobytes() for row in G.adj]  # G's adjacency, a byte per flag
-    h_rows = [_bitset(row) for row in H.adj]
     full = (1 << n) - 1
     unmapped = list(range(n))  # ascending
     mapping = [-1] * n  # G index -> H index

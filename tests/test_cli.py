@@ -2,6 +2,7 @@ import cmath
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import wide_modulus_system
+from conftest import P7_441_SUPPORTS, pentagram_system, planted_system, wide_modulus_system
 from synclcs import GameGraph, LinearSystem, build_game_graph
 from synclcs.cli import main
 from synclcs.config import MAX_REPCHECK_P
@@ -670,7 +671,9 @@ NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group", "tr
     (["validate", "{magic-square}"], NOTHING_HEAVY, ()),
     (["solve", "{magic-square}"], NOTHING_HEAVY, ("synclcs.games",)),
     (["examples", "magic-square", "--out-file", "{tmp}/written.json"], NOTHING_HEAVY, ()),
-    (["iso", "{magic-square}"], ("synclcs.reps",), ("numpy", "synclcs.graphs")),
+    (["iso", "{magic-square}"], ("numpy", "synclcs.reps", "traceback"), ("synclcs.graphs",)),
+    (["iso", "{pentagram}"], ("numpy", "synclcs.reps", "traceback"), ("synclcs.graphs",)),
+    (["iso", "{p7-441v}"], ("synclcs.reps",), ("numpy", "synclcs.graphs")),
     (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], ("numpy", "synclcs.reps", "traceback"),
      ("synclcs.graphs", "synclcs.group", "synclcs.scalar")),
     (["analyze", "{magic-square}"], ("numpy", "synclcs.reps", "synclcs.group", "traceback"),
@@ -678,12 +681,18 @@ NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group", "tr
     (["graph", "{magic-square}", "--dot", "{tmp}/ms.dot"], ("numpy", "synclcs.reps", "traceback"),
      ("synclcs.graphs",)),
     (["repcheck", "{magic-square}", "--rep", "pauli-ms"], (), ("numpy", "synclcs.reps")),
-], ids=["import", "validate", "solve", "examples", "iso", "repcheck", "analyze", "graph",
-        "repcheck-pauli-ms"])
+], ids=["import", "validate", "solve", "examples", "iso", "iso-pentagram", "iso-p7-441v", "repcheck",
+        "analyze", "graph", "repcheck-pauli-ms"])
 def test_commands_load_only_their_layers(capsys, tmp_path, argv, unloaded, loaded):
     names = {"tmp": str(tmp_path)}
     for name in ("magic-square", "one-eq"):
         names[name] = write_preset(capsys, tmp_path, name)
+    # the pentagram is below the size bound of the isomorphism search, and
+    # the 441-vertex system above it
+    for name, system in [("pentagram", pentagram_system()),
+                         ("p7-441v", planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS))]:
+        names[name] = str(tmp_path / f"{name}.json")
+        Path(names[name]).write_text(json.dumps(system.to_json()))
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *(a.format_map(names) for a in argv)],

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -43,8 +44,10 @@ from synclcs import (
     isomorphism_search,
     translate_isomorphism,
 )
+from synclcs import graphs
 from synclcs.errors import NotASolution, SearchBudgetExceeded
-from synclcs.graphs import _wl_refine
+from synclcs.games import _bitset
+from synclcs.graphs import SMALL_ISO_EDGES, VertexBijection, _search_rows, _wl_refine
 from synclcs.presets import magic_square_system, one_eq_system
 
 
@@ -359,13 +362,27 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
 # ------------------------------------------- bitset search vs mask copies
 
 
+# bounds that send every graph pair one way: to the dense `adj` and BLAS,
+# or to the neighbour bitsets
+ARRAY_PATH, BIT_PATH = -1, 2**62
+
+
+def _forced(bound: int):
+    """graphs.SMALL_ISO_EDGES set to bound inside a with block."""
+    return patch.object(graphs, "SMALL_ISO_EDGES", bound)
+
+
 def _assert_same_as_mask_copy_search(sys_):
+    # on both sides of the size bound
     G, H = _graph_pair(sys_)
-    got, want = isomorphism_search(G, H), mask_copy_search(G, H)
-    assert (got.outcome, got.nodes, got.wl_rounds) == (want.outcome, want.nodes, want.wl_rounds)
-    assert (got.bijection is None) == (want.bijection is None)
-    if want.bijection is not None:
-        assert got.bijection.forward == want.bijection.forward
+    want = mask_copy_search(G, H)
+    for bound in (ARRAY_PATH, BIT_PATH):
+        with _forced(bound):
+            got = isomorphism_search(G, H)
+        assert (got.outcome, got.nodes, got.wl_rounds) == (want.outcome, want.nodes, want.wl_rounds)
+        assert (got.bijection is None) == (want.bijection is None)
+        if want.bijection is not None:
+            assert got.bijection.forward == want.bijection.forward
     return got
 
 
@@ -427,17 +444,107 @@ def test_wl_refine_matches_counter_refinement_on_random_systems(rng):
     assert distinguished >= 20
 
 
+@pytest.mark.parametrize("bound", [ARRAY_PATH, BIT_PATH], ids=["adj", "bits"])
+def test_both_refinements_match_counter_refinement(rng, bound):
+    # p7-441v is above the default bound, the others below it
+    systems = [magic_square_system(), pentagram_system(), LinearSystem.from_ints(3, _DEEP_ROWS, [0, 0, 0]),
+               planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS)]
+    systems += [random_system(rng, rng.choice([2, 3]), rng.randint(1, 4), rng.randint(1, 4))
+                for _ in range(60)]
+    with _forced(bound):
+        for sys_ in systems:
+            _assert_same_refinement(*_graph_pair(sys_))
+
+
 def test_wl_refine_matches_counter_refinement_when_every_vertex_is_split():
     # a seeded random graph that refinement splits into singletons, so the
-    # colors in the codes reach n - 1, and a relabelled copy
+    # colors in the codes reach n - 1, and a relabelled copy, on both sides
+    # of the size bound
     gen = np.random.default_rng(3)
     n = 40
     adj = np.triu(gen.random((n, n)) < 0.5, 1)
     adj |= adj.T
     perm = gen.permutation(n)
-    G, H = (SimpleNamespace(adj=a, order=lambda: n) for a in (adj, adj[np.ix_(perm, perm)]))
-    partition, _, _ = _assert_same_refinement(G, H)
-    assert len(set(partition)) == n
+    G, H = (SimpleNamespace(adj=a, order=lambda: n, edge_count=lambda: int(adj.sum()) // 2,
+                            bits=[_bitset(row) for row in a])
+            for a in (adj, adj[np.ix_(perm, perm)]))
+    for bound in (ARRAY_PATH, BIT_PATH):
+        with _forced(bound):
+            partition, _, _ = _assert_same_refinement(G, H)
+        assert len(set(partition)) == n
+
+
+# ------------------------------------------ neighbour bitsets vs dense rows
+
+
+def test_bits_are_the_adjacency_rows(rng):
+    # no row of the empty system has a solution with b, and one row has one
+    # with b = 0
+    empty = LinearSystem.from_ints(3, [[0, 0]], [1])
+    for sys_ in [*_parity_systems(rng), wide_modulus_system(), _star_system(300), empty,
+                 planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS)]:
+        for homogeneous in (False, True):
+            G = build_game_graph(sys_, homogeneous=homogeneous)
+            bits = G.bits
+            assert "adj" not in G.__dict__
+            assert all(type(row) is int for row in bits)
+            assert bits == [_bitset(row) for row in G.adj]
+    assert build_game_graph(empty).bits == []
+
+
+def test_search_rows_from_bits_equal_those_from_adj(rng):
+    # G's rows a byte per flag and H's as ints, the latter packed by numpy
+    # on the dense side
+    for sys_ in [*_parity_systems(rng), planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS)]:
+        G, H = _graph_pair(sys_)
+        with _forced(BIT_PATH):
+            small = _search_rows(G, H)
+        assert "adj" not in G.__dict__ and "adj" not in H.__dict__
+        with _forced(ARRAY_PATH):
+            large = _search_rows(G, H)
+        assert small == large
+        assert large == ([row.tobytes() for row in G.adj], [_bitset(row) for row in H.adj])
+
+
+def _swapped(bij: VertexBijection, u, v) -> VertexBijection:
+    forward = dict(bij.forward)
+    forward[u], forward[v] = forward[v], forward[u]
+    return VertexBijection.from_forward(forward)
+
+
+def test_bit_and_dense_verification_agree(rng):
+    # found and translation bijections, and each with two images swapped
+    verdicts = set()
+    for _ in range(30):
+        sys_ = random_consistent_system(rng, rng.choice([2, 3]), rng.randint(1, 4), rng.randint(1, 4))
+        G, H = _graph_pair(sys_)
+        found = isomorphism_search(G, H).bijection
+        for bij in (found, translate_isomorphism(G, H, gauss_solve(sys_.A, sys_.b).particular)):
+            cases = [bij]
+            if G.order() >= 2:
+                cases.append(_swapped(bij, *rng.sample(G.vertices, 2)))
+            for case in cases:
+                want = edges_preserved(G, H, case)
+                for bound in (ARRAY_PATH, BIT_PATH):
+                    with _forced(bound):
+                        assert is_isomorphism(G, H, case) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("sys_, small", [
+    (magic_square_system(), True),
+    (pentagram_system(), True),
+    (planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS), False),
+], ids=["magic-square", "pentagram", "p7-441v"])
+def test_small_pairs_are_searched_on_bits_alone(sys_, small):
+    G, H = _graph_pair(sys_)
+    assert (2 * G.edge_count() <= SMALL_ISO_EDGES) == small
+    isomorphism_search(G, H)
+    if sys_.solutions is not None:
+        translate_isomorphism(G, H, sys_.solutions.particular)
+    for X in (G, H):
+        assert ("bits" in X.__dict__, "adj" in X.__dict__) == (small, not small)
 
 
 _UNVERIFIED_SEARCH = """
