@@ -59,16 +59,6 @@ class DeterministicStrategy:
     assignment: dict = field(default_factory=dict)
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a bool's byte as a binary digit
-
-
-def _bitset(flags) -> int:
-    """The int whose bit b is set when the b-th flag is true.  flags are
-    bools or a numpy bool array, whose elements are one byte each, 0 or 1;
-    the buffer of a wider array would be misread."""
-    return int(bytes(flags).translate(_DIGITS)[::-1] or b"0", 2)
-
-
 class KeyTables:
     """The syncLCS game on integers: rows[k] holds the indices of the
     outputs that solve row k+1, and keys(k, cols) the `shared_keys` of each
@@ -86,7 +76,7 @@ class KeyTables:
             codes = self.keys(k, cols)
             if key not in codes:
                 return 0
-            bits = self._hits[key, k, cols] = _bitset(c == key for c in codes)
+            bits = self._hits[key, k, cols] = sum(1 << a for a, c in enumerate(codes) if c == key)
         return bits
 
     def compatible(self, j: int, a: int, k: int) -> int:

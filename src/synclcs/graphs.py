@@ -4,7 +4,8 @@ search, and the translation isomorphism.
 Vertices, edges and the neighbour bitsets come from the row keys, and the
 vertex-pair counts from the row supports alone, with Python ints.  A pair
 of graphs within `SMALL_ISO_EDGES` is refined, searched and verified on
-its bitsets; only the dense adjacency of a larger pair imports numpy."""
+its bitsets; a larger pair also unpacks them into a dense adjacency, the
+only thing here that imports numpy."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from operator import add, itemgetter
 
 from .config import DEFAULT_ENUM_CAP, DEFAULT_SEARCH_BUDGET
 from .errors import NotASolution, SearchBudgetExceeded
-from .games import _bitset
 from .system import LinearSystem, row_solutions, shared_keys
 from .zp import ZpVector, label
 
@@ -136,29 +136,33 @@ class GameGraph:
     @cached_property
     def bits(self) -> list[int]:
         """Each vertex's neighbours as an int, bit v set for vertex v, built
-        from the row keys: a solution of row i is adjacent to the solutions
-        of each row k sharing a column with row i that differ from it there."""
+        from the row keys in one pass per key block: a solution of row i is
+        adjacent to the solutions of each row k sharing a column with row i
+        that differ from it there, so to every vertex of the block's rows Q
+        but those that carry its key."""
         bits = [0] * self.order()
-        for P, Q, a, b, _ in self._key_blocks():
-            keys_q = self._row_slices(Q, b).items()
-            apart: dict[int, int] = {}  # key -> the vertices of Q's rows without it
+        for P, Q, a, b, keys in self._key_blocks():
+            carry = [0] * keys  # key -> the vertices of Q's rows with it
+            for v, key in zip((v for k in Q for v in self._positions[k]), b):
+                carry[key] |= 1 << v
+            union = sum(carry)  # each vertex of Q's rows carries one key
             for u, key in zip((u for i in P for u in self._positions[i]), a):
-                if key not in apart:
-                    apart[key] = sum(_bitset(other != key for other in keys_k) << self._positions[k].start
-                                     for k, keys_k in keys_q)
-                bits[u] |= apart[key]
+                bits[u] |= union ^ carry[key]
         return bits
 
     @cached_property
     def adj(self):
-        """The dense |V| x |V| boolean numpy adjacency, filled on first use."""
+        """The dense |V| x |V| boolean numpy adjacency, unpacked from `bits`
+        on first use.  The array is allocated before `bits` is built, so a
+        graph too large for it fails before any neighbour is listed."""
         import numpy as np
 
-        adj = np.zeros((self.order(), self.order()), dtype=bool)
-        for P, Q, a, b, _ in self._key_blocks():
-            u, v = (np.array([k for i in rows for k in self._positions[i]], dtype=np.intp)
-                    for rows in (P, Q))
-            adj[np.ix_(u, v)] = np.array(a)[:, None] != np.array(b)[None, :]
+        n = self.order()
+        adj = np.empty((n, n), dtype=bool)
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.bits),
+                               dtype=np.uint8).reshape(n, width)
+        adj[:] = np.unpackbits(packed, axis=1, count=n, bitorder="little")
         return adj
 
     def edges(self) -> tuple[array, array]:
@@ -383,14 +387,11 @@ def _bits(mask: int):
 
 
 def _search_rows(G: GameGraph, H: GameGraph) -> tuple[list, list[int]]:
-    """G's adjacency rows a byte per flag, and H's as ints: from `bits` for a
-    small pair, else from `adj`, H's rows packed 8 flags to a byte."""
+    """G's adjacency rows a byte per flag, from `bits` for a small pair, else
+    from `adj`, and H's rows, `bits`, as ints."""
     if _small(G, H):
         return _flags(G.bits), H.bits
-    import numpy as np
-
-    packed = np.packbits(H.adj, axis=1, bitorder="little")
-    return [row.tobytes() for row in G.adj], [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return [row.tobytes() for row in G.adj], H.bits
 
 
 def isomorphism_search(
@@ -408,11 +409,12 @@ def isomorphism_search(
     keep their old values on one undo trail, which a frame pops back to
     its mark before its next candidate, so memory is |V|^2 bytes for the G
     rows, and O(|V|^2/8) for the H rows, the sets and the changed rows on
-    the trail.  A small pair (`SMALL_ISO_EDGES`) takes every row from
-    `bits` and imports no numpy; a larger one builds `adj`, |V|^2 bytes
-    more.  A found bijection is verified edge-preserving before return.
-    None is returned only with the tree exhausted; budget exhaustion
-    raises instead.
+    the trail.  H's rows are `bits`.  A small pair (`SMALL_ISO_EDGES`)
+    takes G's from `bits` too and imports no numpy; a larger one takes them
+    from `adj`, |V|^2 bytes more, allocated before any bitset is built.  A
+    found bijection is verified edge-preserving before return.  None is
+    returned only with the tree exhausted; budget exhaustion raises
+    instead.
     """
     if G.order() != H.order():
         return IsoSearchResult(None, "order-mismatch", 0, 0)

@@ -24,6 +24,9 @@ from typing import ClassVar
 import numpy as np
 
 from .config import DEFAULT_TOL, OMEGA_CONVENTION
+# perfbench/tracing.py patches games' names and needs it loaded once reps
+# is (ROADMAP item 9), like the stage names bound from scalar below
+from . import games  # noqa: F401
 from .errors import (
     DimensionMismatch,
     JNotIdentified,

@@ -671,16 +671,19 @@ NOTHING_HEAVY = ("numpy", "synclcs.graphs", "synclcs.reps", "synclcs.group", "tr
     (["validate", "{magic-square}"], NOTHING_HEAVY, ()),
     (["solve", "{magic-square}"], NOTHING_HEAVY, ("synclcs.games",)),
     (["examples", "magic-square", "--out-file", "{tmp}/written.json"], NOTHING_HEAVY, ()),
-    (["iso", "{magic-square}"], ("numpy", "synclcs.reps", "traceback"), ("synclcs.graphs",)),
-    (["iso", "{pentagram}"], ("numpy", "synclcs.reps", "traceback"), ("synclcs.graphs",)),
-    (["iso", "{p7-441v}"], ("synclcs.reps",), ("numpy", "synclcs.graphs")),
-    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"], ("numpy", "synclcs.reps", "traceback"),
+    (["iso", "{magic-square}"], ("numpy", "synclcs.games", "synclcs.reps", "traceback"),
+     ("synclcs.graphs",)),
+    (["iso", "{pentagram}"], ("numpy", "synclcs.games", "synclcs.reps", "traceback"),
+     ("synclcs.graphs",)),
+    (["iso", "{p7-441v}"], ("synclcs.games", "synclcs.reps"), ("numpy", "synclcs.graphs")),
+    (["repcheck", "{one-eq}", "--rep", "scalar:1,1"],
+     ("numpy", "synclcs.games", "synclcs.reps", "traceback"),
      ("synclcs.graphs", "synclcs.group", "synclcs.scalar")),
-    (["analyze", "{magic-square}"], ("numpy", "synclcs.reps", "synclcs.group", "traceback"),
-     ("synclcs.graphs",)),
-    (["graph", "{magic-square}", "--dot", "{tmp}/ms.dot"], ("numpy", "synclcs.reps", "traceback"),
-     ("synclcs.graphs",)),
-    (["repcheck", "{magic-square}", "--rep", "pauli-ms"], (), ("numpy", "synclcs.reps")),
+    (["analyze", "{magic-square}"],
+     ("numpy", "synclcs.games", "synclcs.reps", "synclcs.group", "traceback"), ("synclcs.graphs",)),
+    (["graph", "{magic-square}", "--dot", "{tmp}/ms.dot"],
+     ("numpy", "synclcs.games", "synclcs.reps", "traceback"), ("synclcs.graphs",)),
+    (["repcheck", "{magic-square}", "--rep", "pauli-ms"], (), ("numpy", "synclcs.games", "synclcs.reps")),
 ], ids=["import", "validate", "solve", "examples", "iso", "iso-pentagram", "iso-p7-441v", "repcheck",
         "analyze", "graph", "repcheck-pauli-ms"])
 def test_commands_load_only_their_layers(capsys, tmp_path, argv, unloaded, loaded):

@@ -304,21 +304,3 @@ def test_compiled_tables_stay_linear_in_the_outputs():
     # 598 KB, in each direction
     assert peak - enumerated < 600_000
 
-
-def _joined_bitset(flags) -> int:
-    """The bitset as a string of one "1" or "0" per flag, read in base 2."""
-    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
-
-
-@given(st.lists(st.booleans(), max_size=200), st.integers(1, 5))
-@settings(max_examples=100, deadline=None)
-def test_bitset_matches_the_joined_digits(flags, step):
-    import numpy as np
-
-    from synclcs.games import _bitset
-
-    array = np.array(flags, dtype=bool)
-    # a list, a contiguous bool array and strided slices of one
-    for case in (flags, array, array[::step], array[::-1], array.reshape(-1, 1)[:, 0]):
-        assert _bitset(case) == _joined_bitset(case)
-    assert _bitset(f for f in flags) == _joined_bitset(flags)

@@ -46,7 +46,6 @@ from synclcs import (
 )
 from synclcs import graphs
 from synclcs.errors import NotASolution, SearchBudgetExceeded
-from synclcs.games import _bitset
 from synclcs.graphs import SMALL_ISO_EDGES, VertexBijection, _search_rows, _wl_refine
 from synclcs.presets import magic_square_system, one_eq_system
 
@@ -466,7 +465,7 @@ def test_wl_refine_matches_counter_refinement_when_every_vertex_is_split():
     adj |= adj.T
     perm = gen.permutation(n)
     G, H = (SimpleNamespace(adj=a, order=lambda: n, edge_count=lambda: int(adj.sum()) // 2,
-                            bits=[_bitset(row) for row in a])
+                            bits=_row_ints(a))
             for a in (adj, adj[np.ix_(perm, perm)]))
     for bound in (ARRAY_PATH, BIT_PATH):
         with _forced(bound):
@@ -475,6 +474,11 @@ def test_wl_refine_matches_counter_refinement_when_every_vertex_is_split():
 
 
 # ------------------------------------------ neighbour bitsets vs dense rows
+
+
+def _row_ints(adj) -> list[int]:
+    """Each row of a dense adjacency as an int, bit v set when entry v is."""
+    return [sum(1 << int(v) for v in np.flatnonzero(row)) for row in adj]
 
 
 def test_bits_are_the_adjacency_rows(rng):
@@ -488,13 +492,16 @@ def test_bits_are_the_adjacency_rows(rng):
             bits = G.bits
             assert "adj" not in G.__dict__
             assert all(type(row) is int for row in bits)
-            assert bits == [_bitset(row) for row in G.adj]
+            want = per_column_adjacency(G)
+            assert bits == _row_ints(want)
+            # adj, unpacked from bits, is a writeable C-contiguous bool array
+            assert G.adj.dtype == bool and G.adj.flags.c_contiguous and G.adj.flags.writeable
+            assert np.array_equal(G.adj, want)
     assert build_game_graph(empty).bits == []
 
 
 def test_search_rows_from_bits_equal_those_from_adj(rng):
-    # G's rows a byte per flag and H's as ints, the latter packed by numpy
-    # on the dense side
+    # G's rows a byte per flag and H's as ints, on both sides of the bound
     for sys_ in [*_parity_systems(rng), planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS)]:
         G, H = _graph_pair(sys_)
         with _forced(BIT_PATH):
@@ -503,7 +510,26 @@ def test_search_rows_from_bits_equal_those_from_adj(rng):
         with _forced(ARRAY_PATH):
             large = _search_rows(G, H)
         assert small == large
-        assert large == ([row.tobytes() for row in G.adj], [_bitset(row) for row in H.adj])
+        assert large == ([row.tobytes() for row in per_column_adjacency(G)],
+                         _row_ints(per_column_adjacency(H)))
+
+
+def test_a_large_pair_allocates_adj_before_any_bitset():
+    # numpy refusing the |V| x |V| array must stop the search before either
+    # graph lists a neighbour
+    G, H = _graph_pair(planted_system(random.Random(7), 7, 7, P7_441_SUPPORTS))
+    n = G.order()
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if tuple(shape) == (n, n):
+            raise MemoryError(f"refused {shape}")
+        return empty(shape, *args, **kwargs)
+
+    with _forced(ARRAY_PATH), patch.object(np, "empty", refusing):
+        with pytest.raises(MemoryError, match="refused"):
+            isomorphism_search(G, H)
+    assert "bits" not in G.__dict__ and "bits" not in H.__dict__
 
 
 def _swapped(bij: VertexBijection, u, v) -> VertexBijection:
@@ -544,7 +570,8 @@ def test_small_pairs_are_searched_on_bits_alone(sys_, small):
     if sys_.solutions is not None:
         translate_isomorphism(G, H, sys_.solutions.particular)
     for X in (G, H):
-        assert ("bits" in X.__dict__, "adj" in X.__dict__) == (small, not small)
+        # adj, on a large pair, is unpacked from bits
+        assert ("bits" in X.__dict__, "adj" in X.__dict__) == (True, not small)
 
 
 _UNVERIFIED_SEARCH = """
