@@ -39,7 +39,7 @@ from .errors import (
     UnknownExample,
 )
 from .presets import magic_square_system, preset_system
-from .system import LinearSystem, row_size, validate_document
+from .system import LinearSystem, row_size, validate_document, validate_system
 from .zp import ZpVector, label
 
 # Each command imports the games, graphs, group, scalar and reps names it
@@ -100,8 +100,9 @@ def _error_json(error: Exception) -> dict:
     return {"type": type(error).__name__, "message": str(error)}
 
 
-def _load_system(path: str) -> tuple[LinearSystem | None, dict, dict]:
-    """Parse and validate a system file; returns (system, inputs, validation)."""
+def _load_system(path: str) -> tuple[LinearSystem | None, dict, list[dict]]:
+    """Parse a system file and validate its structure; returns (system,
+    inputs, failures), failures the one record of a refused file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -109,18 +110,19 @@ def _load_system(path: str) -> tuple[LinearSystem | None, dict, dict]:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("system document must be a JSON object")
-    system, validation = validate_document(doc)
+    system, failures = validate_document(doc)
     inputs = {"path": path}
     if system is not None:
         inputs["system_digest"] = system.digest()
-    return system, inputs, validation.to_json()
+    return system, inputs, failures
 
 
-# Each cmd_* runs on a system that passed validation (examples gets None),
-# adds its fields to the report and returns its exit code and summary.
+# Each cmd_* runs on a system whose structure passed validation (examples
+# gets None), adds its fields to the report and returns its exit code and
+# summary.  Of them, validate, analyze, solve and iso solve the system.
 
 def cmd_validate(system: LinearSystem, report: dict, args, limits: Limits) -> tuple[int, dict]:
-    # main has put the validation records into the report
+    report["checks"] = validate_system(system)
     return EXIT_PASS, {"verdict": "pass"}
 
 
@@ -391,11 +393,10 @@ def _run(args) -> tuple[int, dict]:
     if args.command == "examples":
         report = _base_report("examples", {"name": args.name})
     else:
-        system, inputs, validation = _load_system(args.path)
+        system, inputs, failures = _load_system(args.path)
         report = _base_report(args.command, inputs)
-        if system is None or args.command == "validate":
-            report["checks"] = validation["records"]
         if system is None:
+            report["checks"] = failures
             report["summary"] = {"verdict": "fail"}
             return EXIT_VALIDATION, report
     code, report["summary"] = args.func(system, report, args, limits)

@@ -59,6 +59,11 @@ class Relation:
             return f"[{a},{b}]"
         return self.word.display()
 
+    def record(self, residual, tol: float) -> CheckRecord:
+        """The check record of this relation word at this residual."""
+        return CheckRecord(f"relation:{self.label}", residual, tol,
+                           detail={"family": self.family, "display": self.display()})
+
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -181,13 +186,5 @@ def relation_residuals(
     for rel in pres.relations:
         factors = [powers[factor] for factor in rel.word.factors]
         value = reduce(matmul, factors) if factors else identity
-        residual = frob(value - identity)
-        records.append(
-            CheckRecord(
-                name=f"relation:{rel.label}",
-                residual=residual,
-                tolerance=tol,
-                detail={"family": rel.family, "display": rel.display()},
-            )
-        )
+        records.append(rel.record(frob(value - identity), tol))
     return records

@@ -110,8 +110,7 @@ def relation_residuals(
     records = []
     for rel in pres.relations:
         value = Cyclotomic.omega_power(p, sum(exponents[gen] * e for gen, e in rel.word.factors))
-        records.append(CheckRecord(f"relation:{rel.label}", _norm(value - 1), tol,
-                                   detail={"family": rel.family, "display": rel.display()}))
+        records.append(rel.record(_norm(value - 1), tol))
     return records
 
 

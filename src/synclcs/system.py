@@ -1,12 +1,17 @@
 """The linear-constraint-system model: per-row supports, per-row restricted
-solution sets, the compatibility keys, and validation."""
+solution sets, the compatibility keys, and validation.
+
+Validation records are plain dicts {"name", "level", "message"}.
+validate_document decides structure only and never solves the system;
+validate_system adds the semantic checks, classical solvability among them,
+and is run by the validate command alone."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .config import DEFAULT_ENUM_CAP
@@ -151,77 +156,47 @@ def shared_keys(p: int, solutions, cols) -> list[int]:
     return codes
 
 
-@dataclass
-class ValidationRecord:
-    name: str
-    level: str  # "pass" | "warning" | "failure"
-    message: str
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "level": self.level, "message": self.message}
+def _record(name: str, level: str, message: str) -> dict:
+    """A validation record; level is "pass", "warning" or "failure"."""
+    return {"name": name, "level": level, "message": message}
 
 
-@dataclass
-class ValidationReport:
-    records: list[ValidationRecord] = field(default_factory=list)
-
-    def add(self, name: str, level: str, message: str):
-        self.records.append(ValidationRecord(name, level, message))
-
-    @property
-    def ok(self) -> bool:
-        return all(r.level != "failure" for r in self.records)
-
-    def to_json(self) -> dict:
-        return {
-            "records": [r.to_json() for r in self.records],
-            "verdict": "pass" if self.ok else "fail",
-        }
-
-
-def validate_system(sys: LinearSystem) -> ValidationReport:
-    """Structural and semantic checks; verdicts are carried in the report."""
-    report = ValidationReport()
-    report.add("modulus-prime", "pass", f"p = {sys.p} is prime")
-    report.add("shapes", "pass", f"A is {sys.m}x{sys.n}, b has length {sys.m}")
+def validate_system(sys: LinearSystem) -> list[dict]:
+    """Structural and semantic checks, one record each; solves the system
+    for the last, its classical solvability."""
+    records = [_record("modulus-prime", "pass", f"p = {sys.p} is prime"),
+               _record("shapes", "pass", f"A is {sys.m}x{sys.n}, b has length {sys.m}")]
 
     for i in range(1, sys.m + 1):
         if not sys.supports[i - 1] and sys.b.entry(i) != 0:
-            report.add(
+            records.append(_record(
                 "zero-row-contradiction",
                 "warning",
                 f"row {i} is zero with b_{i} != 0: its solution set is empty, "
                 "so the game algebra is the zero algebra",
-            )
+            ))
 
     seen: dict[tuple, int] = {}
     for i in range(1, sys.m + 1):
         key = (sys.A.rows[i - 1], sys.b.entry(i))
         if key in seen:
-            report.add(
-                "duplicate-rows", "warning", f"row {i} duplicates row {seen[key]}"
-            )
+            records.append(_record("duplicate-rows", "warning", f"row {i} duplicates row {seen[key]}"))
         else:
             seen[key] = i
 
     if sys.solutions is None:
-        report.add(
-            "classical-solvability",
-            "warning",
-            "system inconsistent (no classical solution)",
-        )
+        records.append(_record("classical-solvability", "warning",
+                               "system inconsistent (no classical solution)"))
     else:
-        report.add("classical-solvability", "pass", "system has a classical solution")
-    return report
+        records.append(_record("classical-solvability", "pass", "system has a classical solution"))
+    return records
 
 
-def validate_document(doc: dict) -> tuple[LinearSystem | None, ValidationReport]:
-    """Pre-construction validation of a raw system document.
-
-    Structural problems (non-prime modulus, bad shapes) become failure
-    records instead of exceptions, so callers can render them.
-    """
-    report = ValidationReport()
+def validate_document(doc: dict) -> tuple[LinearSystem | None, list[dict]]:
+    """Structural validation of a raw system document: (system, []), or
+    (None, [its failure record]) for a non-prime modulus or bad shapes,
+    which become a record instead of an exception so callers can render
+    it.  The semantic checks are validate_system's."""
     try:
         p = json_typed(doc["p"], int, "p")
     except (KeyError, TypeError):
@@ -229,15 +204,10 @@ def validate_document(doc: dict) -> tuple[LinearSystem | None, ValidationReport]
     try:
         prime = is_prime(p)
     except NotPrime as exc:  # beyond the range is_prime can certify
-        report.add("modulus-prime", "failure", str(exc))
-        return None, report
+        return None, [_record("modulus-prime", "failure", str(exc))]
     if not prime:
-        report.add("modulus-prime", "failure", f"modulus {p} is not prime")
-        return None, report
+        return None, [_record("modulus-prime", "failure", f"modulus {p} is not prime")]
     try:
-        sys_ = LinearSystem.from_json(doc)
+        return LinearSystem.from_json(doc), []
     except (NotPrime, DimensionMismatch) as exc:
-        report.add("shapes", "failure", str(exc))
-        return None, report
-    full = validate_system(sys_)
-    return sys_, full
+        return None, [_record("shapes", "failure", str(exc))]

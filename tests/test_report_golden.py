@@ -66,6 +66,10 @@ DOCUMENTS = {
     "c6.json": {"p": 6, "A": [[1, 1]], "b": [0]},
     "ragged.json": {"p": 2, "A": [[1, 1], [1]], "b": [0, 0]},
     "p37.json": {"p": 37, "A": [[1]], "b": [0]},
+    # b of length 2 for a 1-row A
+    "blen.json": {"p": 2, "A": [[1, 1]], "b": [0, 1]},
+    # 2^89 - 1, prime but beyond the range is_prime certifies
+    "huge.json": {"p": 2**89 - 1, "A": [[1, 1]], "b": [0]},
     # a valid p=3 representation with as many generators as ms.json has variables
     "rep3.json": _one_dim_rep(3, 9),
 }
@@ -87,6 +91,8 @@ CASES = [
     ("iso", "p7.json"),
 ] + [
     (command, path) for path in ("zb3.json", "wide.json") for command in ("analyze", "graph", "iso")
+] + [
+    ("validate", path) for path in ("ms.json", "p3.json", "s3.json", "z3.json", "zb3.json", "wide.json")
 ]
 
 GOLDEN = {
@@ -120,6 +126,12 @@ GOLDEN = {
     "analyze wide.json": (0, "a6eb2ed7d0838a8552287f367a63de727a3f7841d68d48f9458268866232bdf3"),
     "graph wide.json": (0, "a5b1b8b237738c7d99b5d8d1d6433945f4f40f5092612be0227112c067d54d57"),
     "iso wide.json": (0, "734e4019ad5ad3c1197186f703419be4632c14ebee27bc773dd6e49526aa867c"),
+    "validate ms.json": (0, "607d2c8a9e25fd5d9412666c5352c4dd7bf28b37496b74bddbc350230a99fca2"),
+    "validate p3.json": (0, "95df731f1867ac57572d1fe899aa50dee1e10aa51f0a1993478e2c62fe00d66d"),
+    "validate s3.json": (0, "73e26e26ebf34d3d62baa4f5e8f954c5ce67accd3970f90dfd765adf144eea78"),
+    "validate z3.json": (0, "fc30db99094552f86fc79c97bc5f77429081a46352c0903c1c7e6d58e11e3154"),
+    "validate zb3.json": (0, "c50fa51a87386f3693f7380c707af533aaec95e02ae835b99655732da855c2f6"),
+    "validate wide.json": (0, "1cc2f96cb1b51a0b49154442d19e3ae8cb473732cae0a60e1628474cf8508f68"),
 }
 
 
@@ -150,6 +162,8 @@ ERROR_GOLDEN = {
     "validate c6.json": (2, "d06cf316a33319d1e941c1c48ea8292467a5104abf4b30cad97c8a751f1f9453"),
     "solve c6.json": (2, "539ce7c3fbc7d738f0b6dc3a7e5c050326105e00a8da7bc99d2126e2a86e221d"),
     "validate ragged.json": (3, "36cfab4364e272a0da334b1cc79fc89aa72fd0add672f3aaf5611e2f35fdf8fe"),
+    "validate blen.json": (2, "d8e080d1ac08ef20ea287b7b0c9c2370b95309a8e3b19905e8ca15b9b89ba406"),
+    "validate huge.json": (2, "6ff27dbd1ed583b8808c53ac0024ebe297c61cf810ea3e820266a259c8f8cebb"),
     "SYNCLCS_SEARCH_BUDGET=5 iso ms.json": (4, "daf8b8d0f885f47cc7074f6bb44eca608d4cf2932cbe8be25e63c1e6648611ea"),
     "examples nope": (2, "025567de417dd4943c73f50013b54d21a60f1fcc9ef22f569709a2fdfd072b0c"),
     "repcheck p3.json --rep scalar:0,0,0": (2, "91e75bd87e02931531a100e44ba12dcc8e85d8d5368a53a2d922d70572b7415b"),

@@ -61,8 +61,12 @@ def _zero_rows_with_nonzero_b(sys_):
             if not any(row) and bi]
 
 
-def _warnings(report):
-    return [r for r in report.records if r.level == "warning"]
+def _warnings(records):
+    return [r for r in records if r["level"] == "warning"]
+
+
+def _ok(records):
+    return all(r["level"] != "failure" for r in records)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 2**64 - 59])
@@ -81,10 +85,10 @@ def test_supports_are_the_sorted_row_supports(p, capsys, tmp_path):
         zero_rows = _zero_rows_with_nonzero_b(sys_)
         assert zero_rows
         report = validate_system(sys_)
-        assert [r.message for r in _warnings(report) if r.name == "zero-row-contradiction"] == [
+        assert [r["message"] for r in _warnings(report) if r["name"] == "zero-row-contradiction"] == [
             f"row {i} is zero with b_{i} != 0: its solution set is empty, "
             "so the game algebra is the zero algebra" for i in zero_rows]
-        assert any(r.name == "duplicate-rows" for r in _warnings(report))
+        assert any(r["name"] == "duplicate-rows" for r in _warnings(report))
         if analyze:
             path = tmp_path / f"system{trial}.json"
             path.write_text(json.dumps(sys_.to_json()))
@@ -227,33 +231,31 @@ def test_is_row_solution_membership():
 
 def test_validate_magic_square():
     report = validate_system(magic_square_system())
-    assert report.ok
-    assert any("inconsistent" in r.message for r in _warnings(report))
+    assert _ok(report)
+    assert any("inconsistent" in r["message"] for r in _warnings(report))
 
 
 def test_validate_zero_row_contradiction():
     report = validate_system(LinearSystem.from_ints(2, [[0, 0]], [1]))
-    assert report.ok
-    assert any(r.name == "zero-row-contradiction" for r in _warnings(report))
+    assert _ok(report)
+    assert any(r["name"] == "zero-row-contradiction" for r in _warnings(report))
 
 
 def test_validate_duplicate_rows():
     report = validate_system(LinearSystem.from_ints(2, [[1, 1], [1, 1]], [0, 0]))
-    assert any(r.name == "duplicate-rows" for r in _warnings(report))
+    assert any(r["name"] == "duplicate-rows" for r in _warnings(report))
 
 
 def test_validate_document_rejects_composite_modulus():
     system, report = validate_document({"p": 4, "A": [[1, 1]], "b": [0]})
     assert system is None
-    assert not report.ok
-    assert any(r.name == "modulus-prime" and r.level == "failure"
-               for r in report.records)
+    assert [(r["name"], r["level"]) for r in report] == [("modulus-prime", "failure")]
 
 
 def test_validate_document_bad_b_length():
     system, report = validate_document({"p": 2, "A": [[1, 1]], "b": [0, 1]})
     assert system is None
-    assert not report.ok
+    assert [(r["name"], r["level"]) for r in report] == [("shapes", "failure")]
 
 
 def test_from_json_rejects_ragged_rows():
